@@ -2,9 +2,9 @@
 
 A 2D sagittal-plane world (forward distance x height) is scanned by four
 diverging ultrasonic cones mounted at chest, knee, toe, and foot-arch
-level.  The library raycasts the cones, models the sensor electronics,
-applies the proximity / stair / pothole decision tables, and fuses the
-channels into a single per-tick advisory.
+level.  The library finds each cone's nearest echo in closed form,
+models the sensor electronics, applies the proximity / stair / pothole
+decision tables, and fuses the channels into a single per-tick advisory.
 """
 
 from .classify import (
@@ -24,12 +24,10 @@ from .geometry import (
     Aim,
     GeometryError,
     GroundSegment,
-    Ray,
     Rect,
     SagittalScene,
     cone_min_distance,
     overlap_distance,
-    raycast,
 )
 from .pipeline import (
     FrameOutput,
@@ -67,7 +65,6 @@ __all__ = [
     "GeometryError",
     "GroundSegment",
     "PipelineError",
-    "Ray",
     "Rect",
     "SagittalScene",
     "SensingError",
@@ -95,7 +92,6 @@ __all__ = [
     "load_calibration",
     "measure",
     "overlap_distance",
-    "raycast",
     "run_scenario",
     "sound_speed",
     "tick",

@@ -122,20 +122,20 @@ def detect_upstairs(knee: Reading, toe: Reading) -> StairCheck:
     return StairCheck(upstairs=upstairs, knee_bit=int(k is not None), toe_bit=int(t is not None))
 
 
-def classify_depth(depth: float):
-    """Pothole channel: (level, advisory) from depth below the foot arch.
+def classify_depth(depth: float) -> int:
+    """Pothole channel level from depth below the foot arch: bands 10/20/40 cm.
 
-    Depth bands 10/20/40 cm map to move forward, caution (possible
-    down-stair), alternate path, and full stop.
+    Levels 1-3 read as caution (possible down-stair), alternate path, and
+    full stop; `pipeline.fuse` turns the level into that advisory.
     """
     d = max(depth, 0.0)
     if d <= 10.0:
-        return 0, Advisory.MOVE_FORWARD
+        return 0
     if d <= 20.0:
-        return 1, Advisory.MOVE_FORWARD_CAUTION
+        return 1
     if d <= 40.0:
-        return 2, Advisory.ALTERNATE_PATH
-    return 3, Advisory.STOP_IMMEDIATELY
+        return 2
+    return 3
 
 
 def is_downstep(depth: float) -> bool:

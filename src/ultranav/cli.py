@@ -2,8 +2,8 @@
 
 Scenario format: one directive per line, '#' starts a comment.
 
-    CONFIG key value        tick_ms, debounce_ticks, n_rays, temp,
-                            temp_cal, start_x, jitter, seed
+    CONFIG key value        tick_ms, debounce_ticks, temp, temp_cal,
+                            start_x, jitter, seed
     SENSOR name height sarl chest|knee|toe|arch, lengths in cm
     OBSTACLE x0 x1 z0 z1    rectangle in the forward x height plane (cm)
     GROUND x0 x1 dz         terrain elevation patch (cm; negative = hole)
@@ -41,7 +41,6 @@ TRACE_HEADER = (
 _CONFIG_KEYS = {
     "tick_ms": float,
     "debounce_ticks": int,
-    "n_rays": int,
     "temp": float,
     "temp_cal": float,
     "start_x": float,
@@ -178,8 +177,6 @@ def build_simulation(scenario: Scenario, args=None):
             cfg["temp"] = args.temp
         if args.temp_cal is not None:
             cfg["temp_cal"] = args.temp_cal
-        if args.rays is not None:
-            cfg["n_rays"] = args.rays
         if args.seed is not None:
             cfg["seed"] = args.seed
 
@@ -188,7 +185,6 @@ def build_simulation(scenario: Scenario, args=None):
         temp_actual=cfg.get("temp", 20.0),
         temp_cal=cfg.get("temp_cal", 20.0),
         debounce_ticks=cfg.get("debounce_ticks", 2),
-        n_rays=cfg.get("n_rays", 31),
         jitter_cm=cfg.get("jitter", 0.0),
         seed=cfg.get("seed", 0),
     )
@@ -302,15 +298,7 @@ def verify_tables(out=None) -> bool:
     ok &= _sweep("chest", CHEST_BANDS, classify_chest, out)
     ok &= _sweep("knee", KNEE_BANDS, classify_knee, out)
     ok &= _sweep("toe", TOE_BANDS, classify_toe, out)
-    ok &= _sweep(
-        "depth",
-        DEPTH_BANDS,
-        lambda d: classify_depth(d)[0],
-        out,
-        lo=0.0,
-        hi=60.0,
-        no_echo=False,
-    )
+    ok &= _sweep("depth", DEPTH_BANDS, classify_depth, out, lo=0.0, hi=60.0, no_echo=False)
     stairs_ok = True
     for (knee, toe), (upstairs, kbit, tbit) in STAIR_TRUTH_TABLE:
         got = detect_upstairs(knee, toe)
@@ -339,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--temp", type=float, default=None, help="ambient temperature, C")
     run_p.add_argument("--temp-cal", type=float, default=None, help="device calibration temperature, C")
     run_p.add_argument("--calib", default=None, help="calibration file (actual measured per line)")
-    run_p.add_argument("--rays", type=int, default=None, help="rays per cone (odd)")
     run_p.add_argument("--out", default=None, help="trace output file (default stdout)")
     run_p.add_argument("--seed", type=int, default=None, help="seed for optional reading jitter")
 

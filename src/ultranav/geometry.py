@@ -1,4 +1,4 @@
-"""Sagittal-plane scene geometry and ultrasonic cone raycasting.
+"""Sagittal-plane scene geometry and the exact ultrasonic cone minimum.
 
 The world is a 2D vertical slice: x runs forward from the user (cm),
 z runs upward from nominal ground level (cm).  Obstacles are axis-aligned
@@ -9,6 +9,7 @@ Echoes are only returned from faces hit near-perpendicularly: a
 forward-aimed beam sees vertical faces (obstacle fronts/backs, risers),
 a downward-aimed beam sees horizontal faces (ground, obstacle tops).
 Grazing hits on the other orientation scatter away and produce no echo.
+Obstacles thinner than MIN_OBSTACLE_THICKNESS_CM along x have no faces.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ _EPS = 1e-9
 
 
 class GeometryError(ValueError):
-    """Invalid scene, ray, or sampling parameters."""
+    """Invalid scene or sensor origin."""
 
 
 class Aim(Enum):
@@ -71,15 +72,6 @@ class GroundSegment:
 
 
 @dataclass(frozen=True)
-class Ray:
-    """Single ray: origin (x, z) and angle in radians off the aim axis."""
-
-    x: float
-    z: float
-    angle: float = 0.0
-
-
-@dataclass(frozen=True)
 class SagittalScene:
     """Immutable obstacle + terrain description of the vertical slice."""
 
@@ -117,10 +109,18 @@ class SagittalScene:
         return 0.0
 
     @cached_property
+    def _echoing_obstacles(self) -> tuple:
+        return tuple(
+            r
+            for r in self.obstacles
+            if (r.x1 - r.x0) >= MIN_OBSTACLE_THICKNESS_CM - _EPS
+        )
+
+    @cached_property
     def vertical_faces(self) -> tuple:
         """Faces visible to forward beams: (x, z_lo, z_hi) triples."""
         faces = []
-        for r in self.obstacles:
+        for r in self._echoing_obstacles:
             faces.append((r.x0, r.z0, r.z1))
             faces.append((r.x1, r.z0, r.z1))
         # Riser faces wherever the elevation profile jumps, including the
@@ -138,7 +138,7 @@ class SagittalScene:
     def horizontal_faces(self) -> tuple:
         """Faces visible to downward beams: (z, x_lo, x_hi) triples."""
         faces = []
-        for r in self.obstacles:
+        for r in self._echoing_obstacles:
             faces.append((r.z1, r.x0, r.x1))
             faces.append((r.z0, r.x0, r.x1))
         profile = self.ground_profile
@@ -152,87 +152,43 @@ class SagittalScene:
         return tuple(faces)
 
 
-def ray_direction(aim: Aim, angle: float) -> tuple:
-    """Unit direction of a ray at `angle` radians off the aim axis."""
-    if aim is Aim.FORWARD:
-        return math.cos(angle), math.sin(angle)
-    return math.sin(angle), -math.cos(angle)
-
-
-def raycast(scene: SagittalScene, ray: Ray, aim: Aim) -> Optional[float]:
-    """Distance (cm) to the nearest echoing face along the ray, or None.
-
-    Forward beams echo off vertical faces only, downward beams off
-    horizontal faces only; raises GeometryError if the ray starts below
-    the local terrain.
-    """
-    if ray.z < scene.elevation(ray.x) - _EPS:
-        raise GeometryError(
-            f"ray origin ({ray.x}, {ray.z}) is below the ground surface"
-        )
-    dx, dz = ray_direction(aim, ray.angle)
-    best = None
-    if aim is Aim.FORWARD:
-        for fx, zlo, zhi in scene.vertical_faces:
-            if abs(dx) < _EPS:
-                continue
-            t = (fx - ray.x) / dx
-            if t <= _EPS:
-                continue
-            z_hit = ray.z + t * dz
-            if zlo - _EPS <= z_hit <= zhi + _EPS:
-                if best is None or t < best:
-                    best = t
-    else:
-        for fz, xlo, xhi in scene.horizontal_faces:
-            if abs(dz) < _EPS:
-                continue
-            t = (fz - ray.z) / dz
-            if t <= _EPS:
-                continue
-            x_hit = ray.x + t * dx
-            if xlo - _EPS <= x_hit <= xhi + _EPS:
-                if best is None or t < best:
-                    best = t
-    return best
-
-
 def cone_min_distance(
     scene: SagittalScene,
     origin: tuple,
     aim: Aim,
     half_angle: float = 15.0,
-    n_rays: int = 31,
 ) -> Optional[float]:
-    """Nearest echo over a fan of `n_rays` rays spanning +-half_angle degrees.
+    """Nearest echo (cm) inside the cone spanning +-half_angle degrees, or None.
 
-    n_rays must be odd (>= 3) so the axis ray is always sampled.  Obstacles
-    thinner than MIN_OBSTACLE_THICKNESS_CM along x are invisible; terrain
-    features have no thickness floor.
+    Each face the aim can see lies at depth L along the aim axis; the cone
+    covers the cross-axis span [c - L tan h, c + L tan h] around the
+    origin's cross-axis coordinate c.  The nearest point of the face span
+    clipped to that window is `off` from c, so the face echoes at
+    hypot(L, off).  Raises GeometryError if the origin is below the terrain.
     """
-    if n_rays < 3 or n_rays % 2 == 0:
-        raise GeometryError(f"n_rays must be odd and >= 3, got {n_rays}")
-    visible = _cull_thin_obstacles(scene)
     ox, oz = origin
-    half = math.radians(half_angle)
+    if oz < scene.elevation(ox) - _EPS:
+        raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
+    if aim is Aim.FORWARD:
+        along, across, sign, faces = ox, oz, 1.0, scene.vertical_faces
+    else:
+        along, across, sign, faces = oz, ox, -1.0, scene.horizontal_faces
+    tan_h = math.tan(math.radians(half_angle))
     best = None
-    for i in range(n_rays):
-        angle = -half + (2.0 * half) * i / (n_rays - 1)
-        d = raycast(visible, Ray(ox, oz, angle), aim)
-        if d is not None and (best is None or d < best):
+    for pos, lo, hi in faces:
+        depth = sign * (pos - along)
+        if depth <= _EPS:
+            continue
+        reach = depth * tan_h
+        lo = max(lo, across - reach)
+        hi = min(hi, across + reach)
+        if lo > hi + _EPS:
+            continue
+        off = lo - across if lo > across else (across - hi if hi < across else 0.0)
+        d = math.hypot(depth, off)
+        if best is None or d < best:
             best = d
     return best
-
-
-def _cull_thin_obstacles(scene: SagittalScene) -> SagittalScene:
-    kept = tuple(
-        r
-        for r in scene.obstacles
-        if (r.x1 - r.x0) >= MIN_OBSTACLE_THICKNESS_CM - 1e-9
-    )
-    if len(kept) == len(scene.obstacles):
-        return scene
-    return SagittalScene(kept, scene.ground)
 
 
 def overlap_distance(h_upper: float, h_lower: float, divergence: float = 30.0) -> float:

@@ -43,7 +43,6 @@ class UserState:
 
     x: float = 0.0
     speed: float = 0.0  # cm/s, negative = stepping back
-    height: float = 175.0
 
     def __post_init__(self):
         if abs(self.speed) > MAX_USER_SPEED_CM_S:
@@ -74,7 +73,6 @@ class SimConfig:
     temp_cal: float = 20.0
     calibration: Calibration = IDENTITY_CALIBRATION
     debounce_ticks: int = 2
-    n_rays: int = 31
     jitter_cm: float = 0.0
     seed: int = 0
 
@@ -220,7 +218,6 @@ def tick(
             temp_actual=config.temp_actual,
             temp_cal=config.temp_cal,
             calib=config.calibration,
-            n_rays=config.n_rays,
         )
         if r is not None and rng is not None and config.jitter_cm > 0.0:
             r = r + rng.uniform(-config.jitter_cm, config.jitter_cm)
@@ -237,7 +234,7 @@ def tick(
     # No downward echo means the drop exceeds the sensor's reach: treat as
     # an unbounded hazard depth.
     depth = math.inf if down is None else max(down - arch.mount_height, 0.0)
-    brzP, _ = classify_depth(depth)
+    brzP = classify_depth(depth)
     downstep = is_downstep(depth)
 
     frame = BuzzerFrame(brzC=brzC, brzK=brzK, brzT=brzT, brzP=brzP)

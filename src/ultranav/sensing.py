@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-import numpy as np
 
 from .geometry import Aim, SagittalScene, cone_min_distance
 
@@ -89,7 +88,6 @@ def measure(
     temp_actual: float = 20.0,
     temp_cal: float = 20.0,
     calib: Calibration = IDENTITY_CALIBRATION,
-    n_rays: int = 31,
 ) -> Optional[float]:
     """One echo reading in cm, or None when nothing echoes in range.
 
@@ -104,7 +102,6 @@ def measure(
         (user_x, spec.mount_height),
         spec.aim,
         half_angle=spec.half_angle,
-        n_rays=n_rays,
     )
     if true is None or true > spec.max_range:
         return None
@@ -118,15 +115,21 @@ def fit_calibration(pairs) -> Calibration:
 
     Needs at least two pairs with distinct actual distances.
     """
-    pairs = list(pairs)
-    actual = np.asarray([p[0] for p in pairs], dtype=float)
-    measured = np.asarray([p[1] for p in pairs], dtype=float)
-    if len(pairs) < 2 or np.ptp(actual) == 0.0:
+    pairs = [(float(a), float(m)) for a, m in pairs]
+    n = len(pairs)
+    if n < 2 or len({a for a, _ in pairs}) < 2:
         raise SensingError(
             "calibration fit needs >= 2 pairs with distinct actual distances"
         )
-    gain, offset = np.polyfit(actual, measured, 1)
-    return Calibration(gain=float(gain), offset=float(offset))
+    mean_a = sum(a for a, _ in pairs) / n
+    mean_m = sum(m for _, m in pairs) / n
+    sxx = sum((a - mean_a) ** 2 for a, _ in pairs)
+    sxy = sum((a - mean_a) * (m - mean_m) for a, m in pairs)
+    gain = sxy / sxx if sxx > 0.0 else math.nan
+    offset = mean_m - gain * mean_a
+    if not (math.isfinite(gain) and math.isfinite(offset)):
+        raise SensingError("calibration fit is not finite")
+    return Calibration(gain=gain, offset=offset)
 
 
 def correct(calib: Calibration, measured: float) -> float:

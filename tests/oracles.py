@@ -1,5 +1,9 @@
 """Independent brute-force oracles for the geometry module.
 
+`raycast` intersects one ray with the scene's echoing faces, and
+`dense_cone_min` sweeps a fan of such rays across the cone: the sampled
+reference for the closed-form `cone_min_distance`.
+
 The marching oracle knows nothing about segment intersection: it samples
 points along the ray, tests solid occupancy, bisects the first free to
 occupied crossing, and classifies the local face orientation by probing
@@ -10,17 +14,73 @@ horizontal ones, mirroring the echo-incidence rule.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from ultranav.geometry import (
     Aim,
+    GeometryError,
     MIN_OBSTACLE_THICKNESS_CM,
-    Ray,
     SagittalScene,
-    ray_direction,
-    raycast,
 )
+
+_EPS = 1e-9
+
+
+@dataclass(frozen=True)
+class Ray:
+    """Single ray: origin (x, z) and angle in radians off the aim axis."""
+
+    x: float
+    z: float
+    angle: float = 0.0
+
+
+def ray_direction(aim: Aim, angle: float) -> tuple:
+    """Unit direction of a ray at `angle` radians off the aim axis."""
+    if aim is Aim.FORWARD:
+        return math.cos(angle), math.sin(angle)
+    return math.sin(angle), -math.cos(angle)
+
+
+def raycast(scene: SagittalScene, ray: Ray, aim: Aim) -> Optional[float]:
+    """Distance (cm) to the nearest echoing face along the ray, or None.
+
+    Forward beams echo off vertical faces only, downward beams off
+    horizontal faces only; raises GeometryError if the ray starts below
+    the local terrain.
+    """
+    if ray.z < scene.elevation(ray.x) - _EPS:
+        raise GeometryError(
+            f"ray origin ({ray.x}, {ray.z}) is below the ground surface"
+        )
+    dx, dz = ray_direction(aim, ray.angle)
+    best = None
+    if aim is Aim.FORWARD:
+        for fx, zlo, zhi in scene.vertical_faces:
+            if abs(dx) < _EPS:
+                continue
+            t = (fx - ray.x) / dx
+            if t <= _EPS:
+                continue
+            z_hit = ray.z + t * dz
+            if zlo - _EPS <= z_hit <= zhi + _EPS:
+                if best is None or t < best:
+                    best = t
+    else:
+        for fz, xlo, xhi in scene.horizontal_faces:
+            if abs(dz) < _EPS:
+                continue
+            t = (fz - ray.z) / dz
+            if t <= _EPS:
+                continue
+            x_hit = ray.x + t * dx
+            if xlo - _EPS <= x_hit <= xhi + _EPS:
+                if best is None or t < best:
+                    best = t
+    return best
 
 
 def occupied(scene: SagittalScene, x: float, z: float) -> bool:

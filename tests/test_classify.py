@@ -14,6 +14,7 @@ from ultranav.classify import (
     infer_upper_level,
     is_downstep,
 )
+from ultranav.pipeline import TickFlags, fuse
 
 
 class TestChestBands:
@@ -62,7 +63,7 @@ class TestBandStructure:
             assert all(a >= b for a, b in zip(levels, levels[1:]))
 
     def test_depth_monotone_non_decreasing(self):
-        levels = [classify_depth(d / 2.0)[0] for d in range(0, 121)]
+        levels = [classify_depth(d / 2.0) for d in range(0, 121)]
         assert all(a <= b for a, b in zip(levels, levels[1:]))
 
 
@@ -115,7 +116,8 @@ class TestDepth:
         ],
     )
     def test_grades(self, depth, level, advisory):
-        assert classify_depth(depth) == (level, advisory)
+        assert classify_depth(depth) == level
+        assert fuse(BuzzerFrame(brzP=level), TickFlags()) == advisory
 
     @pytest.mark.parametrize(
         "depth,expected",
@@ -128,7 +130,7 @@ class TestDepth:
         for d in range(0, 1201):
             depth = d / 20.0
             if is_downstep(depth):
-                assert classify_depth(depth)[0] in (1, 2)
+                assert classify_depth(depth) in (1, 2)
 
 
 class TestInferUpperLevel:

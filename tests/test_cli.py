@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,17 +24,26 @@ SCENARIO_DIR = REPO_ROOT / "scenarios"
 GOLDEN_DIR = SCENARIO_DIR / "golden"
 
 
+def run_cli(argv, prelude=""):
+    """Run `main(argv)` in a fresh interpreter; returns the CompletedProcess."""
+    code = f"{prelude}\nimport sys\nfrom ultranav.cli import main\nsys.exit(main({argv!r}))"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 class TestParser:
     def test_run_flags(self):
         args = build_parser().parse_args(
             ["run", "walk.scn", "--tick-ms", "30", "--temp", "25", "--temp-cal", "20",
-             "--rays", "31", "--out", "trace.csv", "--seed", "3"]
+             "--out", "trace.csv", "--seed", "3"]
         )
         assert args.command == "run"
         assert args.scenario == "walk.scn"
         assert args.tick_ms == 30.0
         assert args.temp == 25.0 and args.temp_cal == 20.0
-        assert args.rays == 31 and args.seed == 3
+        assert args.seed == 3
         assert args.out == "trace.csv"
         assert args.calib is None
 
@@ -81,7 +93,7 @@ class TestParseScenario:
 
     def test_round_trip(self):
         text = (
-            "CONFIG tick_ms 25\nCONFIG n_rays 61\nSENSOR knee 55 60\n"
+            "CONFIG tick_ms 25\nCONFIG debounce_ticks 3\nSENSOR knee 55 60\n"
             "OBSTACLE 100 102 0 200\nGROUND 40 90 -20\nWALK 140 3\nWALK -50 0.6\n"
         )
         once = parse_scenario(text)
@@ -146,6 +158,30 @@ class TestRunCommand:
         lines = capsys.readouterr().out.strip().splitlines()[1:]
         d_chest = float(lines[0].split(",")[3])
         assert d_chest == pytest.approx(102.0, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "scenario_text,flags",
+        [("CONFIG n_rays 31\nWALK 140 0.3\n", []), ("WALK 140 0.3\n", ["--rays", "31"])],
+    )
+    def test_removed_ray_count_options_exit_2(self, tmp_path, scenario_text, flags):
+        scn = tmp_path / "rays.scn"
+        scn.write_text(scenario_text)
+        proc = run_cli(["run", str(scn), *flags])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and ("n_rays" in errors[0] or "--rays" in errors[0])
+
+    def test_runs_without_numpy(self, tmp_path):
+        calib = tmp_path / "cal.txt"
+        calib.write_text("10 12\n100 102\n300 302\n")
+        scn = str(SCENARIO_DIR / "wall_approach.scn")
+        proc = run_cli(
+            ["run", scn, "--calib", str(calib), "--out", str(tmp_path / "t.csv")],
+            prelude='import sys; sys.modules["numpy"] = None',
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerifyTables:

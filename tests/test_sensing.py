@@ -108,6 +108,8 @@ class TestCalibration:
             fit_calibration([(50, 48), (50, 52)])
         with pytest.raises(SensingError):
             fit_calibration([(50, 48)])
+        with pytest.raises(SensingError):
+            fit_calibration([(10, float("nan")), (20, 22)])
 
     def test_nonpositive_gain_rejected(self):
         with pytest.raises(SensingError):
