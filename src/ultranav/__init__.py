@@ -5,51 +5,32 @@ diverging ultrasonic cones mounted at chest, knee, toe, and foot-arch
 level.  The library finds each cone's nearest echo in closed form,
 models the sensor electronics, applies the proximity / stair / pothole
 decision tables, and fuses the channels into a single per-tick advisory.
+
+The package root exports the quick-start names and the error types; every
+other name is imported from its submodule (`ultranav.classify`,
+`ultranav.geometry`, `ultranav.pipeline`, `ultranav.sensing`,
+`ultranav.cli`).
 """
 
-from .classify import (
-    Advisory,
-    BuzzerFrame,
-    StairCheck,
-    UpperLevel,
-    classify_chest,
-    classify_depth,
-    classify_knee,
-    classify_toe,
-    detect_upstairs,
-    infer_upper_level,
-    is_downstep,
-)
 from .geometry import (
-    Aim,
     GeometryError,
     GroundSegment,
     Rect,
     SagittalScene,
-    cone_min_distance,
     overlap_distance,
 )
 from .pipeline import (
-    FrameOutput,
     PipelineError,
     SimConfig,
-    TickFlags,
-    TickState,
     TrajectorySegment,
-    UserState,
-    fuse,
     run_scenario,
-    tick,
 )
 from .sensing import (
-    Calibration,
     SensingError,
     SensorName,
-    SensorSpec,
     correct,
     default_sensors,
     fit_calibration,
-    load_calibration,
     measure,
     sound_speed,
 )
@@ -57,11 +38,6 @@ from .sensing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Advisory",
-    "Aim",
-    "BuzzerFrame",
-    "Calibration",
-    "FrameOutput",
     "GeometryError",
     "GroundSegment",
     "PipelineError",
@@ -69,30 +45,13 @@ __all__ = [
     "SagittalScene",
     "SensingError",
     "SensorName",
-    "SensorSpec",
     "SimConfig",
-    "StairCheck",
-    "TickFlags",
-    "TickState",
     "TrajectorySegment",
-    "UpperLevel",
-    "UserState",
-    "classify_chest",
-    "classify_depth",
-    "classify_knee",
-    "classify_toe",
-    "cone_min_distance",
     "correct",
     "default_sensors",
-    "detect_upstairs",
     "fit_calibration",
-    "fuse",
-    "infer_upper_level",
-    "is_downstep",
-    "load_calibration",
     "measure",
     "overlap_distance",
     "run_scenario",
     "sound_speed",
-    "tick",
 ]

@@ -128,12 +128,11 @@ def classify_depth(depth: float) -> int:
     Levels 1-3 read as caution (possible down-stair), alternate path, and
     full stop; `pipeline.fuse` turns the level into that advisory.
     """
-    d = max(depth, 0.0)
-    if d <= 10.0:
+    if depth <= 10.0:
         return 0
-    if d <= 20.0:
+    if depth <= 20.0:
         return 1
-    if d <= 40.0:
+    if depth <= 40.0:
         return 2
     return 3
 

@@ -1,5 +1,9 @@
 """Scenario files, trace emission, and band-table verification commands.
 
+A run's parameters come only from its scenario file plus the optional
+`--calib` file; `run` takes no flag that overrides a CONFIG line.  Bad
+arguments, like bad scenarios, give one 'ultranav: error:' line and exit 2.
+
 Scenario format: one directive per line, '#' starts a comment.
 
     CONFIG key value        tick_ms, debounce_ticks, temp, temp_cal,
@@ -29,23 +33,24 @@ from .classify import (
     classify_toe,
     detect_upstairs,
 )
-from .geometry import GeometryError, GroundSegment, Rect, SagittalScene
+from .geometry import GeometryError, GroundSegment, Rect, SagittalScene, ground_overlap
 from .pipeline import SimConfig, TrajectorySegment, run_scenario
-from .sensing import SensorName, load_calibration
+from .sensing import SensorName, default_sensors, load_calibration
 
 TRACE_HEADER = (
     "tick,t_ms,user_x,d_chest,d_knee,d_toe,d_down,"
     "brzC,brzK,brzT,brzP,upstairs,downstep,inferred,advisory"
 )
 
+# CONFIG key -> (SimConfig field, or run_scenario's start_x; value type)
 _CONFIG_KEYS = {
-    "tick_ms": float,
-    "debounce_ticks": int,
-    "temp": float,
-    "temp_cal": float,
-    "start_x": float,
-    "jitter": float,
-    "seed": int,
+    "tick_ms": ("tick_ms", float),
+    "debounce_ticks": ("debounce_ticks", int),
+    "temp": ("temp_actual", float),
+    "temp_cal": ("temp_cal", float),
+    "start_x": ("start_x", float),
+    "jitter": ("jitter_cm", float),
+    "seed": ("seed", int),
 }
 
 
@@ -94,7 +99,7 @@ def parse_scenario(text: str) -> Scenario:
             if key not in _CONFIG_KEYS:
                 raise ScenarioError(f"line {lineno}: unknown CONFIG key {key!r}")
             try:
-                scenario.config[key] = _CONFIG_KEYS[key](value)
+                scenario.config[key] = _CONFIG_KEYS[key][1](value)
             except ValueError:
                 raise ScenarioError(
                     f"line {lineno}: bad value {value!r} for CONFIG {key}"
@@ -131,79 +136,39 @@ def parse_scenario(text: str) -> Scenario:
         else:
             raise ScenarioError(f"line {lineno}: unknown directive {directive!r}")
 
-    # Surface ground overlaps with the line that introduced them.
-    order = sorted(range(len(scenario.ground)), key=lambda i: scenario.ground[i].x0)
-    for a, b in zip(order, order[1:]):
-        if scenario.ground[b].x0 < scenario.ground[a].x1 - 1e-9:
-            raise ScenarioError(
-                f"line {ground_lines[b]}: ground segment overlaps an earlier one"
-            )
+    overlap = ground_overlap(scenario.ground)
+    if overlap is not None:
+        raise ScenarioError(
+            f"line {ground_lines[overlap]}: ground segment overlaps an earlier one"
+        )
     return scenario
 
 
-def _fmt(value: float) -> str:
-    return f"{value:g}"
+def build_simulation(scenario: Scenario, calib=None):
+    """Turn a parsed scenario, plus an optional calibration file, into runnable pieces.
 
-
-def format_scenario(scenario: Scenario) -> str:
-    """Render a scenario back to text; parse(format(s)) == s."""
-    lines = []
-    for key in sorted(scenario.config):
-        lines.append(f"CONFIG {key} {_fmt(scenario.config[key])}")
-    for name in SensorName:
-        if name in scenario.sensors:
-            height, sarl = scenario.sensors[name]
-            lines.append(f"SENSOR {name.value} {_fmt(height)} {_fmt(sarl)}")
-    for r in scenario.obstacles:
-        lines.append(f"OBSTACLE {_fmt(r.x0)} {_fmt(r.x1)} {_fmt(r.z0)} {_fmt(r.z1)}")
-    for g in scenario.ground:
-        lines.append(f"GROUND {_fmt(g.x0)} {_fmt(g.x1)} {_fmt(g.dz)}")
-    for w in scenario.walks:
-        lines.append(f"WALK {_fmt(w.speed)} {_fmt(w.duration_s)}")
-    return "\n".join(lines) + "\n"
-
-
-def build_simulation(scenario: Scenario, args=None):
-    """Merge scenario config with CLI flags into runnable pieces.
-
-    Returns (scene, config, trajectory, start_x); CLI flags win over
-    scenario CONFIG lines.
+    Returns (scene, config, trajectory, start_x).  Settings the scenario
+    leaves out keep their SimConfig defaults.
     """
-    cfg = dict(scenario.config)
-    if args is not None:
-        if args.tick_ms is not None:
-            cfg["tick_ms"] = args.tick_ms
-        if args.temp is not None:
-            cfg["temp"] = args.temp
-        if args.temp_cal is not None:
-            cfg["temp_cal"] = args.temp_cal
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-
-    config = SimConfig(
-        tick_ms=cfg.get("tick_ms", 30.0),
-        temp_actual=cfg.get("temp", 20.0),
-        temp_cal=cfg.get("temp_cal", 20.0),
-        debounce_ticks=cfg.get("debounce_ticks", 2),
-        jitter_cm=cfg.get("jitter", 0.0),
-        seed=cfg.get("seed", 0),
-    )
+    settings = {_CONFIG_KEYS[key][0]: value for key, value in scenario.config.items()}
+    start_x = settings.pop("start_x", 0.0)
     if scenario.sensors:
         sensors = []
-        for spec in config.sensors:
+        for spec in default_sensors():
             if spec.name in scenario.sensors:
                 height, sarl = scenario.sensors[spec.name]
                 spec = replace(spec, mount_height=height, sarl=sarl)
             sensors.append(spec)
-        config = replace(config, sensors=tuple(sensors))
-    if args is not None and args.calib is not None:
-        config = replace(config, calibration=load_calibration(args.calib))
+        settings["sensors"] = tuple(sensors)
+    if calib is not None:
+        settings["calibration"] = load_calibration(calib)
+    config = SimConfig(**settings)
 
     scene = SagittalScene(tuple(scenario.obstacles), tuple(scenario.ground))
     trajectory = list(scenario.walks)
     if not trajectory:
         raise ScenarioError("scenario has no WALK directive")
-    return scene, config, trajectory, cfg.get("start_x", 0.0)
+    return scene, config, trajectory, start_x
 
 
 def _fmt_distance(d) -> str:
@@ -314,8 +279,19 @@ def verify_tables(out=None) -> bool:
     return bool(ok)
 
 
+class UsageError(ValueError):
+    """Bad command-line arguments."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ultranav",
         description="Deterministic simulator for a four-sensor ultrasonic navigation aid.",
     )
@@ -323,12 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario file and emit a trace")
     run_p.add_argument("scenario", help="path to a scenario file")
-    run_p.add_argument("--tick-ms", type=float, default=None, help="tick period in ms")
-    run_p.add_argument("--temp", type=float, default=None, help="ambient temperature, C")
-    run_p.add_argument("--temp-cal", type=float, default=None, help="device calibration temperature, C")
     run_p.add_argument("--calib", default=None, help="calibration file (actual measured per line)")
     run_p.add_argument("--out", default=None, help="trace output file (default stdout)")
-    run_p.add_argument("--seed", type=int, default=None, help="seed for optional reading jitter")
 
     sub.add_parser("verify-tables", help="sweep all decision bands and report")
     return parser
@@ -338,7 +310,7 @@ def cmd_run(args) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read())
-        scene, config, trajectory, start_x = build_simulation(scenario, args)
+        scene, config, trajectory, start_x = build_simulation(scenario, args.calib)
         frames = run_scenario(scene, trajectory, config, start_x=start_x)
     except (OSError, ValueError) as exc:
         print(f"ultranav: error: {exc}", file=sys.stderr)
@@ -353,7 +325,11 @@ def cmd_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(f"ultranav: error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "run":
         return cmd_run(args)
     if args.command == "verify-tables":

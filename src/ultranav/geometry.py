@@ -71,6 +71,18 @@ class GroundSegment:
             )
 
 
+def ground_overlap(ground) -> Optional[int]:
+    """Index of a ground segment overlapping another, or None.
+
+    Of the overlapping pair, the index is the one authored later.
+    """
+    order = sorted(range(len(ground)), key=lambda i: (ground[i].x0, ground[i].x1))
+    for a, b in zip(order, order[1:]):
+        if ground[b].x0 < ground[a].x1 - _EPS:
+            return max(a, b)
+    return None
+
+
 @dataclass(frozen=True)
 class SagittalScene:
     """Immutable obstacle + terrain description of the vertical slice."""
@@ -86,17 +98,16 @@ class SagittalScene:
     @cached_property
     def ground_profile(self) -> tuple:
         """Authored segments sorted and made contiguous with dz=0 fill."""
-        segs = sorted(self.ground, key=lambda s: (s.x0, s.x1))
+        overlap = ground_overlap(self.ground)
+        if overlap is not None:
+            raise GeometryError(
+                f"overlapping ground segments at x={self.ground[overlap].x0}"
+            )
         out = []
         cursor = None
-        for seg in segs:
-            if cursor is not None:
-                if seg.x0 < cursor - _EPS:
-                    raise GeometryError(
-                        f"overlapping ground segments at x={seg.x0}"
-                    )
-                if seg.x0 > cursor + _EPS:
-                    out.append(GroundSegment(cursor, seg.x0, 0.0))
+        for seg in sorted(self.ground, key=lambda s: (s.x0, s.x1)):
+            if cursor is not None and seg.x0 > cursor + _EPS:
+                out.append(GroundSegment(cursor, seg.x0, 0.0))
             out.append(seg)
             cursor = seg.x1
         return tuple(out)

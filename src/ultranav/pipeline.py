@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .classify import (
@@ -38,22 +38,10 @@ class PipelineError(ValueError):
 
 
 @dataclass(frozen=True)
-class UserState:
-    """Walker position and motion along the forward axis."""
-
-    x: float = 0.0
-    speed: float = 0.0  # cm/s, negative = stepping back
-
-    def __post_init__(self):
-        if abs(self.speed) > MAX_USER_SPEED_CM_S:
-            raise PipelineError(f"|speed| must be <= {MAX_USER_SPEED_CM_S} cm/s")
-
-
-@dataclass(frozen=True)
 class TrajectorySegment:
     """Constant-speed stretch of the walk."""
 
-    speed: float  # cm/s
+    speed: float  # cm/s, negative = stepping back
     duration_s: float
 
     def __post_init__(self):
@@ -178,16 +166,12 @@ def _debounced_advisory(state: TickState, candidate: Advisory, debounce_ticks: i
     if candidate == state.advisory:
         state.pending = None
         state.pending_count = 0
-    elif candidate == state.pending:
+    else:
+        if candidate != state.pending:
+            state.pending = candidate
+            state.pending_count = 0
         state.pending_count += 1
         if state.pending_count >= debounce_ticks:
-            state.advisory = candidate
-            state.pending = None
-            state.pending_count = 0
-    else:
-        state.pending = candidate
-        state.pending_count = 1
-        if debounce_ticks <= 1:
             state.advisory = candidate
             state.pending = None
             state.pending_count = 0
@@ -196,7 +180,8 @@ def _debounced_advisory(state: TickState, candidate: Advisory, debounce_ticks: i
 
 def tick(
     scene: SagittalScene,
-    user: UserState,
+    x: float,
+    speed: float,
     config: SimConfig,
     state: TickState,
     tick_index: int = 0,
@@ -205,8 +190,8 @@ def tick(
     """Run one sense-classify-fuse cycle.
 
     Sensors fire sequentially (chest, knee, toe, arch) against the same
-    user position; the user then advances by speed * tick period.  Returns
-    (FrameOutput, advanced UserState); `state` is updated in place.
+    walker position x; the walker then advances by speed (cm/s) * tick
+    period.  Returns (FrameOutput, next x); `state` is updated in place.
     """
     readings = {}
     for name in (SensorName.CHEST, SensorName.KNEE, SensorName.TOE, SensorName.ARCH):
@@ -214,7 +199,7 @@ def tick(
         r = measure(
             scene,
             spec,
-            user.x,
+            x,
             temp_actual=config.temp_actual,
             temp_cal=config.temp_cal,
             calib=config.calibration,
@@ -233,7 +218,7 @@ def tick(
     down = readings[SensorName.ARCH]
     # No downward echo means the drop exceeds the sensor's reach: treat as
     # an unbounded hazard depth.
-    depth = math.inf if down is None else max(down - arch.mount_height, 0.0)
+    depth = math.inf if down is None else down - arch.mount_height
     brzP = classify_depth(depth)
     downstep = is_downstep(depth)
 
@@ -243,8 +228,8 @@ def tick(
         state,
         brzC,
         readings[SensorName.CHEST],
-        advancing=user.speed > 0,
-        moving_back=user.speed < 0,
+        advancing=speed > 0,
+        moving_back=speed < 0,
     )
 
     flags = TickFlags(
@@ -259,14 +244,13 @@ def tick(
     output = FrameOutput(
         tick=tick_index,
         t_ms=tick_index * config.tick_ms,
-        user_x=user.x,
+        user_x=x,
         readings=readings,
         frame=frame,
         advisory=advisory,
         flags=flags,
     )
-    advanced = replace(user, x=user.x + user.speed * config.tick_ms / 1000.0)
-    return output, advanced
+    return output, x + speed * config.tick_ms / 1000.0
 
 
 def segment_ticks(segment: TrajectorySegment, tick_ms: float) -> int:
@@ -293,12 +277,11 @@ def run_scenario(
 
     frames = []
     state = TickState()
-    user = UserState(x=start_x, speed=trajectory[0].speed)
+    x = start_x
     index = 0
     for segment in trajectory:
-        user = replace(user, speed=segment.speed)
         for _ in range(segment_ticks(segment, config.tick_ms)):
-            frame, user = tick(scene, user, config, state, tick_index=index, rng=rng)
+            frame, x = tick(scene, x, segment.speed, config, state, tick_index=index, rng=rng)
             frames.append(frame)
             index += 1
     if not frames:

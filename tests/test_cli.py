@@ -10,14 +10,13 @@ from ultranav.cli import (
     ScenarioError,
     build_parser,
     build_simulation,
-    format_scenario,
     main,
     parse_scenario,
     verify_tables,
 )
 from ultranav.geometry import GroundSegment, Rect
 from ultranav.pipeline import TrajectorySegment, segment_ticks
-from ultranav.sensing import SensorName
+from ultranav.sensing import SensorName, sound_speed
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -36,16 +35,14 @@ def run_cli(argv, prelude=""):
 class TestParser:
     def test_run_flags(self):
         args = build_parser().parse_args(
-            ["run", "walk.scn", "--tick-ms", "30", "--temp", "25", "--temp-cal", "20",
-             "--out", "trace.csv", "--seed", "3"]
+            ["run", "walk.scn", "--calib", "cal.txt", "--out", "trace.csv"]
         )
-        assert args.command == "run"
-        assert args.scenario == "walk.scn"
-        assert args.tick_ms == 30.0
-        assert args.temp == 25.0 and args.temp_cal == 20.0
-        assert args.seed == 3
-        assert args.out == "trace.csv"
-        assert args.calib is None
+        assert vars(args) == {
+            "command": "run",
+            "scenario": "walk.scn",
+            "calib": "cal.txt",
+            "out": "trace.csv",
+        }
 
     def test_verify_tables_command(self):
         args = build_parser().parse_args(["verify-tables"])
@@ -88,17 +85,9 @@ class TestParseScenario:
             parse_scenario("# c\nWALK 100 1\nOBSTACLE 10 5 0 10\n")
 
     def test_overlapping_ground_reports_line(self):
-        with pytest.raises(ScenarioError, match="line 2"):
-            parse_scenario("GROUND 0 50 -10\nGROUND 40 90 -20\nWALK 100 1\n")
-
-    def test_round_trip(self):
-        text = (
-            "CONFIG tick_ms 25\nCONFIG debounce_ticks 3\nSENSOR knee 55 60\n"
-            "OBSTACLE 100 102 0 200\nGROUND 40 90 -20\nWALK 140 3\nWALK -50 0.6\n"
-        )
-        once = parse_scenario(text)
-        again = parse_scenario(format_scenario(once))
-        assert once == again
+        for second in ("GROUND 40 90 -20", "GROUND 0 30 -20"):
+            with pytest.raises(ScenarioError, match="line 2"):
+                parse_scenario(f"GROUND 0 50 -10\n{second}\nWALK 100 1\n")
 
 
 class TestBuildSimulation:
@@ -160,18 +149,30 @@ class TestRunCommand:
         assert d_chest == pytest.approx(102.0, abs=0.05)
 
     @pytest.mark.parametrize(
-        "scenario_text,flags",
-        [("CONFIG n_rays 31\nWALK 140 0.3\n", []), ("WALK 140 0.3\n", ["--rays", "31"])],
+        "scenario_text,flags,named",
+        [
+            pytest.param("CONFIG n_rays 31\nWALK 140 0.3\n", [], "n_rays", id="CONFIG-n_rays"),
+            pytest.param("WALK 140 0.3\n", ["--rays", "31"], "--rays", id="--rays"),
+            pytest.param("WALK 140 0.3\n", ["--temp", "25"], "--temp", id="--temp"),
+            pytest.param("WALK 140 0.3\n", ["--tick-ms", "30"], "--tick-ms", id="--tick-ms"),
+            pytest.param("WALK 140 0.3\n", ["--temp-cal", "20"], "--temp-cal", id="--temp-cal"),
+            pytest.param("WALK 140 0.3\n", ["--seed", "3"], "--seed", id="--seed"),
+        ],
     )
-    def test_removed_ray_count_options_exit_2(self, tmp_path, scenario_text, flags):
-        scn = tmp_path / "rays.scn"
+    def test_removed_options_exit_2(self, tmp_path, capsys, scenario_text, flags, named):
+        scn = tmp_path / "removed.scn"
         scn.write_text(scenario_text)
-        proc = run_cli(["run", str(scn), *flags])
+        argv = ["run", str(scn), *flags]
+        proc = run_cli(argv)
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
-        assert len(errors) == 1 and ("n_rays" in errors[0] or "--rays" in errors[0])
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("ultranav: error:") and named in proc.stderr
+
+        assert main(argv) == 2  # returns in process, raises no SystemExit
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == proc.stderr
 
     def test_runs_without_numpy(self, tmp_path):
         calib = tmp_path / "cal.txt"
@@ -182,6 +183,45 @@ class TestRunCommand:
             prelude='import sys; sys.modules["numpy"] = None',
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestConfigRoute:
+    """CONFIG lines are the only way to set a run's parameters."""
+
+    WALL = "OBSTACLE 100 102 0 200\n"
+
+    def trace(self, tmp_path, capsys, text):
+        scn = tmp_path / "config.scn"
+        scn.write_text(text)
+        assert main(["run", str(scn)]) == 0
+        out = capsys.readouterr().out
+        return out, [line.split(",") for line in out.strip().splitlines()[1:]]
+
+    def test_temperature_scales_readings(self, tmp_path, capsys):
+        _, base = self.trace(tmp_path, capsys, self.WALL + "WALK 0 0.06\n")
+        _, warm = self.trace(
+            tmp_path, capsys, self.WALL + "CONFIG temp 40\nCONFIG temp_cal 20\nWALK 0 0.06\n"
+        )
+        expected = float(base[0][3]) * sound_speed(20.0) / sound_speed(40.0)
+        assert float(warm[0][3]) == pytest.approx(expected, abs=0.05)
+
+    def test_tick_ms(self, tmp_path, capsys):
+        _, rows = self.trace(tmp_path, capsys, "CONFIG tick_ms 25\nWALK 140 0.3\n")
+        assert [float(r[1]) for r in rows] == [25.0 * i for i in range(12)]
+
+    def test_start_x(self, tmp_path, capsys):
+        _, rows = self.trace(tmp_path, capsys, "CONFIG start_x 50\nWALK 140 0.3\n")
+        assert float(rows[0][2]) == 50.0
+
+    def test_jitter_seed(self, tmp_path, capsys):
+        def jittered(seed):
+            text = self.WALL + f"CONFIG jitter 1\nCONFIG seed {seed}\nWALK 0 0.3\n"
+            return self.trace(tmp_path, capsys, text)
+
+        one, rows = jittered(1)
+        _, other_rows = jittered(2)
+        assert [r[3:7] for r in rows] != [r[3:7] for r in other_rows]
+        assert jittered(1)[0] == one
 
 
 class TestVerifyTables:

@@ -10,7 +10,6 @@ from ultranav.pipeline import (
     TickFlags,
     TickState,
     TrajectorySegment,
-    UserState,
     fuse,
     run_scenario,
     tick,
@@ -26,7 +25,7 @@ def stand(seconds=0.15):
 
 class TestTick:
     def test_empty_scene_is_all_quiet(self):
-        frame, _ = tick(SagittalScene(), UserState(), SimConfig(), TickState())
+        frame, _ = tick(SagittalScene(), 0.0, 0.0, SimConfig(), TickState())
         assert frame.frame == BuzzerFrame()
         assert frame.advisory == Advisory.MOVE_FORWARD
         assert not frame.flags.upstairs and not frame.flags.downstep
@@ -54,7 +53,7 @@ class TestTick:
 
     def test_downward_no_echo_reads_as_unbounded_hazard(self):
         scene = SagittalScene((), (GroundSegment(-100, 100, -400.0),))
-        frame, _ = tick(scene, UserState(), SimConfig(), TickState())
+        frame, _ = tick(scene, 0.0, 0.0, SimConfig(), TickState())
         assert frame.readings[SensorName.ARCH] is None
         assert frame.frame.brzP == 3
 
@@ -193,10 +192,9 @@ class TestConfigValidation:
             SimConfig(sensors=(sensors[0],) * 4)
 
     def test_speed_sanity_bound(self):
-        with pytest.raises(PipelineError):
-            UserState(speed=600.0)
-        with pytest.raises(PipelineError):
-            TrajectorySegment(-501.0, 1.0)
+        for speed in (600.0, -501.0):
+            with pytest.raises(PipelineError):
+                TrajectorySegment(speed, 1.0)
 
     def test_nonpositive_tick_rejected(self):
         with pytest.raises(PipelineError):
