@@ -75,11 +75,14 @@ def _numbers(fields, n, lineno, directive):
             f"line {lineno}: {directive} takes {n} values, got {len(fields)}"
         )
     try:
-        return [float(f) for f in fields]
+        values = [float(f) for f in fields]
     except ValueError:
         raise ScenarioError(
             f"line {lineno}: non-numeric value in {directive} directive"
         ) from None
+    if not all(map(math.isfinite, values)):
+        raise ScenarioError(f"line {lineno}: non-finite value in {directive}")
+    return values
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -99,11 +102,14 @@ def parse_scenario(text: str) -> Scenario:
             if key not in _CONFIG_KEYS:
                 raise ScenarioError(f"line {lineno}: unknown CONFIG key {key!r}")
             try:
-                scenario.config[key] = _CONFIG_KEYS[key][1](value)
+                value = _CONFIG_KEYS[key][1](value)
             except ValueError:
                 raise ScenarioError(
                     f"line {lineno}: bad value {value!r} for CONFIG {key}"
                 ) from None
+            if not math.isfinite(value):
+                raise ScenarioError(f"line {lineno}: non-finite value in CONFIG")
+            scenario.config[key] = value
         elif directive == "SENSOR":
             if len(fields) != 3:
                 raise ScenarioError(f"line {lineno}: SENSOR takes 'name height sarl'")

@@ -10,11 +10,21 @@ forward-aimed beam sees vertical faces (obstacle fronts/backs, risers),
 a downward-aimed beam sees horizontal faces (ground, obstacle tops).
 Grazing hits on the other orientation scatter away and produce no echo.
 Obstacles thinner than MIN_OBSTACLE_THICKNESS_CM along x have no faces.
+
+Each scene keeps its faces sorted by depth along each aim axis (vertical
+faces by x, horizontal faces by z descending), built lazily on the first
+cone that needs them.  A cone scans those faces from the origin outward
+and stops at the first face whose depth already reaches the best echo
+found, since no face can echo nearer than its own depth.  A downward cone
+starts from the echo of the terrain face under the walker, which is
+always in reach straight down, so faces no higher than the walker's
+ground, such as the bottoms of obstacles standing on it, are never tested.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -69,6 +79,8 @@ class GroundSegment:
             raise GeometryError(
                 f"ground segment needs x0 < x1, got [{self.x0}, {self.x1}]"
             )
+        if not math.isfinite(self.dz):
+            raise GeometryError(f"ground segment needs a finite dz, got {self.dz}")
 
 
 def ground_overlap(ground) -> Optional[int]:
@@ -112,12 +124,47 @@ class SagittalScene:
             cursor = seg.x1
         return tuple(out)
 
+    @cached_property
+    def _profile_starts(self) -> list:
+        return [seg.x0 for seg in self.ground_profile]
+
+    def _segment_at(self, x: float) -> Optional[GroundSegment]:
+        """First profile segment whose [x0, x1) holds x, or None."""
+        profile = self.ground_profile
+        # Segments may overlap by up to _EPS, so every start within _EPS
+        # below x is visited and the earliest holder wins, as in a scan.
+        hit = None
+        i = bisect_right(self._profile_starts, x) - 1
+        while i >= 0:
+            seg = profile[i]
+            if x < seg.x1:
+                hit = seg
+            if seg.x0 <= x - _EPS:
+                break
+            i -= 1
+        return hit
+
     def elevation(self, x: float) -> float:
         """Terrain elevation at forward position x (0 outside the profile)."""
-        for seg in self.ground_profile:
-            if seg.x0 <= x < seg.x1:
-                return seg.dz
-        return 0.0
+        seg = self._segment_at(x)
+        return 0.0 if seg is None else seg.dz
+
+    def _ground_face_z(self, x: float) -> Optional[float]:
+        """Height of a horizontal terrain face spanning x, or None.
+
+        The face is a profile segment or one of the two far fills.  None
+        where x falls in a gap of at most _EPS between segments, which is
+        left unfilled, or beyond the far fills.
+        """
+        seg = self._segment_at(x)
+        if seg is not None:
+            return seg.dz
+        profile = self.ground_profile
+        if not profile:
+            return 0.0 if -_FAR_CM <= x <= _FAR_CM else None
+        if -_FAR_CM <= x <= profile[0].x0 or profile[-1].x1 <= x <= _FAR_CM:
+            return 0.0
+        return None
 
     @cached_property
     def _echoing_obstacles(self) -> tuple:
@@ -162,6 +209,18 @@ class SagittalScene:
             faces.append((0.0, -_FAR_CM, _FAR_CM))
         return tuple(faces)
 
+    @cached_property
+    def _forward_index(self) -> tuple:
+        """vertical_faces sorted by x, and their x keys."""
+        faces = sorted(self.vertical_faces, key=lambda f: f[0])
+        return faces, [f[0] for f in faces]
+
+    @cached_property
+    def _down_index(self) -> tuple:
+        """horizontal_faces sorted by z descending, and their -z keys."""
+        faces = sorted(self.horizontal_faces, key=lambda f: -f[0])
+        return faces, [-f[0] for f in faces]
+
 
 def cone_min_distance(
     scene: SagittalScene,
@@ -175,21 +234,41 @@ def cone_min_distance(
     covers the cross-axis span [c - L tan h, c + L tan h] around the
     origin's cross-axis coordinate c.  The nearest point of the face span
     clipped to that window is `off` from c, so the face echoes at
-    hypot(L, off).  Raises GeometryError if the origin is below the terrain.
+    hypot(L, off).  The result is the minimum of that over all faces.
+
+    Faces are visited in order of depth from the first one at or past the
+    origin, and the scan stops at the first face with L >= the best echo
+    so far: hypot(L, off) >= L, so no later face can be strictly nearer.
+    A downward cone starts with the terrain face under the origin, which
+    echoes at its depth (off = 0), whenever that face exists and lies
+    more than _EPS below.  Raises GeometryError if the origin is below
+    the terrain or half_angle is outside [0, 90).
     """
+    if not 0.0 <= half_angle < 90.0:
+        raise GeometryError(f"half_angle must be in [0, 90), got {half_angle}")
     ox, oz = origin
     if oz < scene.elevation(ox) - _EPS:
         raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
-    if aim is Aim.FORWARD:
-        along, across, sign, faces = ox, oz, 1.0, scene.vertical_faces
-    else:
-        along, across, sign, faces = oz, ox, -1.0, scene.horizontal_faces
-    tan_h = math.tan(math.radians(half_angle))
     best = None
-    for pos, lo, hi in faces:
+    if aim is Aim.FORWARD:
+        along, across, sign = ox, oz, 1.0
+        faces, keys = scene._forward_index
+        start = bisect_left(keys, ox)
+    else:
+        along, across, sign = oz, ox, -1.0
+        faces, keys = scene._down_index
+        start = bisect_left(keys, -oz)
+        ground_z = scene._ground_face_z(ox)
+        if ground_z is not None and oz - ground_z > _EPS:
+            best = oz - ground_z
+    tan_h = math.tan(math.radians(half_angle))
+    for i in range(start, len(faces)):
+        pos, lo, hi = faces[i]
         depth = sign * (pos - along)
         if depth <= _EPS:
             continue
+        if best is not None and depth >= best:
+            break
         reach = depth * tan_h
         lo = max(lo, across - reach)
         hi = min(hi, across + reach)

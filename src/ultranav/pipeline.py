@@ -26,6 +26,7 @@ from .sensing import (
     IDENTITY_CALIBRATION,
     SensorName,
     SensorSpec,
+    ZERO_SOUND_SPEED_C,
     default_sensors,
     measure,
 )
@@ -69,6 +70,15 @@ class SimConfig:
             raise PipelineError("tick_ms must be > 0")
         if self.debounce_ticks < 1:
             raise PipelineError("debounce_ticks must be >= 1")
+        if not self.jitter_cm >= 0.0:
+            raise PipelineError(f"jitter_cm must be >= 0, got {self.jitter_cm}")
+        for name in ("temp_actual", "temp_cal"):
+            temp = getattr(self, name)
+            if not temp > ZERO_SOUND_SPEED_C:
+                raise PipelineError(
+                    f"{name} must be above {ZERO_SOUND_SPEED_C:.1f} C, where sound"
+                    f" speed reaches zero, got {temp}"
+                )
         names = [s.name for s in self.sensors]
         if sorted(n.value for n in names) != sorted(n.value for n in SensorName):
             raise PipelineError("config needs exactly one sensor per name")

@@ -21,9 +21,18 @@ class SensorName(Enum):
     ARCH = "arch"
 
 
+# Speed of sound in air (cm/s) at 0 C, and its rise per degree C.
+_SOUND_SPEED_0C = 33130.0
+_SOUND_SPEED_PER_C = 60.6
+
+# Temperature (C) at which the linear sound-speed model reaches zero,
+# about -546.7 C; no reading can be timed at or below it.
+ZERO_SOUND_SPEED_C = -_SOUND_SPEED_0C / _SOUND_SPEED_PER_C
+
+
 def sound_speed(temp_c: float) -> float:
     """Speed of sound in air, cm/s, linear in temperature."""
-    return 33130.0 + 60.6 * temp_c
+    return _SOUND_SPEED_0C + _SOUND_SPEED_PER_C * temp_c
 
 
 @dataclass(frozen=True)

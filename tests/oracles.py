@@ -1,5 +1,10 @@
 """Independent brute-force oracles for the geometry module.
 
+`full_scan_cone_min` is the exact cone minimum taken over every face in
+authored order, with no index, early exit or seed: the reference the
+indexed `cone_min_distance` must equal bit for bit.  `scan_elevation`
+is the matching linear lookup of the terrain profile.
+
 `raycast` intersects one ray with the scene's echoing faces, and
 `dense_cone_min` sweeps a fan of such rays across the cone: the sampled
 reference for the closed-form `cone_min_distance`.
@@ -80,6 +85,46 @@ def raycast(scene: SagittalScene, ray: Ray, aim: Aim) -> Optional[float]:
             if xlo - _EPS <= x_hit <= xhi + _EPS:
                 if best is None or t < best:
                     best = t
+    return best
+
+
+def scan_elevation(scene: SagittalScene, x: float) -> float:
+    """Elevation of the first profile segment holding x, else 0."""
+    for seg in scene.ground_profile:
+        if seg.x0 <= x < seg.x1:
+            return seg.dz
+    return 0.0
+
+
+def full_scan_cone_min(
+    scene: SagittalScene,
+    origin,
+    aim: Aim,
+    half_angle: float = 15.0,
+) -> Optional[float]:
+    """Exact cone minimum over all faces, tested one by one."""
+    ox, oz = origin
+    if oz < scan_elevation(scene, ox) - _EPS:
+        raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
+    if aim is Aim.FORWARD:
+        along, across, sign, faces = ox, oz, 1.0, scene.vertical_faces
+    else:
+        along, across, sign, faces = oz, ox, -1.0, scene.horizontal_faces
+    tan_h = math.tan(math.radians(half_angle))
+    best = None
+    for pos, lo, hi in faces:
+        depth = sign * (pos - along)
+        if depth <= _EPS:
+            continue
+        reach = depth * tan_h
+        lo = max(lo, across - reach)
+        hi = min(hi, across + reach)
+        if lo > hi + _EPS:
+            continue
+        off = lo - across if lo > across else (across - hi if hi < across else 0.0)
+        d = math.hypot(depth, off)
+        if best is None or d < best:
+            best = d
     return best
 
 

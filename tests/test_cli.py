@@ -15,8 +15,8 @@ from ultranav.cli import (
     verify_tables,
 )
 from ultranav.geometry import GroundSegment, Rect
-from ultranav.pipeline import TrajectorySegment, segment_ticks
-from ultranav.sensing import SensorName, sound_speed
+from ultranav.pipeline import PipelineError, SimConfig, TrajectorySegment, segment_ticks
+from ultranav.sensing import ZERO_SOUND_SPEED_C, SensorName, sound_speed
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -183,6 +183,62 @@ class TestRunCommand:
             prelude='import sys; sys.modules["numpy"] = None',
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestInputBounds:
+    """Out-of-range scenario numbers give exit 2 and one error line."""
+
+    @pytest.mark.parametrize(
+        "scenario_text,message",
+        [
+            pytest.param("WALK 140 inf\n", "line 1: non-finite value in WALK", id="walk-inf"),
+            pytest.param("WALK nan 1\n", "line 1: non-finite value in WALK", id="walk-nan"),
+            pytest.param(
+                "GROUND 100 200 nan\nWALK 100 1\n",
+                "line 1: non-finite value in GROUND",
+                id="ground-nan",
+            ),
+            pytest.param(
+                "SENSOR knee 1e999 60\nWALK 100 1\n",
+                "line 1: non-finite value in SENSOR",
+                id="sensor-overflow",
+            ),
+            pytest.param(
+                "WALK 100 1\nCONFIG temp -inf\n",
+                "line 2: non-finite value in CONFIG",
+                id="config-inf",
+            ),
+            pytest.param(
+                "CONFIG jitter -5\nWALK 100 1\n",
+                "jitter_cm must be >= 0",
+                id="negative-jitter",
+            ),
+            pytest.param(
+                "CONFIG temp -547\nWALK 100 1\n",
+                "temp_actual must be above -546.7 C",
+                id="temp-below-zero-sound-speed",
+            ),
+            pytest.param(
+                "CONFIG temp_cal -547\nWALK 100 1\n",
+                "temp_cal must be above -546.7 C",
+                id="temp_cal-below-zero-sound-speed",
+            ),
+        ],
+    )
+    def test_rejected_with_one_line(self, tmp_path, capsys, scenario_text, message):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(scenario_text)
+        assert main(["run", str(scn)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ultranav: error: {message}")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_bounds_are_the_sound_speed_zero(self):
+        assert sound_speed(ZERO_SOUND_SPEED_C) == pytest.approx(0.0, abs=1e-9)
+        with pytest.raises(PipelineError, match="temp_cal"):
+            SimConfig(temp_cal=ZERO_SOUND_SPEED_C)
+        SimConfig(temp_actual=-546.0, temp_cal=-546.0, jitter_cm=0.0)
 
 
 class TestConfigRoute:

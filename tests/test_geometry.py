@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ultranav.geometry import (
     Aim,
@@ -13,7 +13,13 @@ from ultranav.geometry import (
     overlap_distance,
 )
 
-from oracles import Ray, march_raycast, raycast
+from oracles import (
+    Ray,
+    full_scan_cone_min,
+    march_raycast,
+    raycast,
+    scan_elevation,
+)
 
 DEG = math.radians
 
@@ -172,6 +178,126 @@ class TestConeMinDistance:
         assert d1 <= d0
 
 
+# Coordinates mostly on a coarse grid, so faces of different obstacles and
+# ground segments coincide, and otherwise on a fine one, so face depths
+# come within a fraction of a percent of each other; nudges put origins
+# on, just off and within _EPS of face positions and segment boundaries.
+_GRID = st.one_of(
+    st.integers(-4, 40).map(lambda k: k * 5.0),
+    st.integers(-40, 400).map(lambda k: k * 0.5 + 0.01),
+)
+_NUDGE = st.sampled_from([0.0, 0.0, 0.0, 2e-10, -2e-10, 1e-9, -1e-9, 0.5, -0.5])
+
+
+@st.composite
+def _profiles(draw):
+    """Ground segments with real gaps, abutting ends and gaps or overlaps of at most _EPS."""
+    segments = []
+    x = draw(_GRID)
+    for _ in range(draw(st.integers(0, 6))):
+        length = draw(st.sampled_from([3e-10, 1.0, 5.0, 20.0, 50.0]))
+        dz = draw(st.sampled_from([-40.0, -20.0, -5.0, 0.0, 5.0, 10.0]))
+        segments.append(GroundSegment(x, x + length, dz))
+        x += length + draw(st.sampled_from([0.0, 0.0, 5e-10, -5e-10, 1e-9, 10.0]))
+    return draw(st.permutations(segments))
+
+
+@st.composite
+def _obstacles(draw):
+    """Boxes with many z=0 bottoms, slats below the thickness floor and duplicates."""
+    boxes = []
+    for _ in range(draw(st.integers(0, 12))):
+        x0 = draw(_GRID)
+        z0 = draw(st.sampled_from([0.0, 0.0, 0.0, 5.0, 10.0, 50.0]))
+        width = draw(st.sampled_from([0.1, 0.3, 1.0, 5.0, 20.0]))
+        height = draw(st.sampled_from([0.5, 5.0, 10.0, 45.0, 100.0]))
+        boxes.append(Rect(x0, x0 + width, z0, z0 + height))
+    return boxes + draw(st.lists(st.sampled_from(boxes), max_size=4) if boxes else st.just([]))
+
+
+def _scene(ground, obstacles):
+    try:
+        return SagittalScene(tuple(obstacles), tuple(ground))
+    except GeometryError:
+        assume(False)
+
+
+def _positions(ground, obstacles):
+    """Face and boundary positions of the scene along x and z."""
+    xs = [0.0, 100.0] + [v for s in ground for v in (s.x0, s.x1)]
+    xs += [v for r in obstacles for v in (r.x0, r.x1)]
+    zs = [0.0, 10.0, 50.0, 100.0] + [s.dz for s in ground]
+    zs += [v for r in obstacles for v in (r.z0, r.z1)]
+    return xs, zs
+
+
+class TestIndexedCone:
+    """The indexed, early-exit cone equals the full scan bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), _profiles(), _obstacles())
+    def test_equals_full_scan(self, data, ground, obstacles):
+        scene = _scene(ground, obstacles)
+        xs, zs = _positions(ground, obstacles)
+        ox = data.draw(st.sampled_from(xs)) + data.draw(_NUDGE)
+        oz = data.draw(st.sampled_from(zs)) + data.draw(_NUDGE)
+        half_angle = data.draw(st.sampled_from([15.0, 15.0, 0.0, 1.0, 45.0, 89.0]))
+        for aim in Aim:
+            try:
+                expected = full_scan_cone_min(scene, (ox, oz), aim, half_angle)
+            except GeometryError:
+                with pytest.raises(GeometryError):
+                    cone_min_distance(scene, (ox, oz), aim, half_angle)
+                continue
+            assert cone_min_distance(scene, (ox, oz), aim, half_angle) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), _profiles())
+    def test_elevation_equals_linear_scan(self, data, ground):
+        scene = _scene(ground, ())
+        xs, _ = _positions(ground, ())
+        x = data.draw(st.sampled_from(xs)) + data.draw(_NUDGE)
+        assert scene.elevation(x) == scan_elevation(scene, x)
+
+    def test_deeper_face_on_axis_can_be_nearer(self):
+        # The face at depth 95 echoes at hypot(95, 20) = 97.08 from its
+        # edge; the wall behind it at depth 97 is nearer, on axis.
+        scene = SagittalScene((Rect(95, 96, 120, 200), Rect(97, 98, 0, 200)), ())
+        assert cone_min_distance(scene, (0.0, 100.0), Aim.FORWARD) == 97.0
+
+    def test_no_ground_face_in_sub_eps_gap(self):
+        # The gap between the segments is left unfilled, so nothing lies
+        # under the walker at z=0: the nearest echo is the hole floor.
+        scene = SagittalScene(
+            (), (GroundSegment(0, 50, -20.0), GroundSegment(50 + 5e-10, 100, -20.0))
+        )
+        origin = (50 + 2e-10, 10.0)
+        assert scene.elevation(origin[0]) == 0.0
+        assert cone_min_distance(scene, origin, Aim.DOWN) == 30.0
+        assert full_scan_cone_min(scene, origin, Aim.DOWN) == 30.0
+
+    def test_first_of_overlapping_segments_wins(self):
+        # Overlaps of at most _EPS are allowed; a linear scan returns the
+        # earliest segment, here across a chain of three.
+        scene = SagittalScene(
+            (),
+            (
+                GroundSegment(0, 50, -5.0),
+                GroundSegment(50 - 5e-10, 50 - 4e-10, -10.0),
+                GroundSegment(50 - 3e-10, 100, -20.0),
+            ),
+        )
+        for x in (50 - 4.5e-10, 50 - 2e-10, 50.0):
+            assert scene.elevation(x) == scan_elevation(scene, x)
+        assert scene.elevation(50 - 2e-10) == -5.0
+
+    def test_half_angle_outside_range_raises(self):
+        scene = SagittalScene((Rect(100, 102, 0, 300),), ())
+        for half_angle in (-1.0, 90.0, math.nan):
+            with pytest.raises(GeometryError, match="half_angle"):
+                cone_min_distance(scene, (0.0, 150.0), Aim.FORWARD, half_angle)
+
+
 class TestSceneValidation:
     def test_inverted_rect(self):
         with pytest.raises(GeometryError):
@@ -180,6 +306,11 @@ class TestSceneValidation:
     def test_inverted_rect_heights(self):
         with pytest.raises(GeometryError):
             Rect(5, 10, 10, 0)
+
+    def test_non_finite_ground_elevation(self):
+        for dz in (math.nan, math.inf):
+            with pytest.raises(GeometryError, match="finite dz"):
+                GroundSegment(0, 10, dz)
 
     def test_overlapping_ground_segments(self):
         with pytest.raises(GeometryError):
