@@ -4,8 +4,8 @@
     python3 bench/compare.py before.json after.json   # two --benchmark-json files
 
 A BENCH_<n>.json file holds {"before": run, "after": run}, each run the
-unchanged output of `--benchmark-json`; its commit and machine
-information say what was measured where.
+output of `--benchmark-json` less its per-round samples; its commit and
+machine information say what was measured where.
 """
 
 import json
