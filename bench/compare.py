@@ -5,7 +5,8 @@
 
 A BENCH_<n>.json file holds {"before": run, "after": run}, each run the
 output of `--benchmark-json` less its per-round samples; its commit and
-machine information say what was measured where.
+machine information say what was measured where.  Cases present in only
+one of the two runs are listed after the table.
 """
 
 import json
@@ -32,6 +33,9 @@ def main(argv):
             f"{name:32} {b['median'] * 1e6:12.1f} {b['iqr'] * 1e6:9.1f}"
             f" {a['median'] * 1e6:12.1f} {a['iqr'] * 1e6:9.1f} {b['median'] / a['median']:7.2f}"
         )
+    for label, run, other in (("before", before, after), ("after", after, before)):
+        for name in sorted(run.keys() - other.keys()):
+            print(f"{name:32} only in the {label} run: {run[name]['median'] * 1e6:.1f} us")
 
 
 if __name__ == "__main__":

@@ -3,9 +3,12 @@
     PYTHONPATH=src python -m pytest bench/ --benchmark-json=out.json
 
 Each scene holds n boxes ahead of the sensor, a quarter of them standing
-on the ground, over a profile of potholes, drawn from a fixed seed.  The
-scene is built once per case, so the timings are steady-state casts with
-the scene's face lists already in place.
+on the ground, over a profile of potholes, drawn from a fixed seed.
+`test_cone` builds its scene once per case, so it times steady-state
+casts with the scene's face indexes already in place.  `test_first_cast`
+builds a fresh scene before each round, outside the timing, and times
+one forward and one down cast on it: the first cones of a run, which
+also build both face indexes.
 """
 
 import random
@@ -47,3 +50,17 @@ def test_cone(benchmark, cone, n_obstacles):
     aim, origin = CONES[cone]
     result = benchmark(cone_min_distance, scene, origin, aim)
     assert result is not None
+
+
+@pytest.mark.parametrize("n_obstacles", (1, 100, 1000))
+def test_first_cast(benchmark, n_obstacles):
+    template = _scene(n_obstacles)
+
+    def fresh():
+        return (SagittalScene(template.obstacles, template.ground),), {}
+
+    def first_casts(scene):
+        return [cone_min_distance(scene, origin, aim) for aim, origin in CONES.values()]
+
+    results = benchmark.pedantic(first_casts, setup=fresh, rounds=200)
+    assert None not in results

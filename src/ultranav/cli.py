@@ -25,6 +25,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 from .classify import (
     classify_chest,
@@ -296,7 +297,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = _Parser(
         prog="ultranav",
         description="Deterministic simulator for a four-sensor ultrasonic navigation aid.",

@@ -11,14 +11,17 @@ a downward-aimed beam sees horizontal faces (ground, obstacle tops).
 Grazing hits on the other orientation scatter away and produce no echo.
 Obstacles thinner than MIN_OBSTACLE_THICKNESS_CM along x have no faces.
 
-Each scene keeps its faces sorted by depth along each aim axis (vertical
-faces by x, horizontal faces by z descending), built lazily on the first
-cone that needs them.  A cone scans those faces from the origin outward
-and stops at the first face whose depth already reaches the best echo
-found, since no face can echo nearer than its own depth.  A downward cone
-starts from the echo of the terrain face under the walker, which is
-always in reach straight down, so faces no higher than the walker's
-ground, such as the bottoms of obstacles standing on it, are never tested.
+Each scene keeps two lazy indexes of its faces, built on the first cone
+that needs them.  A forward cone scans the vertical faces in order of x
+from the origin outward and stops at the first face whose depth already
+reaches the best echo found, since no face can echo nearer than its own
+depth.  A downward cone starts from the echo of the terrain face under
+the walker, which is always in reach straight down.  Any face that can
+beat that echo lies less deep, so its span meets the cone's window at
+the seed depth: the horizontal faces are sorted by their left end, the
+scan starts at the last face that begins left of the window's right
+edge, and walks left until the running maximum of the right ends falls
+short of the window's left edge.
 """
 
 from __future__ import annotations
@@ -201,10 +204,13 @@ class SagittalScene:
             faces.append((r.z0, r.x0, r.x1))
         profile = self.ground_profile
         if profile:
-            faces.append((0.0, -_FAR_CM, profile[0].x0))
+            # A profile reaching past _FAR_CM leaves no room for that fill.
+            if -_FAR_CM <= profile[0].x0:
+                faces.append((0.0, -_FAR_CM, profile[0].x0))
             for seg in profile:
                 faces.append((seg.dz, seg.x0, seg.x1))
-            faces.append((0.0, profile[-1].x1, _FAR_CM))
+            if profile[-1].x1 <= _FAR_CM:
+                faces.append((0.0, profile[-1].x1, _FAR_CM))
         else:
             faces.append((0.0, -_FAR_CM, _FAR_CM))
         return tuple(faces)
@@ -217,9 +223,15 @@ class SagittalScene:
 
     @cached_property
     def _down_index(self) -> tuple:
-        """horizontal_faces sorted by z descending, and their -z keys."""
-        faces = sorted(self.horizontal_faces, key=lambda f: -f[0])
-        return faces, [-f[0] for f in faces]
+        """horizontal_faces sorted by x_lo, their x_lo keys, and the running max of x_hi."""
+        faces = sorted(self.horizontal_faces, key=lambda f: f[1])
+        keys, tops, top = [], [], -math.inf
+        for _, lo, hi in faces:
+            keys.append(lo)
+            if hi > top:
+                top = hi
+            tops.append(top)
+        return faces, keys, tops
 
 
 def cone_min_distance(
@@ -231,50 +243,72 @@ def cone_min_distance(
     """Nearest echo (cm) inside the cone spanning +-half_angle degrees, or None.
 
     Each face the aim can see lies at depth L along the aim axis; the cone
-    covers the cross-axis span [c - L tan h, c + L tan h] around the
-    origin's cross-axis coordinate c.  The nearest point of the face span
-    clipped to that window is `off` from c, so the face echoes at
-    hypot(L, off).  The result is the minimum of that over all faces.
+    covers the cross-axis window [c - L tan h, c + L tan h] around the
+    origin's cross-axis coordinate c.  A face whose span [lo, hi] meets
+    that window echoes at hypot(L, off), where off is the gap from c to
+    the span (0 when the span holds c).  The result is the minimum of
+    that over all faces.
 
-    Faces are visited in order of depth from the first one at or past the
-    origin, and the scan stops at the first face with L >= the best echo
-    so far: hypot(L, off) >= L, so no later face can be strictly nearer.
-    A downward cone starts with the terrain face under the origin, which
-    echoes at its depth (off = 0), whenever that face exists and lies
-    more than _EPS below.  Raises GeometryError if the origin is below
-    the terrain or half_angle is outside [0, 90).
+    A forward cone visits the vertical faces in order of x from the first
+    one at or past the origin, and stops at the first face with L >= the
+    best echo so far: hypot(L, off) >= L, so no later face can be
+    strictly nearer.  A downward cone starts with the terrain face under
+    the origin, which echoes at its depth (off = 0), whenever that face
+    exists and lies more than _EPS below.  Every face that can beat that
+    seed is less deep, so its span meets the window W = seed * tan h
+    around c.  The horizontal faces are sorted by lo; the scan starts at
+    the last face with lo <= c + W + _EPS and walks back while the
+    largest hi of the faces up to the current one in that order reaches
+    c - W - _EPS, skipping faces no shallower than the best echo.  Without a seed the
+    window is unbounded and every face is visited.  The window bounds use
+    the same float expressions as the per-face test, so the cull drops
+    only faces that test would reject.  Raises GeometryError if the
+    origin is below the terrain or half_angle is outside [0, 90).
     """
     if not 0.0 <= half_angle < 90.0:
         raise GeometryError(f"half_angle must be in [0, 90), got {half_angle}")
     ox, oz = origin
     if oz < scene.elevation(ox) - _EPS:
         raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
+    tan_h = math.tan(math.radians(half_angle))
     best = None
     if aim is Aim.FORWARD:
-        along, across, sign = ox, oz, 1.0
         faces, keys = scene._forward_index
-        start = bisect_left(keys, ox)
-    else:
-        along, across, sign = oz, ox, -1.0
-        faces, keys = scene._down_index
-        start = bisect_left(keys, -oz)
-        ground_z = scene._ground_face_z(ox)
-        if ground_z is not None and oz - ground_z > _EPS:
-            best = oz - ground_z
-    tan_h = math.tan(math.radians(half_angle))
-    for i in range(start, len(faces)):
-        pos, lo, hi = faces[i]
-        depth = sign * (pos - along)
-        if depth <= _EPS:
-            continue
-        if best is not None and depth >= best:
+        for i in range(bisect_left(keys, ox), len(faces)):
+            x, lo, hi = faces[i]
+            depth = x - ox
+            if depth <= _EPS:
+                continue
+            if best is not None and depth >= best:
+                break
+            reach = depth * tan_h
+            if lo > oz + reach + _EPS or oz - reach > hi + _EPS:
+                continue
+            off = lo - oz if lo > oz else (oz - hi if hi < oz else 0.0)
+            d = math.hypot(depth, off)
+            if best is None or d < best:
+                best = d
+        return best
+
+    faces, keys, tops = scene._down_index
+    end, left = len(faces), -math.inf
+    ground_z = scene._ground_face_z(ox)
+    if ground_z is not None and oz - ground_z > _EPS:
+        best = oz - ground_z
+        window = best * tan_h
+        end, left = bisect_right(keys, ox + window + _EPS), ox - window
+    for i in range(end - 1, -1, -1):
+        # Every face from here back ends short of the window.
+        if left > tops[i] + _EPS:
             break
-        reach = depth * tan_h
-        lo = max(lo, across - reach)
-        hi = min(hi, across + reach)
-        if lo > hi + _EPS:
+        z, lo, hi = faces[i]
+        depth = oz - z
+        if depth <= _EPS or (best is not None and depth >= best):
             continue
-        off = lo - across if lo > across else (across - hi if hi < across else 0.0)
+        reach = depth * tan_h
+        if lo > ox + reach + _EPS or ox - reach > hi + _EPS:
+            continue
+        off = lo - ox if lo > ox else (ox - hi if hi < ox else 0.0)
         d = math.hypot(depth, off)
         if best is None or d < best:
             best = d

@@ -33,6 +33,10 @@ from .sensing import (
 
 MAX_USER_SPEED_CM_S = 500.0
 
+# Longest walk, in ticks before rounding to whole ticks per segment:
+# about 8.3 h at 30 ms.
+MAX_TICKS = 1_000_000
+
 
 class PipelineError(ValueError):
     """Invalid simulation configuration or trajectory."""
@@ -268,6 +272,20 @@ def segment_ticks(segment: TrajectorySegment, tick_ms: float) -> int:
     return int(round(segment.duration_s * 1000.0 / tick_ms))
 
 
+def trajectory_ticks(trajectory, tick_ms: float) -> list:
+    """Whole ticks of each segment; raises PipelineError unless they total 1 to MAX_TICKS."""
+    total = sum(segment.duration_s for segment in trajectory) * 1000.0 / tick_ms
+    # Bound the float total before rounding: rounding an infinite ratio
+    # raises, and a huge finite one gives a loop that never ends.
+    counts = [segment_ticks(s, tick_ms) for s in trajectory] if total <= MAX_TICKS else None
+    if counts is None or sum(counts) < 1:
+        raise PipelineError(
+            f"the walk lasts {total:.4g} ticks of {tick_ms:g} ms;"
+            f" it must last 1 to {MAX_TICKS} ticks"
+        )
+    return counts
+
+
 def run_scenario(
     scene: SagittalScene,
     trajectory,
@@ -283,17 +301,16 @@ def run_scenario(
     trajectory = list(trajectory)
     if not trajectory:
         raise PipelineError("trajectory must contain at least one segment")
+    counts = trajectory_ticks(trajectory, config.tick_ms)
     rng = random.Random(config.seed) if config.jitter_cm > 0.0 else None
 
     frames = []
     state = TickState()
     x = start_x
     index = 0
-    for segment in trajectory:
-        for _ in range(segment_ticks(segment, config.tick_ms)):
+    for segment, count in zip(trajectory, counts):
+        for _ in range(count):
             frame, x = tick(scene, x, segment.speed, config, state, tick_index=index, rng=rng)
             frames.append(frame)
             index += 1
-    if not frames:
-        raise PipelineError("trajectory is shorter than one tick")
     return frames

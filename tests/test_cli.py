@@ -48,6 +48,14 @@ class TestParser:
         args = build_parser().parse_args(["verify-tables"])
         assert args.command == "verify-tables"
 
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_help_exits_zero(self):
+        result = run_cli(["--help"])
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: ultranav")
+
 
 class TestParseScenario:
     def test_obstacle_directive(self):
@@ -222,6 +230,21 @@ class TestInputBounds:
                 "CONFIG temp_cal -547\nWALK 100 1\n",
                 "temp_cal must be above -546.7 C",
                 id="temp_cal-below-zero-sound-speed",
+            ),
+            pytest.param(
+                "CONFIG tick_ms 1e-300\nWALK 140 1e10\n",
+                "the walk lasts inf ticks of 1e-300 ms; it must last 1 to 1000000 ticks",
+                id="ticks-overflow",
+            ),
+            pytest.param(
+                "CONFIG tick_ms 1e-300\nWALK 140 1\n",
+                "the walk lasts 1e+303 ticks of 1e-300 ms; it must last 1 to 1000000 ticks",
+                id="ticks-huge",
+            ),
+            pytest.param(
+                "CONFIG tick_ms 30\nWALK 140 0.01\n",
+                "the walk lasts 0.3333 ticks of 30 ms; it must last 1 to 1000000 ticks",
+                id="ticks-below-one",
             ),
         ],
     )

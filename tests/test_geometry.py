@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ultranav.geometry import (
+    _FAR_CM,
     Aim,
     GeometryError,
     GroundSegment,
@@ -204,9 +205,15 @@ def _profiles(draw):
 
 @st.composite
 def _obstacles(draw):
-    """Boxes with many z=0 bottoms, slats below the thickness floor and duplicates."""
+    """Boxes with many z=0 bottoms, slats below the thickness floor, duplicates,
+    and wide shelves that start far left of most positions and span them."""
     boxes = []
     for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            x0 = draw(_GRID) - 600.0
+            z0 = draw(st.sampled_from([0.0, 2.0, 5.0, 20.0]))
+            boxes.append(Rect(x0, x0 + draw(st.sampled_from([700.0, 1500.0])), z0, z0 + 1.0))
+            continue
         x0 = draw(_GRID)
         z0 = draw(st.sampled_from([0.0, 0.0, 0.0, 5.0, 10.0, 50.0]))
         width = draw(st.sampled_from([0.1, 0.3, 1.0, 5.0, 20.0]))
@@ -222,9 +229,14 @@ def _scene(ground, obstacles):
         assume(False)
 
 
+# Origins on and beyond the far fills that close the profile off, where a
+# downward cone has no terrain face under it and scans every face.
+_FAR = [-_FAR_CM - 1.0, -_FAR_CM, _FAR_CM, _FAR_CM + 1.0]
+
+
 def _positions(ground, obstacles):
     """Face and boundary positions of the scene along x and z."""
-    xs = [0.0, 100.0] + [v for s in ground for v in (s.x0, s.x1)]
+    xs = [0.0, 100.0, *_FAR] + [v for s in ground for v in (s.x0, s.x1)]
     xs += [v for r in obstacles for v in (r.x0, r.x1)]
     zs = [0.0, 10.0, 50.0, 100.0] + [s.dz for s in ground]
     zs += [v for r in obstacles for v in (r.z0, r.z1)]
@@ -250,6 +262,54 @@ class TestIndexedCone:
                     cone_min_distance(scene, (ox, oz), aim, half_angle)
                 continue
             assert cone_min_distance(scene, (ox, oz), aim, half_angle) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), _profiles(), _obstacles())
+    def test_faces_at_down_window_edges(self, data, ground, obstacles):
+        # A downward cone over terrain at depth D only scans faces whose
+        # span meets [ox - W, ox + W], W = D tan h.  Add a shelf above the
+        # terrain with one edge on, or within a few _EPS of, that bound.
+        scene = _scene(ground, obstacles)
+        xs, zs = _positions(ground, obstacles)
+        ox = data.draw(st.sampled_from(xs)) + data.draw(_NUDGE)
+        oz = data.draw(st.sampled_from(zs)) + data.draw(st.sampled_from([0.0, 10.0, 60.0]))
+        depth = oz - scene.elevation(ox)
+        assume(depth > 1e-6)
+        half_angle = data.draw(st.sampled_from([0.0, 0.0, 1.0, 15.0, 89.0]))
+        window = depth * math.tan(math.radians(half_angle))
+        edge = data.draw(st.sampled_from([1, -1])) * window + data.draw(
+            st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1.5e-9, -1.5e-9, 3e-9, -3e-9])
+        )
+        top = oz - depth * data.draw(st.sampled_from([0.1, 0.5, 0.99, 1.0 - 1e-12]))
+        width = data.draw(st.sampled_from([0.5, 20.0, 2000.0]))
+        x0 = ox + edge if edge > 0 else ox + edge - width
+        shelf = Rect(x0, x0 + width, top - 1.0, top)
+        scene = _scene(ground, [*obstacles, shelf])
+        expected = full_scan_cone_min(scene, (ox, oz), Aim.DOWN, half_angle)
+        assert cone_min_distance(scene, (ox, oz), Aim.DOWN, half_angle) == expected
+
+    def test_wide_shelf_behind_a_short_face(self):
+        # The shelf starts far left of the hole; in order of left ends the
+        # terrain segment between them ends short of the window, and only
+        # the running maximum of right ends carries the scan on to it.
+        scene = SagittalScene(
+            (Rect(-500, 500, 5, 6),),
+            (GroundSegment(-60, -20, -5.0), GroundSegment(-10, 10, -20.0)),
+        )
+        assert cone_min_distance(scene, (0.0, 10.0), Aim.DOWN) == 4.0
+        assert full_scan_cone_min(scene, (0.0, 10.0), Aim.DOWN) == 4.0
+
+    def test_profile_past_the_far_fills(self):
+        # Segments past +-_FAR_CM leave no room for the far fills; were an
+        # empty fill kept as the span (-_FAR_CM, -3e7), a wide cone would
+        # find it 100 cm away, nearer than any real face.
+        scene = SagittalScene(
+            (), (GroundSegment(-3e7, -2e7, -50.0), GroundSegment(-1e7 - 1000, 2e7, -50.0))
+        )
+        origin = (-1e7 - 100, 4e5)
+        expected = math.hypot(4e5, 900.0)
+        assert cone_min_distance(scene, origin, Aim.DOWN, 89.0) == expected
+        assert full_scan_cone_min(scene, origin, Aim.DOWN, 89.0) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), _profiles())

@@ -5,6 +5,7 @@ import pytest
 from ultranav.classify import Advisory, BuzzerFrame, UpperLevel
 from ultranav.geometry import GroundSegment, Rect, SagittalScene, overlap_distance
 from ultranav.pipeline import (
+    MAX_TICKS,
     PipelineError,
     SimConfig,
     TickFlags,
@@ -13,6 +14,7 @@ from ultranav.pipeline import (
     fuse,
     run_scenario,
     tick,
+    trajectory_ticks,
 )
 from ultranav.sensing import SensorName
 
@@ -195,6 +197,17 @@ class TestConfigValidation:
         for speed in (600.0, -501.0):
             with pytest.raises(PipelineError):
                 TrajectorySegment(speed, 1.0)
+
+    def test_total_ticks_bounds(self):
+        at_cap = [TrajectorySegment(100.0, 10000.0), TrajectorySegment(-100.0, 20000.0)]
+        counts = trajectory_ticks(at_cap, 30.0)
+        assert counts == [333333, 666667] and sum(counts) == MAX_TICKS
+        with pytest.raises(PipelineError, match="must last 1 to"):
+            trajectory_ticks([TrajectorySegment(100.0, 30000.03)], 30.0)
+        # Each segment rounds to 0 ticks although together they last 1.2.
+        short = [TrajectorySegment(100.0, 0.012)] * 3
+        with pytest.raises(PipelineError, match="must last 1 to"):
+            trajectory_ticks(short, 30.0)
 
     def test_nonpositive_tick_rejected(self):
         with pytest.raises(PipelineError):
