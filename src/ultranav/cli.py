@@ -35,7 +35,7 @@ from .classify import (
     detect_upstairs,
 )
 from .geometry import GeometryError, GroundSegment, Rect, SagittalScene, ground_overlap
-from .pipeline import SimConfig, TrajectorySegment, run_scenario
+from .pipeline import PipelineError, SimConfig, TrajectorySegment, run_scenario
 from .sensing import SensorName, default_sensors, load_calibration
 
 TRACE_HEADER = (
@@ -86,6 +86,15 @@ def _numbers(fields, n, lineno, directive):
     return values
 
 
+def _build(kind, n, fields, lineno, directive):
+    """kind(*values) from a directive's n numbers; a rejected value names its line."""
+    values = _numbers(fields, n, lineno, directive)
+    try:
+        return kind(*values)
+    except (GeometryError, PipelineError) as exc:
+        raise ScenarioError(f"line {lineno}: {exc}") from None
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises ScenarioError with the offending line."""
     scenario = Scenario()
@@ -123,23 +132,12 @@ def parse_scenario(text: str) -> Scenario:
             height, sarl = _numbers(fields[1:], 2, lineno, "SENSOR")
             scenario.sensors[name] = (height, sarl)
         elif directive == "OBSTACLE":
-            x0, x1, z0, z1 = _numbers(fields, 4, lineno, "OBSTACLE")
-            try:
-                scenario.obstacles.append(Rect(x0, x1, z0, z1))
-            except GeometryError as exc:
-                raise ScenarioError(f"line {lineno}: {exc}") from None
+            scenario.obstacles.append(_build(Rect, 4, fields, lineno, directive))
         elif directive == "GROUND":
-            x0, x1, dz = _numbers(fields, 3, lineno, "GROUND")
-            try:
-                scenario.ground.append(GroundSegment(x0, x1, dz))
-            except GeometryError as exc:
-                raise ScenarioError(f"line {lineno}: {exc}") from None
+            scenario.ground.append(_build(GroundSegment, 3, fields, lineno, directive))
             ground_lines.append(lineno)
         elif directive == "WALK":
-            speed, seconds = _numbers(fields, 2, lineno, "WALK")
-            if seconds <= 0:
-                raise ScenarioError(f"line {lineno}: WALK duration must be > 0")
-            scenario.walks.append(TrajectorySegment(speed, seconds))
+            scenario.walks.append(_build(TrajectorySegment, 2, fields, lineno, directive))
         else:
             raise ScenarioError(f"line {lineno}: unknown directive {directive!r}")
 

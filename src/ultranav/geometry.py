@@ -4,6 +4,10 @@ The world is a 2D vertical slice: x runs forward from the user (cm),
 z runs upward from nominal ground level (cm).  Obstacles are axis-aligned
 rectangles, terrain is a piecewise-constant elevation profile whose jumps
 implicitly define vertical riser faces (stair fronts, pothole walls).
+The profile covers the whole real line: terrain outside the authored
+segments is flat at elevation 0 without end, and two authored boundaries
+within _EPS (1e-9 cm) of each other are snapped to the earlier segment's
+end, so every x lies in exactly one profile segment.
 
 Echoes are only returned from faces hit near-perpendicularly: a
 forward-aimed beam sees vertical faces (obstacle fronts/backs, risers),
@@ -35,9 +39,6 @@ from typing import Optional
 
 # Faces thinner than this (forward extent, cm) return no usable echo.
 MIN_OBSTACLE_THICKNESS_CM = 0.3
-
-# Extent used to close the terrain profile off to flat ground at elevation 0.
-_FAR_CM = 1.0e7
 
 _EPS = 1e-9
 
@@ -112,62 +113,39 @@ class SagittalScene:
 
     @cached_property
     def ground_profile(self) -> tuple:
-        """Authored segments sorted and made contiguous with dz=0 fill."""
+        """The real line as contiguous terrain segments, from -inf to +inf.
+
+        Authored segments in order of x, each starting where the one before
+        ends: a gap or overlap of at most _EPS moves the later start to the
+        earlier end, so the earlier segment wins an overlap, and a segment
+        the move leaves empty is dropped.  Wider gaps and both ends are
+        filled with dz=0.
+        """
         overlap = ground_overlap(self.ground)
         if overlap is not None:
             raise GeometryError(
                 f"overlapping ground segments at x={self.ground[overlap].x0}"
             )
         out = []
-        cursor = None
+        cursor = -math.inf
         for seg in sorted(self.ground, key=lambda s: (s.x0, s.x1)):
-            if cursor is not None and seg.x0 > cursor + _EPS:
+            if seg.x0 > cursor + _EPS:
                 out.append(GroundSegment(cursor, seg.x0, 0.0))
-            out.append(seg)
-            cursor = seg.x1
+                cursor = seg.x0
+            if cursor < seg.x1:
+                out.append(seg if seg.x0 == cursor else GroundSegment(cursor, seg.x1, seg.dz))
+                cursor = seg.x1
+        if cursor < math.inf:  # unless an authored segment runs to +inf
+            out.append(GroundSegment(cursor, math.inf, 0.0))
         return tuple(out)
 
     @cached_property
     def _profile_starts(self) -> list:
         return [seg.x0 for seg in self.ground_profile]
 
-    def _segment_at(self, x: float) -> Optional[GroundSegment]:
-        """First profile segment whose [x0, x1) holds x, or None."""
-        profile = self.ground_profile
-        # Segments may overlap by up to _EPS, so every start within _EPS
-        # below x is visited and the earliest holder wins, as in a scan.
-        hit = None
-        i = bisect_right(self._profile_starts, x) - 1
-        while i >= 0:
-            seg = profile[i]
-            if x < seg.x1:
-                hit = seg
-            if seg.x0 <= x - _EPS:
-                break
-            i -= 1
-        return hit
-
     def elevation(self, x: float) -> float:
-        """Terrain elevation at forward position x (0 outside the profile)."""
-        seg = self._segment_at(x)
-        return 0.0 if seg is None else seg.dz
-
-    def _ground_face_z(self, x: float) -> Optional[float]:
-        """Height of a horizontal terrain face spanning x, or None.
-
-        The face is a profile segment or one of the two far fills.  None
-        where x falls in a gap of at most _EPS between segments, which is
-        left unfilled, or beyond the far fills.
-        """
-        seg = self._segment_at(x)
-        if seg is not None:
-            return seg.dz
-        profile = self.ground_profile
-        if not profile:
-            return 0.0 if -_FAR_CM <= x <= _FAR_CM else None
-        if -_FAR_CM <= x <= profile[0].x0 or profile[-1].x1 <= x <= _FAR_CM:
-            return 0.0
-        return None
+        """Terrain elevation at forward position x."""
+        return self.ground_profile[bisect_right(self._profile_starts, x) - 1].dz
 
     @cached_property
     def _echoing_obstacles(self) -> tuple:
@@ -184,15 +162,11 @@ class SagittalScene:
         for r in self._echoing_obstacles:
             faces.append((r.x0, r.z0, r.z1))
             faces.append((r.x1, r.z0, r.z1))
-        # Riser faces wherever the elevation profile jumps, including the
-        # transitions to flat ground at either end of the authored profile.
+        # Riser faces wherever the elevation profile jumps.
         profile = self.ground_profile
-        if profile:
-            elevations = [0.0] + [s.dz for s in profile] + [0.0]
-            boundaries = [profile[0].x0] + [s.x1 for s in profile]
-            for x, (lo, hi) in zip(boundaries, zip(elevations, elevations[1:])):
-                if lo != hi:
-                    faces.append((x, min(lo, hi), max(lo, hi)))
+        for left, right in zip(profile, profile[1:]):
+            if left.dz != right.dz:
+                faces.append((left.x1, min(left.dz, right.dz), max(left.dz, right.dz)))
         return tuple(faces)
 
     @cached_property
@@ -202,17 +176,8 @@ class SagittalScene:
         for r in self._echoing_obstacles:
             faces.append((r.z1, r.x0, r.x1))
             faces.append((r.z0, r.x0, r.x1))
-        profile = self.ground_profile
-        if profile:
-            # A profile reaching past _FAR_CM leaves no room for that fill.
-            if -_FAR_CM <= profile[0].x0:
-                faces.append((0.0, -_FAR_CM, profile[0].x0))
-            for seg in profile:
-                faces.append((seg.dz, seg.x0, seg.x1))
-            if profile[-1].x1 <= _FAR_CM:
-                faces.append((0.0, profile[-1].x1, _FAR_CM))
-        else:
-            faces.append((0.0, -_FAR_CM, _FAR_CM))
+        for seg in self.ground_profile:
+            faces.append((seg.dz, seg.x0, seg.x1))
         return tuple(faces)
 
     @cached_property
@@ -253,14 +218,15 @@ def cone_min_distance(
     one at or past the origin, and stops at the first face with L >= the
     best echo so far: hypot(L, off) >= L, so no later face can be
     strictly nearer.  A downward cone starts with the terrain face under
-    the origin, which echoes at its depth (off = 0), whenever that face
-    exists and lies more than _EPS below.  Every face that can beat that
+    the origin, which always exists and echoes at its depth (off = 0),
+    whenever it lies more than _EPS below.  Every face that can beat that
     seed is less deep, so its span meets the window W = seed * tan h
     around c.  The horizontal faces are sorted by lo; the scan starts at
     the last face with lo <= c + W + _EPS and walks back while the
     largest hi of the faces up to the current one in that order reaches
-    c - W - _EPS, skipping faces no shallower than the best echo.  Without a seed the
-    window is unbounded and every face is visited.  The window bounds use
+    c - W - _EPS, skipping faces no shallower than the best echo.  Only
+    an origin within _EPS of the ground has no seed; its window is
+    unbounded and every face is visited.  The window bounds use
     the same float expressions as the per-face test, so the cull drops
     only faces that test would reject.  Raises GeometryError if the
     origin is below the terrain or half_angle is outside [0, 90).
@@ -268,7 +234,8 @@ def cone_min_distance(
     if not 0.0 <= half_angle < 90.0:
         raise GeometryError(f"half_angle must be in [0, 90), got {half_angle}")
     ox, oz = origin
-    if oz < scene.elevation(ox) - _EPS:
+    ground_z = scene.elevation(ox)
+    if oz < ground_z - _EPS:
         raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
     tan_h = math.tan(math.radians(half_angle))
     best = None
@@ -292,8 +259,7 @@ def cone_min_distance(
 
     faces, keys, tops = scene._down_index
     end, left = len(faces), -math.inf
-    ground_z = scene._ground_face_z(ox)
-    if ground_z is not None and oz - ground_z > _EPS:
+    if oz - ground_z > _EPS:
         best = oz - ground_z
         window = best * tan_h
         end, left = bisect_right(keys, ox + window + _EPS), ox - window

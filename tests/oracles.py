@@ -3,7 +3,9 @@
 `full_scan_cone_min` is the exact cone minimum taken over every face in
 authored order, with no index, early exit or seed: the reference the
 indexed `cone_min_distance` must equal bit for bit.  `scan_elevation`
-is the matching linear lookup of the terrain profile.
+is the matching linear lookup of the terrain profile.  Both take the
+terrain from `scene.ground_profile` as given, so they check the cones
+against the profile, not the profile against the authored segments.
 
 `raycast` intersects one ray with the scene's echoing faces, and
 `dense_cone_min` sweeps a fan of such rays across the cone: the sampled

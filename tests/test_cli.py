@@ -232,6 +232,14 @@ class TestInputBounds:
                 id="temp_cal-below-zero-sound-speed",
             ),
             pytest.param(
+                "WALK 600 1\n", "line 1: |speed| must be <= 500.0 cm/s", id="walk-too-fast"
+            ),
+            pytest.param(
+                "WALK 140 0\n",
+                "line 1: trajectory segment duration must be > 0",
+                id="walk-zero-duration",
+            ),
+            pytest.param(
                 "CONFIG tick_ms 1e-300\nWALK 140 1e10\n",
                 "the walk lasts inf ticks of 1e-300 ms; it must last 1 to 1000000 ticks",
                 id="ticks-overflow",
@@ -291,6 +299,15 @@ class TestConfigRoute:
     def test_start_x(self, tmp_path, capsys):
         _, rows = self.trace(tmp_path, capsys, "CONFIG start_x 50\nWALK 140 0.3\n")
         assert float(rows[0][2]) == 50.0
+
+    @pytest.mark.parametrize("start_x", ["2e7", "-2e7"])
+    def test_far_start_stands_on_flat_ground(self, tmp_path, capsys, start_x):
+        # Terrain outside the authored segments is flat ground without end,
+        # however far from the origin the walk starts.
+        _, rows = self.trace(tmp_path, capsys, f"CONFIG start_x {start_x}\nWALK 140 0.3\n")
+        assert len(rows) == 10
+        for row in rows:
+            assert (row[6], row[10], row[14]) == ("10.0", "0", "MoveForward")
 
     def test_jitter_seed(self, tmp_path, capsys):
         def jittered(seed):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ultranav.geometry import (
-    _FAR_CM,
+    _EPS,
     Aim,
     GeometryError,
     GroundSegment,
@@ -192,7 +192,8 @@ _NUDGE = st.sampled_from([0.0, 0.0, 0.0, 2e-10, -2e-10, 1e-9, -1e-9, 0.5, -0.5])
 
 @st.composite
 def _profiles(draw):
-    """Ground segments with real gaps, abutting ends and gaps or overlaps of at most _EPS."""
+    """Ground segments with real gaps, abutting ends and gaps or overlaps of at
+    most _EPS, which the profile snaps to the earlier segment's end."""
     segments = []
     x = draw(_GRID)
     for _ in range(draw(st.integers(0, 6))):
@@ -229,9 +230,9 @@ def _scene(ground, obstacles):
         assume(False)
 
 
-# Origins on and beyond the far fills that close the profile off, where a
-# downward cone has no terrain face under it and scans every face.
-_FAR = [-_FAR_CM - 1.0, -_FAR_CM, _FAR_CM, _FAR_CM + 1.0]
+# Huge origins, far past the authored terrain, where the flat ground under
+# the walker is an end segment of infinite span.
+_FAR = [-1e7 - 1.0, -1e7, 1e7, 1e7 + 1.0]
 
 
 def _positions(ground, obstacles):
@@ -299,10 +300,10 @@ class TestIndexedCone:
         assert cone_min_distance(scene, (0.0, 10.0), Aim.DOWN) == 4.0
         assert full_scan_cone_min(scene, (0.0, 10.0), Aim.DOWN) == 4.0
 
-    def test_profile_past_the_far_fills(self):
-        # Segments past +-_FAR_CM leave no room for the far fills; were an
-        # empty fill kept as the span (-_FAR_CM, -3e7), a wide cone would
-        # find it 100 cm away, nearer than any real face.
+    def test_flat_ground_between_distant_holes(self):
+        # Two holes 1e7 cm apart, the origin 100 cm inside the second: the
+        # nearest echo of a wide cone is the flat ground between the holes,
+        # 900 cm behind the origin, not the hole floor 50 cm lower.
         scene = SagittalScene(
             (), (GroundSegment(-3e7, -2e7, -50.0), GroundSegment(-1e7 - 1000, 2e7, -50.0))
         )
@@ -325,16 +326,35 @@ class TestIndexedCone:
         scene = SagittalScene((Rect(95, 96, 120, 200), Rect(97, 98, 0, 200)), ())
         assert cone_min_distance(scene, (0.0, 100.0), Aim.FORWARD) == 97.0
 
-    def test_no_ground_face_in_sub_eps_gap(self):
-        # The gap between the segments is left unfilled, so nothing lies
-        # under the walker at z=0: the nearest echo is the hole floor.
+    def test_sub_eps_gap_belongs_to_the_later_segment(self):
+        # The later segment's start is snapped back over the gap, so the
+        # hole floor lies under the walker and no z=0 face or riser pair
+        # appears between the two holes.
         scene = SagittalScene(
             (), (GroundSegment(0, 50, -20.0), GroundSegment(50 + 5e-10, 100, -20.0))
         )
         origin = (50 + 2e-10, 10.0)
-        assert scene.elevation(origin[0]) == 0.0
+        assert scene.elevation(origin[0]) == -20.0
         assert cone_min_distance(scene, origin, Aim.DOWN) == 30.0
         assert full_scan_cone_min(scene, origin, Aim.DOWN) == 30.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), _profiles())
+    def test_profile_is_an_exact_partition(self, data, ground):
+        scene = _scene(ground, ())
+        profile = scene.ground_profile
+        assert profile[0].x0 == -math.inf and profile[-1].x1 == math.inf
+        assert all(seg.x0 < seg.x1 for seg in profile)
+        assert all(a.x1 == b.x0 for a, b in zip(profile, profile[1:]))
+        # Away from the authored boundaries the terrain is what was authored.
+        xs, _ = _positions(ground, ())
+        x = data.draw(st.sampled_from(xs)) + data.draw(
+            st.sampled_from([0.0, 2e-9, -2e-9, 0.5, -0.5, 7.0])
+        )
+        assume(all(abs(x - v) > _EPS for seg in ground for v in (seg.x0, seg.x1)))
+        holders = [seg.dz for seg in ground if seg.x0 <= x < seg.x1]
+        assert len(holders) <= 1
+        assert scene.elevation(x) == (holders[0] if holders else 0.0)
 
     def test_first_of_overlapping_segments_wins(self):
         # Overlaps of at most _EPS are allowed; a linear scan returns the
