@@ -1,0 +1,66 @@
+"""Micro-benchmarks of the tick loop, whole scenario runs and trace formatting.
+
+    PYTHONPATH=src python -m pytest bench/test_pipeline.py --benchmark-json=out.json
+
+The course is a fixed compact walk of the kind perfbench's `walk_long`
+generates: five holes of every pothole grade under a 240 cm path, then a
+toe step, a knee riser 25 cm beyond it, a waist block, a head-height
+block, a wall and one block out of reach.  `test_tick` times one
+steady-state `tick` over the middle hole, with the scene's face indexes
+and the config's resolved rig already built.  `test_run_scenario` times
+`run_scenario` on each bundled scenario, parsed and built outside the
+timing.  `test_format_trace` times `format_trace` on the 3,000 frames of
+four back-and-forth walks over the course.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from ultranav.cli import build_simulation, format_trace, parse_scenario
+from ultranav.geometry import GroundSegment, Rect, SagittalScene
+from ultranav.pipeline import SimConfig, TickState, TrajectorySegment, run_scenario, tick
+
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.scn"))
+
+COURSE = SagittalScene(
+    (
+        Rect(240.0, 242.0, 0.0, 10.0),  # toe step
+        Rect(265.0, 269.0, 40.0, 120.0),  # knee riser
+        Rect(340.0, 350.0, 0.0, 120.0),  # waist block
+        Rect(370.0, 380.0, 170.0, 200.0),  # head-height block
+        Rect(460.0, 462.0, 0.0, 200.0),  # wall
+        Rect(610.0, 620.0, 0.0, 80.0),  # out of reach
+    ),
+    (
+        GroundSegment(30.0, 50.0, -5.0),
+        GroundSegment(70.0, 95.0, -15.0),
+        GroundSegment(120.0, 140.0, -22.0),
+        GroundSegment(160.0, 180.0, -33.0),
+        GroundSegment(200.0, 225.0, -50.0),
+    ),
+)
+
+# 375 ticks out and 375 back, four times: 3,000 rows.
+BACK_AND_FORTH = [TrajectorySegment(21.0, 11.25), TrajectorySegment(-21.0, 11.25)] * 4
+
+
+def test_tick(benchmark):
+    config, state = SimConfig(), TickState()
+    tick(COURSE, 130.0, 140.0, config, state)  # build the face indexes
+    frame, _ = benchmark(tick, COURSE, 130.0, 140.0, config, state)
+    assert frame.frame.brzP == 2
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_run_scenario(benchmark, path):
+    scene, config, trajectory, start_x = build_simulation(parse_scenario(path.read_text()))
+    frames = benchmark(run_scenario, scene, trajectory, config, start_x=start_x)
+    assert frames
+
+
+def test_format_trace(benchmark):
+    frames = run_scenario(COURSE, BACK_AND_FORTH, SimConfig())
+    assert len(frames) == 3000
+    trace = benchmark(format_trace, frames)
+    assert trace.count("\n") == 3001

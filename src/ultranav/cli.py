@@ -36,7 +36,7 @@ from .classify import (
 )
 from .geometry import GeometryError, GroundSegment, Rect, SagittalScene, ground_overlap
 from .pipeline import PipelineError, SimConfig, TrajectorySegment, run_scenario
-from .sensing import SensorName, default_sensors, load_calibration
+from .sensing import SensingError, SensorName, default_sensors, load_calibration
 
 TRACE_HEADER = (
     "tick,t_ms,user_x,d_chest,d_knee,d_toe,d_down,"
@@ -65,6 +65,8 @@ class Scenario:
 
     config: dict = field(default_factory=dict)
     sensors: dict = field(default_factory=dict)  # SensorName -> (height, sarl)
+    # SimConfig field or SensorName -> line of the directive that last set it
+    lines: dict = field(default_factory=dict)
     obstacles: list = field(default_factory=list)
     ground: list = field(default_factory=list)
     walks: list = field(default_factory=list)
@@ -120,6 +122,7 @@ def parse_scenario(text: str) -> Scenario:
             if not math.isfinite(value):
                 raise ScenarioError(f"line {lineno}: non-finite value in CONFIG")
             scenario.config[key] = value
+            scenario.lines[_CONFIG_KEYS[key][0]] = lineno
         elif directive == "SENSOR":
             if len(fields) != 3:
                 raise ScenarioError(f"line {lineno}: SENSOR takes 'name height sarl'")
@@ -131,6 +134,7 @@ def parse_scenario(text: str) -> Scenario:
                 ) from None
             height, sarl = _numbers(fields[1:], 2, lineno, "SENSOR")
             scenario.sensors[name] = (height, sarl)
+            scenario.lines[name] = lineno
         elif directive == "OBSTACLE":
             scenario.obstacles.append(_build(Rect, 4, fields, lineno, directive))
         elif directive == "GROUND":
@@ -153,7 +157,9 @@ def build_simulation(scenario: Scenario, calib=None):
     """Turn a parsed scenario, plus an optional calibration file, into runnable pieces.
 
     Returns (scene, config, trajectory, start_x).  Settings the scenario
-    leaves out keep their SimConfig defaults.
+    leaves out keep their SimConfig defaults.  A value SimConfig or
+    SensorSpec rejects is reported with the line of the CONFIG or SENSOR
+    directive that set it.
     """
     settings = {_CONFIG_KEYS[key][0]: value for key, value in scenario.config.items()}
     start_x = settings.pop("start_x", 0.0)
@@ -162,12 +168,18 @@ def build_simulation(scenario: Scenario, calib=None):
         for spec in default_sensors():
             if spec.name in scenario.sensors:
                 height, sarl = scenario.sensors[spec.name]
-                spec = replace(spec, mount_height=height, sarl=sarl)
+                try:
+                    spec = replace(spec, mount_height=height, sarl=sarl)
+                except SensingError as exc:
+                    raise ScenarioError(f"line {scenario.lines[spec.name]}: {exc}") from None
             sensors.append(spec)
         settings["sensors"] = tuple(sensors)
     if calib is not None:
         settings["calibration"] = load_calibration(calib)
-    config = SimConfig(**settings)
+    try:
+        config = SimConfig(**settings)
+    except PipelineError as exc:
+        raise ScenarioError(f"line {scenario.lines[exc.field]}: {exc}") from None
 
     scene = SagittalScene(tuple(scenario.obstacles), tuple(scenario.ground))
     trajectory = list(scenario.walks)
@@ -184,7 +196,6 @@ def format_trace(frames) -> str:
     """Byte-stable CSV trace for a frame list."""
     lines = [TRACE_HEADER]
     for f in frames:
-        r = f.readings
         inferred = "-" if f.flags.inferred is None else f.flags.inferred.value
         lines.append(
             ",".join(
@@ -192,10 +203,10 @@ def format_trace(frames) -> str:
                     str(f.tick),
                     f"{f.t_ms:g}",
                     f"{f.user_x:.1f}",
-                    _fmt_distance(r[SensorName.CHEST]),
-                    _fmt_distance(r[SensorName.KNEE]),
-                    _fmt_distance(r[SensorName.TOE]),
-                    _fmt_distance(r[SensorName.ARCH]),
+                    _fmt_distance(f.d_chest),
+                    _fmt_distance(f.d_knee),
+                    _fmt_distance(f.d_toe),
+                    _fmt_distance(f.d_down),
                     str(f.frame.brzC),
                     str(f.frame.brzK),
                     str(f.frame.brzT),

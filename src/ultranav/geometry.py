@@ -228,16 +228,36 @@ def cone_min_distance(
     an origin within _EPS of the ground has no seed; its window is
     unbounded and every face is visited.  The window bounds use
     the same float expressions as the per-face test, so the cull drops
-    only faces that test would reject.  Raises GeometryError if the
-    origin is below the terrain or half_angle is outside [0, 90).
+    only faces that test would reject.
+
+    This is the checked entry in front of the kernel `_cone`: it raises
+    GeometryError if half_angle is outside [0, 90) or the origin is below
+    the terrain, then casts.  A caller that has already looked up the
+    terrain under the origin and checked it (the tick loop) calls the
+    kernel directly.
     """
     if not 0.0 <= half_angle < 90.0:
         raise GeometryError(f"half_angle must be in [0, 90), got {half_angle}")
     ox, oz = origin
     ground_z = scene.elevation(ox)
+    check_origin(ox, oz, ground_z)
+    return _cone(scene, ox, oz, ground_z, aim, math.tan(math.radians(half_angle)))
+
+
+def check_origin(ox: float, oz: float, ground_z: float) -> None:
+    """Raise GeometryError if (ox, oz) lies below the terrain height ground_z."""
     if oz < ground_z - _EPS:
         raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
-    tan_h = math.tan(math.radians(half_angle))
+
+
+def _cone(
+    scene: SagittalScene, ox: float, oz: float, ground_z: float, aim: Aim, tan_h: float
+) -> Optional[float]:
+    """Cone kernel: nearest echo from (ox, oz), ground_z = scene.elevation(ox).
+
+    Unchecked: the origin must not be below ground_z and tan_h must be
+    tan(half_angle) for a half_angle in [0, 90).
+    """
     best = None
     if aim is Aim.FORWARD:
         faces, keys = scene._forward_index

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .classify import (
@@ -20,7 +21,7 @@ from .classify import (
     infer_upper_level,
     is_downstep,
 )
-from .geometry import SagittalScene
+from .geometry import SagittalScene, _cone, check_origin
 from .sensing import (
     Calibration,
     IDENTITY_CALIBRATION,
@@ -28,7 +29,8 @@ from .sensing import (
     SensorSpec,
     ZERO_SOUND_SPEED_C,
     default_sensors,
-    measure,
+    echo_reading,
+    sound_speed,
 )
 
 MAX_USER_SPEED_CM_S = 500.0
@@ -37,9 +39,20 @@ MAX_USER_SPEED_CM_S = 500.0
 # about 8.3 h at 30 ms.
 MAX_TICKS = 1_000_000
 
+# The order the sensors fire in within a tick.
+SENSOR_ORDER = (SensorName.CHEST, SensorName.KNEE, SensorName.TOE, SensorName.ARCH)
+
 
 class PipelineError(ValueError):
-    """Invalid simulation configuration or trajectory."""
+    """Invalid simulation configuration or trajectory.
+
+    `field` names the SimConfig field a configuration error rejects, and
+    is None for every other error.
+    """
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -58,7 +71,12 @@ class TrajectorySegment:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything the tick loop needs besides the scene and trajectory."""
+    """Everything the tick loop needs besides the scene and trajectory.
+
+    What the tick needs of it that stays fixed for the run is resolved on
+    first use and kept on the instance (`rig`).  `dataclasses.replace`
+    builds a new instance, which resolves its own.
+    """
 
     tick_ms: float = 30.0
     sensors: tuple = field(default_factory=default_sensors)
@@ -71,17 +89,18 @@ class SimConfig:
 
     def __post_init__(self):
         if self.tick_ms <= 0.0:
-            raise PipelineError("tick_ms must be > 0")
+            raise PipelineError("tick_ms must be > 0", "tick_ms")
         if self.debounce_ticks < 1:
-            raise PipelineError("debounce_ticks must be >= 1")
+            raise PipelineError("debounce_ticks must be >= 1", "debounce_ticks")
         if not self.jitter_cm >= 0.0:
-            raise PipelineError(f"jitter_cm must be >= 0, got {self.jitter_cm}")
+            raise PipelineError(f"jitter_cm must be >= 0, got {self.jitter_cm}", "jitter_cm")
         for name in ("temp_actual", "temp_cal"):
             temp = getattr(self, name)
             if not temp > ZERO_SOUND_SPEED_C:
                 raise PipelineError(
                     f"{name} must be above {ZERO_SOUND_SPEED_C:.1f} C, where sound"
-                    f" speed reaches zero, got {temp}"
+                    f" speed reaches zero, got {temp}",
+                    name,
                 )
         names = [s.name for s in self.sensors]
         if sorted(n.value for n in names) != sorted(n.value for n in SensorName):
@@ -92,6 +111,20 @@ class SimConfig:
             if s.name is name:
                 return s
         raise PipelineError(f"no sensor named {name}")
+
+    @cached_property
+    def rig(self) -> tuple:
+        """(sensors, c_cal, c_actual), fixed for the run.
+
+        `sensors` holds (spec, tan(half_angle)) in chest, knee, toe, arch
+        order; c_cal and c_actual are the sound speeds at temp_cal and
+        temp_actual.
+        """
+        sensors = tuple(
+            (spec, math.tan(math.radians(spec.half_angle)))
+            for spec in map(self.sensor, SENSOR_ORDER)
+        )
+        return sensors, sound_speed(self.temp_cal), sound_speed(self.temp_actual)
 
 
 @dataclass(frozen=True)
@@ -105,17 +138,31 @@ class TickFlags:
     inferred: Optional[UpperLevel] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameOutput:
-    """One tick's full record: readings, levels, flags, advisory."""
+    """One tick's full record: readings, levels, flags, advisory.
+
+    The four readings (cm, None for no echo) are named after the trace's
+    columns; d_down is the arch sensor's.
+    """
 
     tick: int
     t_ms: float
     user_x: float
-    readings: dict
+    d_chest: Optional[float]
+    d_knee: Optional[float]
+    d_toe: Optional[float]
+    d_down: Optional[float]
     frame: BuzzerFrame
     advisory: Advisory
     flags: TickFlags
+
+    @property
+    def readings(self) -> dict:
+        """The four readings keyed by SensorName, built on each access."""
+        return dict(
+            zip(SENSOR_ORDER, (self.d_chest, self.d_knee, self.d_toe, self.d_down))
+        )
 
 
 @dataclass
@@ -205,46 +252,44 @@ def tick(
 
     Sensors fire sequentially (chest, knee, toe, arch) against the same
     walker position x; the walker then advances by speed (cm/s) * tick
-    period.  Returns (FrameOutput, next x); `state` is updated in place.
+    period.  The terrain under x is looked up once per tick.  Each mount
+    is checked against it in firing order (the first one below ground
+    raises the GeometryError `cone_min_distance` would raise for it) and
+    cast with the cone kernel, so each reading equals
+    `measure(scene, spec, x, ...)` for that sensor, before jitter.
+    Returns (FrameOutput, next x); `state` is updated in place.
     """
-    readings = {}
-    for name in (SensorName.CHEST, SensorName.KNEE, SensorName.TOE, SensorName.ARCH):
-        spec = config.sensor(name)
-        r = measure(
-            scene,
-            spec,
-            x,
-            temp_actual=config.temp_actual,
-            temp_cal=config.temp_cal,
-            calib=config.calibration,
-        )
-        if r is not None and rng is not None and config.jitter_cm > 0.0:
-            r = r + rng.uniform(-config.jitter_cm, config.jitter_cm)
+    sensors, c_cal, c_actual = config.rig
+    calib = config.calibration
+    jitter = config.jitter_cm if rng is not None else 0.0
+    ground_z = scene.elevation(x)
+    readings = []
+    for spec, tan_h in sensors:
+        oz = spec.mount_height
+        check_origin(x, oz, ground_z)
+        true = _cone(scene, x, oz, ground_z, spec.aim, tan_h)
+        r = echo_reading(true, spec, c_cal, c_actual, calib)
+        if r is not None and jitter > 0.0:
+            r = r + rng.uniform(-jitter, jitter)
             r = min(max(r, spec.min_range), spec.max_range)
-        readings[name] = r
+        readings.append(r)
+    d_chest, d_knee, d_toe, d_down = readings
 
-    brzC = classify_chest(readings[SensorName.CHEST])
-    brzK = classify_knee(readings[SensorName.KNEE])
-    brzT = classify_toe(readings[SensorName.TOE])
-    stair = detect_upstairs(readings[SensorName.KNEE], readings[SensorName.TOE])
+    brzC = classify_chest(d_chest)
+    brzK = classify_knee(d_knee)
+    brzT = classify_toe(d_toe)
+    stair = detect_upstairs(d_knee, d_toe)
 
-    arch = config.sensor(SensorName.ARCH)
-    down = readings[SensorName.ARCH]
     # No downward echo means the drop exceeds the sensor's reach: treat as
     # an unbounded hazard depth.
-    depth = math.inf if down is None else down - arch.mount_height
+    arch, _ = sensors[3]
+    depth = math.inf if d_down is None else d_down - arch.mount_height
     brzP = classify_depth(depth)
     downstep = is_downstep(depth)
 
     frame = BuzzerFrame(brzC=brzC, brzK=brzK, brzT=brzT, brzP=brzP)
 
-    disambiguate(
-        state,
-        brzC,
-        readings[SensorName.CHEST],
-        advancing=speed > 0,
-        moving_back=speed < 0,
-    )
+    disambiguate(state, brzC, d_chest, advancing=speed > 0, moving_back=speed < 0)
 
     flags = TickFlags(
         upstairs=stair.upstairs,
@@ -259,7 +304,10 @@ def tick(
         tick=tick_index,
         t_ms=tick_index * config.tick_ms,
         user_x=x,
-        readings=readings,
+        d_chest=d_chest,
+        d_knee=d_knee,
+        d_toe=d_toe,
+        d_down=d_down,
         frame=frame,
         advisory=advisory,
         flags=flags,

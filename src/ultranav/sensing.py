@@ -63,6 +63,10 @@ class SensorSpec:
     max_range: float = 300.0
 
     def __post_init__(self):
+        if not self.mount_height > 0.0:
+            raise SensingError(
+                f"{self.name.value}: mount_height must be > 0, got {self.mount_height}"
+            )
         if self.aim is Aim.FORWARD:
             if not 0.0 < self.min_range < self.sarl <= self.max_range:
                 raise SensingError(
@@ -100,11 +104,8 @@ def measure(
 ) -> Optional[float]:
     """One echo reading in cm, or None when nothing echoes in range.
 
-    The true geometric distance is scaled by the temperature bias factor
-    c(temp_cal) / c(temp_actual) (the device converts time-of-flight with
-    the sound speed it was calibrated at), then distorted by the device's
-    linear calibration response.  True hits beyond max_range are lost;
-    readings are clamped into [min_range, max_range].
+    Casts the sensor's cone from (user_x, mount_height) and passes the
+    true distance through `echo_reading`.
     """
     true = cone_min_distance(
         scene,
@@ -112,10 +113,29 @@ def measure(
         spec.aim,
         half_angle=spec.half_angle,
     )
+    return echo_reading(true, spec, sound_speed(temp_cal), sound_speed(temp_actual), calib)
+
+
+def echo_reading(
+    true: Optional[float],
+    spec: SensorSpec,
+    c_cal: float,
+    c_actual: float,
+    calib: Calibration,
+) -> Optional[float]:
+    """The device's reading of a true echo distance (cm), or None.
+
+    The distance is scaled by the temperature bias factor c_cal / c_actual
+    (the device converts time-of-flight with the sound speed it was
+    calibrated at), then distorted by the device's linear calibration
+    response.  True hits beyond max_range are lost; readings are clamped
+    into [min_range, max_range].  The product is taken before the
+    quotient, as `true * c_cal / c_actual`: a precomputed ratio rounds
+    differently and can move a trace digit.
+    """
     if true is None or true > spec.max_range:
         return None
-    biased = true * sound_speed(temp_cal) / sound_speed(temp_actual)
-    raw = calib.gain * biased + calib.offset
+    raw = calib.gain * (true * c_cal / c_actual) + calib.offset
     return min(max(raw, spec.min_range), spec.max_range)
 
 

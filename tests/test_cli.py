@@ -218,18 +218,33 @@ class TestInputBounds:
             ),
             pytest.param(
                 "CONFIG jitter -5\nWALK 100 1\n",
-                "jitter_cm must be >= 0",
+                "line 1: jitter_cm must be >= 0, got -5.0",
                 id="negative-jitter",
             ),
             pytest.param(
-                "CONFIG temp -547\nWALK 100 1\n",
-                "temp_actual must be above -546.7 C",
+                "WALK 100 1\nCONFIG temp -547\n",
+                "line 2: temp_actual must be above -546.7 C",
                 id="temp-below-zero-sound-speed",
             ),
             pytest.param(
-                "CONFIG temp_cal -547\nWALK 100 1\n",
-                "temp_cal must be above -546.7 C",
+                "CONFIG temp_cal 20\nCONFIG temp_cal -547\nWALK 100 1\n",
+                "line 2: temp_cal must be above -546.7 C",
                 id="temp_cal-below-zero-sound-speed",
+            ),
+            pytest.param(
+                "CONFIG debounce_ticks 0\nWALK 100 1\n",
+                "line 1: debounce_ticks must be >= 1",
+                id="debounce-zero",
+            ),
+            pytest.param(
+                "WALK 100 1\nSENSOR arch 0 60\n",
+                "line 2: arch: mount_height must be > 0, got 0.0",
+                id="sensor-at-ground",
+            ),
+            pytest.param(
+                "SENSOR knee -5 60\nWALK 100 1\n",
+                "line 1: knee: mount_height must be > 0, got -5.0",
+                id="sensor-below-ground",
             ),
             pytest.param(
                 "WALK 600 1\n", "line 1: |speed| must be <= 500.0 cm/s", id="walk-too-fast"
@@ -264,6 +279,19 @@ class TestInputBounds:
         assert captured.out == ""
         assert captured.err.startswith(f"ultranav: error: {message}")
         assert len(captured.err.splitlines()) == 1
+
+    def test_walk_into_raised_terrain_fails_with_one_line(self, tmp_path, capsys):
+        # The step up is 20 cm high.  Tick 24, at x = 100.8, is the first
+        # over it, where the toe mount at 5 cm is below ground: the run
+        # stops there with nothing written.
+        scn = tmp_path / "step.scn"
+        scn.write_text("GROUND 100 200 20\nWALK 140 1.5\n")
+        assert main(["run", str(scn)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("ultranav: error: sensor origin (100.8")
+        assert "is below the ground surface" in line
 
     def test_bounds_are_the_sound_speed_zero(self):
         assert sound_speed(ZERO_SOUND_SPEED_C) == pytest.approx(0.0, abs=1e-9)

@@ -1,9 +1,18 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultranav.classify import Advisory, BuzzerFrame, UpperLevel
-from ultranav.geometry import GroundSegment, Rect, SagittalScene, overlap_distance
+from ultranav.geometry import (
+    Aim,
+    GeometryError,
+    GroundSegment,
+    Rect,
+    SagittalScene,
+    cone_min_distance,
+    overlap_distance,
+)
 from ultranav.pipeline import (
     MAX_TICKS,
     PipelineError,
@@ -16,9 +25,11 @@ from ultranav.pipeline import (
     tick,
     trajectory_ticks,
 )
-from ultranav.sensing import SensorName
+from ultranav.sensing import Calibration, SensorName, default_sensors, measure, sound_speed
 
 from ultranav.cli import format_trace
+
+from test_geometry import _NUDGE, _obstacles, _positions, _profiles, _scene
 
 
 def stand(seconds=0.15):
@@ -58,6 +69,101 @@ class TestTick:
         frame, _ = tick(scene, 0.0, 0.0, SimConfig(), TickState())
         assert frame.readings[SensorName.ARCH] is None
         assert frame.frame.brzP == 3
+
+
+# Firing order, written out rather than taken from the pipeline.
+_ORDER = (SensorName.CHEST, SensorName.KNEE, SensorName.TOE, SensorName.ARCH)
+_TEMPS = st.one_of(
+    st.sampled_from([-40.0, 0.0, 20.0, 20.0, 37.5]),
+    st.floats(-500.0, 500.0),
+)
+_CALIBRATIONS = st.one_of(
+    st.just(Calibration()),
+    st.builds(Calibration, gain=st.floats(0.5, 2.0), offset=st.floats(-5.0, 5.0)),
+)
+
+
+class TestLeanTick:
+    """The tick's resolved rig and single terrain read give `measure`'s readings."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), _profiles(), _obstacles(), _TEMPS, _TEMPS, _CALIBRATIONS)
+    def test_each_distance_equals_measure(
+        self, data, ground, obstacles, temp_actual, temp_cal, calib
+    ):
+        scene = _scene(ground, obstacles)
+        xs, zs = _positions(ground, obstacles)
+        x = data.draw(st.sampled_from(xs)) + data.draw(_NUDGE)
+        # SENSOR overrides put mounts on, near and below faces and terrain.
+        heights = st.builds(lambda z, n: z + n, st.sampled_from(zs), _NUDGE).filter(
+            lambda h: h > 0.0
+        )
+        mounts = data.draw(st.dictionaries(st.sampled_from(_ORDER), heights))
+        sensors = [
+            replace(spec, mount_height=mounts.get(spec.name, spec.mount_height))
+            for spec in default_sensors()
+        ]
+        config = SimConfig(
+            sensors=tuple(data.draw(st.permutations(sensors))),
+            temp_actual=temp_actual,
+            temp_cal=temp_cal,
+            calibration=calib,
+        )
+        expected = []
+        for name in _ORDER:
+            spec = config.sensor(name)
+            try:
+                reading = measure(scene, spec, x, temp_actual, temp_cal, calib)
+            except GeometryError as exc:
+                with pytest.raises(GeometryError) as raised:
+                    tick(scene, x, 0.0, config, TickState())
+                assert str(raised.value) == str(exc)
+                return
+            # The echo model written out, in the order the trace depends on.
+            true = cone_min_distance(scene, (x, spec.mount_height), spec.aim, spec.half_angle)
+            if true is None or true > spec.max_range:
+                assert reading is None
+            else:
+                raw = calib.gain * (true * sound_speed(temp_cal) / sound_speed(temp_actual))
+                raw += calib.offset
+                assert reading == min(max(raw, spec.min_range), spec.max_range)
+            expected.append(reading)
+        frame, _ = tick(scene, x, 0.0, config, TickState())
+        assert [frame.d_chest, frame.d_knee, frame.d_toe, frame.d_down] == expected
+        assert frame.readings == dict(zip(_ORDER, expected))
+
+    def test_replace_resolves_its_own_sound_speeds(self):
+        scene = SagittalScene((Rect(100, 102, 0, 200),), ())
+        base = SimConfig()
+        cold, _ = tick(scene, 0.0, 0.0, base, TickState())
+        warm_config = replace(base, temp_actual=40.0)
+        warm, _ = tick(scene, 0.0, 0.0, warm_config, TickState())
+        chest = base.sensor(SensorName.CHEST)
+        assert cold.d_chest == measure(scene, chest, 0.0) == 100.0
+        assert warm.d_chest == measure(scene, chest, 0.0, temp_actual=40.0) < 100.0
+        assert warm_config.rig[1:] == (sound_speed(20.0), sound_speed(40.0))
+
+    @pytest.mark.parametrize(
+        "step,toe_height,origin_z,aim",
+        [
+            (60.0, 5.0, 50.0, Aim.FORWARD),
+            (12.0, 5.0, 5.0, Aim.FORWARD),
+            (12.0, 20.0, 10.0, Aim.DOWN),
+        ],
+        ids=["knee-first", "toe-before-arch", "arch-only"],
+    )
+    def test_first_mount_below_ground_raises(self, step, toe_height, origin_z, aim):
+        # Mounts are checked in firing order: chest, knee, toe, arch.
+        scene = SagittalScene((), (GroundSegment(-10, 10, step),))
+        sensors = tuple(
+            replace(s, mount_height=toe_height) if s.name is SensorName.TOE else s
+            for s in default_sensors()
+        )
+        with pytest.raises(GeometryError) as direct:
+            cone_min_distance(scene, (0.0, origin_z), aim)
+        with pytest.raises(GeometryError) as raised:
+            tick(scene, 0.0, 0.0, SimConfig(sensors=sensors), TickState())
+        assert str(raised.value) == str(direct.value)
 
 
 class TestFuse:
