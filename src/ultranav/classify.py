@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Optional
 
 Reading = Optional[float]  # echo distance in cm, None = no echo
@@ -108,6 +109,11 @@ class StairCheck:
     toe_bit: int
 
 
+# At most 8 distinct outcomes, each built once per process; its one call
+# site passes (bool, int, int), so keys of different types never meet.
+_stair_check = cache(StairCheck)
+
+
 def detect_upstairs(knee: Reading, toe: Reading) -> StairCheck:
     """Up-staircase truth table on gated knee (<=40 cm) and toe (<=20 cm) echoes.
 
@@ -119,7 +125,7 @@ def detect_upstairs(knee: Reading, toe: Reading) -> StairCheck:
     k = knee if (knee is not None and knee <= 40.0) else None
     t = toe if (toe is not None and toe <= 20.0) else None
     upstairs = k is not None and t is not None and 24.0 < (k - t) < 26.0
-    return StairCheck(upstairs=upstairs, knee_bit=int(k is not None), toe_bit=int(t is not None))
+    return _stair_check(upstairs, int(k is not None), int(t is not None))
 
 
 def classify_depth(depth: float) -> int:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional
+from functools import cache, cached_property
+from typing import NamedTuple, Optional
 
 from .classify import (
     Advisory,
@@ -63,9 +63,9 @@ class TrajectorySegment:
     duration_s: float
 
     def __post_init__(self):
-        if self.duration_s <= 0.0:
+        if not self.duration_s > 0.0:
             raise PipelineError("trajectory segment duration must be > 0")
-        if abs(self.speed) > MAX_USER_SPEED_CM_S:
+        if not abs(self.speed) <= MAX_USER_SPEED_CM_S:
             raise PipelineError(f"|speed| must be <= {MAX_USER_SPEED_CM_S} cm/s")
 
 
@@ -88,7 +88,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tick_ms <= 0.0:
+        for name in ("tick_ms", "temp_actual", "temp_cal", "debounce_ticks", "jitter_cm"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise PipelineError(f"{name} must be finite, got {value}", name)
+        if not self.tick_ms > 0.0:
             raise PipelineError("tick_ms must be > 0", "tick_ms")
         if self.debounce_ticks < 1:
             raise PipelineError("debounce_ticks must be >= 1", "debounce_ticks")
@@ -138,12 +142,21 @@ class TickFlags:
     inferred: Optional[UpperLevel] = None
 
 
-@dataclass(frozen=True, slots=True)
-class FrameOutput:
+# A tick's levels and flags take at most 320 and 80 distinct values, so
+# each is built once per process and shared by every row that has it.
+# `cache` keeps no call that raised: an out-of-range level raises on every
+# call.  Call each with positional arguments of fixed types, since keys
+# that compare equal (True == 1) share one entry.
+_frame = cache(BuzzerFrame)
+_flags = cache(TickFlags)
+
+
+class FrameOutput(NamedTuple):
     """One tick's full record: readings, levels, flags, advisory.
 
-    The four readings (cm, None for no echo) are named after the trace's
-    columns; d_down is the arch sensor's.
+    Immutable.  The four readings (cm, None for no echo) are named after
+    the trace's columns; d_down is the arch sensor's.  Rows with equal
+    levels or flags share one `frame` or `flags` object.
     """
 
     tick: int
@@ -287,30 +300,16 @@ def tick(
     brzP = classify_depth(depth)
     downstep = is_downstep(depth)
 
-    frame = BuzzerFrame(brzC=brzC, brzK=brzK, brzT=brzT, brzP=brzP)
+    frame = _frame(brzC, brzK, brzT, brzP)
 
     disambiguate(state, brzC, d_chest, advancing=speed > 0, moving_back=speed < 0)
 
-    flags = TickFlags(
-        upstairs=stair.upstairs,
-        knee_bit=stair.knee_bit,
-        toe_bit=stair.toe_bit,
-        downstep=downstep,
-        inferred=state.inferred,
-    )
+    flags = _flags(stair.upstairs, stair.knee_bit, stair.toe_bit, downstep, state.inferred)
     advisory = _debounced_advisory(state, fuse(frame, flags), config.debounce_ticks)
 
     output = FrameOutput(
-        tick=tick_index,
-        t_ms=tick_index * config.tick_ms,
-        user_x=x,
-        d_chest=d_chest,
-        d_knee=d_knee,
-        d_toe=d_toe,
-        d_down=d_down,
-        frame=frame,
-        advisory=advisory,
-        flags=flags,
+        tick_index, tick_index * config.tick_ms, x, d_chest, d_knee, d_toe, d_down,
+        frame, advisory, flags,
     )
     return output, x + speed * config.tick_ms / 1000.0
 
@@ -346,6 +345,8 @@ def run_scenario(
     list of FrameOutput, one per tick.
     """
     config = config if config is not None else SimConfig()
+    if not math.isfinite(start_x):
+        raise PipelineError(f"start_x must be finite, got {start_x}")
     trajectory = list(trajectory)
     if not trajectory:
         raise PipelineError("trajectory must contain at least one segment")

@@ -43,8 +43,12 @@ class Calibration:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.gain <= 0.0:
+        if not self.gain > 0.0:
             raise SensingError(f"calibration gain must be > 0, got {self.gain}")
+        if not (math.isfinite(self.gain) and math.isfinite(self.offset)):
+            raise SensingError(
+                f"calibration must be finite, got gain {self.gain} and offset {self.offset}"
+            )
 
 
 IDENTITY_CALIBRATION = Calibration()
@@ -52,7 +56,12 @@ IDENTITY_CALIBRATION = Calibration()
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """One ultrasonic module: where it sits, where it points, what it gates."""
+    """One ultrasonic module: where it sits, where it points, its ranges.
+
+    `sarl` is validated (min_range < sarl <= max_range for a forward
+    sensor, > 0 for a down one) but read by nothing else: the buzzer
+    bands are the fixed tables in `classify`.
+    """
 
     name: SensorName
     mount_height: float

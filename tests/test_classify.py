@@ -5,6 +5,7 @@ import pytest
 from ultranav.classify import (
     Advisory,
     BuzzerFrame,
+    StairCheck,
     UpperLevel,
     classify_chest,
     classify_depth,
@@ -93,6 +94,14 @@ class TestUpstairs:
         assert detect_upstairs(40.5, 15.0).knee_bit == 0
         assert detect_upstairs(40.0, 20.5).toe_bit == 0
         assert detect_upstairs(45.0, 20.0).knee_bit == 0
+
+    def test_equal_outcomes_share_one_object(self):
+        stair = detect_upstairs(40.0, 15.0)
+        assert detect_upstairs(39.5, 14.0) is stair
+        assert stair == StairCheck(upstairs=True, knee_bit=1, toe_bit=1)
+        for r in (stair, detect_upstairs(None, None), detect_upstairs(35.0, None)):
+            assert type(r.upstairs) is bool
+            assert type(r.knee_bit) is int and type(r.toe_bit) is int
 
     def test_zeroing_an_input_zeroes_its_bit(self):
         for knee, toe in [(40.0, 15.0), (35.0, 12.0)]:

@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from ultranav.pipeline import (
     TickFlags,
     TickState,
     TrajectorySegment,
+    _frame,
     fuse,
     run_scenario,
     tick,
@@ -27,9 +30,12 @@ from ultranav.pipeline import (
 )
 from ultranav.sensing import Calibration, SensorName, default_sensors, measure, sound_speed
 
-from ultranav.cli import format_trace
+from ultranav.cli import build_simulation, format_trace, parse_scenario
 
 from test_geometry import _NUDGE, _obstacles, _positions, _profiles, _scene
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def stand(seconds=0.15):
@@ -164,6 +170,65 @@ class TestLeanTick:
         with pytest.raises(GeometryError) as raised:
             tick(scene, 0.0, 0.0, SimConfig(sensors=sensors), TickState())
         assert str(raised.value) == str(direct.value)
+
+
+class TestSharedRows:
+    """Rows are immutable named tuples; equal levels and flags share one object."""
+
+    def test_equal_levels_share_frame_and_flags(self):
+        scene = SagittalScene((Rect(100, 102, 0, 200),), ())
+        a, b = run_scenario(scene, stand(0.06), SimConfig())
+        (c,) = run_scenario(scene, stand(0.03), SimConfig(temp_actual=25.0))
+        assert a.d_chest != c.d_chest
+        assert a.frame is b.frame is c.frame
+        assert a.flags is b.flags is c.flags
+        assert a.frame == BuzzerFrame(brzC=1) and a.flags == TickFlags()
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.stem)
+    def test_levels_and_flags_keep_their_types(self, path):
+        # Cache keys that compare equal share an entry (True == 1), so a
+        # level or bit built as a bool would be handed to later ticks.
+        scene, config, trajectory, start_x = build_simulation(parse_scenario(path.read_text()))
+        for f in run_scenario(scene, trajectory, config, start_x=start_x):
+            assert {type(level) for level in (f.frame.brzC, f.frame.brzK, f.frame.brzT, f.frame.brzP)} == {int}
+            assert type(f.flags.upstairs) is bool and type(f.flags.downstep) is bool
+            assert type(f.flags.knee_bit) is int and type(f.flags.toe_bit) is int
+
+    def test_out_of_range_level_raises_on_every_call(self):
+        size = _frame.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError, match="brzC out of range: 5"):
+                _frame(5, 0, 0, 0)
+            with pytest.raises(ValueError, match="brzP out of range: -1"):
+                _frame(0, 0, 0, -1)
+        assert _frame.cache_info().currsize == size
+
+    def test_rows_are_immutable(self):
+        row, _ = tick(SagittalScene(), 0.0, 0.0, SimConfig(), TickState())
+        with pytest.raises(AttributeError):
+            row.advisory = Advisory.STOP_IMMEDIATELY
+        with pytest.raises(AttributeError):
+            row.note = "extra"
+        with pytest.raises(AttributeError):
+            row.frame.brzC = 4
+        with pytest.raises(AttributeError):
+            row.flags.upstairs = True
+
+    def test_fields_and_readings(self):
+        scene = SagittalScene((Rect(100, 102, 0, 200),), (GroundSegment(-10, 10, -25.0),))
+        row, _ = tick(scene, 0.0, 0.0, SimConfig(), TickState(), tick_index=3)
+        assert row._fields == (
+            "tick", "t_ms", "user_x", "d_chest", "d_knee", "d_toe", "d_down",
+            "frame", "advisory", "flags",
+        )
+        assert (row.tick, row.t_ms, row.user_x) == (3, 90.0, 0.0)
+        assert row.readings == {
+            SensorName.CHEST: 100.0,
+            SensorName.KNEE: 100.0,
+            SensorName.TOE: 100.0,
+            SensorName.ARCH: 35.0,
+        }
+        assert list(row.readings) == list(_ORDER)
 
 
 class TestFuse:
@@ -318,3 +383,33 @@ class TestConfigValidation:
     def test_nonpositive_tick_rejected(self):
         with pytest.raises(PipelineError):
             SimConfig(tick_ms=0.0)
+
+    def test_nan_tick_rejected(self):
+        with pytest.raises(PipelineError, match="tick_ms must be finite, got nan"):
+            SimConfig(tick_ms=math.nan)
+
+    @pytest.mark.parametrize("speed,duration", [(math.nan, 0.09), (140.0, math.nan)])
+    def test_nan_segment_rejected(self, speed, duration):
+        with pytest.raises(PipelineError):
+            TrajectorySegment(speed, duration)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("tick_ms", math.inf),
+            ("temp_actual", math.inf),
+            ("temp_cal", math.inf),
+            ("debounce_ticks", math.nan),
+            ("debounce_ticks", math.inf),
+            ("jitter_cm", math.inf),
+        ],
+    )
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(PipelineError, match=f"{name} must be finite") as raised:
+            SimConfig(**{name: value})
+        assert raised.value.field == name
+
+    @pytest.mark.parametrize("start_x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, start_x):
+        with pytest.raises(PipelineError, match="start_x must be finite"):
+            run_scenario(SagittalScene(), stand(), SimConfig(), start_x=start_x)

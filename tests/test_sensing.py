@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,6 +116,14 @@ class TestCalibration:
     def test_nonpositive_gain_rejected(self):
         with pytest.raises(SensingError):
             Calibration(gain=0.0)
+
+    @pytest.mark.parametrize(
+        "gain,offset",
+        [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)],
+    )
+    def test_non_finite_calibration_rejected(self, gain, offset):
+        with pytest.raises(SensingError):
+            Calibration(gain=gain, offset=offset)
 
     @given(
         gain=st.floats(0.5, 2.0),
