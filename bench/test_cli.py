@@ -1,6 +1,6 @@
 """Micro-benchmark of the command line's cold start, run as a subprocess.
 
-    PYTHONPATH=src python -m pytest bench/test_cli.py --benchmark-json=out.json
+    python -m pytest bench/test_cli.py --benchmark-json=out.json
 
 `test_cli_run` times one `python -m ultranav.cli run
 scenarios/wall_approach.scn --out <tmp>` from process start to exit: the

@@ -1,6 +1,6 @@
 """Micro-benchmarks of one cone cast against scenes of growing size.
 
-    PYTHONPATH=src python -m pytest bench/ --benchmark-json=out.json
+    python -m pytest bench/ --benchmark-json=out.json
 
 Each scene holds n boxes ahead of the sensor, a quarter of them standing
 on the ground, over a profile of potholes, drawn from a fixed seed.

@@ -1,13 +1,13 @@
 """Micro-benchmarks of the tick loop, whole scenario runs and trace formatting.
 
-    PYTHONPATH=src python -m pytest bench/test_pipeline.py --benchmark-json=out.json
+    python -m pytest bench/test_pipeline.py --benchmark-json=out.json
 
 The course is a fixed compact walk of the kind perfbench's `walk_long`
 generates: five holes of every pothole grade under a 240 cm path, then a
 toe step, a knee riser 25 cm beyond it, a waist block, a head-height
 block, a wall and one block out of reach.  `test_tick` times one
 steady-state `tick` over the middle hole, with the scene's face indexes
-and the config's resolved rig already built.  `test_run_scenario` times
+and the config's sound speeds already built.  `test_run_scenario` times
 `run_scenario` on each bundled scenario, parsed and built outside the
 timing.  `test_format_trace` times `format_trace` on the 3,000 frames of
 four back-and-forth walks over the course.

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the scene constructor and the terrain lookup.
 
-    PYTHONPATH=src python -m pytest bench/test_scene.py --benchmark-json=out.json
+    python -m pytest bench/test_scene.py --benchmark-json=out.json
 
 Each profile holds n potholes 20 cm wide, one every 40 cm, with depths
 drawn from a fixed seed, under ten boxes.  `test_build` times

@@ -119,7 +119,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(
                     f"line {lineno}: bad value {value!r} for CONFIG {key}"
                 ) from None
-            if not math.isfinite(value):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioError(f"line {lineno}: non-finite value in CONFIG")
             scenario.config[key] = value
             scenario.lines[_CONFIG_KEYS[key][0]] = lineno

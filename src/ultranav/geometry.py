@@ -40,6 +40,9 @@ from typing import Optional
 # Faces thinner than this (forward extent, cm) return no usable echo.
 MIN_OBSTACLE_THICKNESS_CM = 0.3
 
+# Half-angle (degrees) of every module's beam: the paper's 30 degree divergence.
+BEAM_HALF_ANGLE_DEG = 15.0
+
 _EPS = 1e-9
 
 
@@ -203,7 +206,7 @@ def cone_min_distance(
     scene: SagittalScene,
     origin: tuple,
     aim: Aim,
-    half_angle: float = 15.0,
+    half_angle: float = BEAM_HALF_ANGLE_DEG,
 ) -> Optional[float]:
     """Nearest echo (cm) inside the cone spanning +-half_angle degrees, or None.
 
@@ -301,7 +304,9 @@ def _cone(
     return best
 
 
-def overlap_distance(h_upper: float, h_lower: float, divergence: float = 30.0) -> float:
+def overlap_distance(
+    h_upper: float, h_lower: float, divergence: float = 2 * BEAM_HALF_ANGLE_DEG
+) -> float:
     """Forward distance (cm) at which two stacked cones first intersect.
 
     Two sensors mounted at heights h_upper and h_lower, both aimed forward

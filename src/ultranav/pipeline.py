@@ -21,12 +21,13 @@ from .classify import (
     infer_upper_level,
     is_downstep,
 )
-from .geometry import SagittalScene, _cone, check_origin
+from .geometry import BEAM_HALF_ANGLE_DEG, SagittalScene, _cone, check_origin
 from .sensing import (
     Calibration,
     IDENTITY_CALIBRATION,
+    MAX_RANGE_CM,
+    MIN_RANGE_CM,
     SensorName,
-    SensorSpec,
     ZERO_SOUND_SPEED_C,
     default_sensors,
     echo_reading,
@@ -39,8 +40,11 @@ MAX_USER_SPEED_CM_S = 500.0
 # about 8.3 h at 30 ms.
 MAX_TICKS = 1_000_000
 
-# The order the sensors fire in within a tick.
-SENSOR_ORDER = (SensorName.CHEST, SensorName.KNEE, SensorName.TOE, SensorName.ARCH)
+# The order the sensors fire in within a tick: SensorName is declared in it.
+SENSOR_ORDER = tuple(SensorName)
+
+# tan of every module's beam half-angle, as `cone_min_distance` computes it.
+_TAN_BEAM = math.tan(math.radians(BEAM_HALF_ANGLE_DEG))
 
 
 class PipelineError(ValueError):
@@ -73,9 +77,10 @@ class TrajectorySegment:
 class SimConfig:
     """Everything the tick loop needs besides the scene and trajectory.
 
-    What the tick needs of it that stays fixed for the run is resolved on
-    first use and kept on the instance (`rig`).  `dataclasses.replace`
-    builds a new instance, which resolves its own.
+    `sensors` is stored in SENSOR_ORDER, whatever order it is given in.
+    The sound speeds are resolved on first use and kept on the instance
+    (`sound_speeds`); `dataclasses.replace` builds a new instance, which
+    resolves its own.
     """
 
     tick_ms: float = 30.0
@@ -90,7 +95,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("tick_ms", "temp_actual", "temp_cal", "debounce_ticks", "jitter_cm"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise PipelineError(f"{name} must be finite, got {value}", name)
         if not self.tick_ms > 0.0:
             raise PipelineError("tick_ms must be > 0", "tick_ms")
@@ -106,29 +111,15 @@ class SimConfig:
                     f" speed reaches zero, got {temp}",
                     name,
                 )
-        names = [s.name for s in self.sensors]
-        if sorted(n.value for n in names) != sorted(n.value for n in SensorName):
+        sensors = tuple(sorted(self.sensors, key=lambda s: SENSOR_ORDER.index(s.name)))
+        if tuple(s.name for s in sensors) != SENSOR_ORDER:
             raise PipelineError("config needs exactly one sensor per name")
-
-    def sensor(self, name: SensorName) -> SensorSpec:
-        for s in self.sensors:
-            if s.name is name:
-                return s
-        raise PipelineError(f"no sensor named {name}")
+        object.__setattr__(self, "sensors", sensors)
 
     @cached_property
-    def rig(self) -> tuple:
-        """(sensors, c_cal, c_actual), fixed for the run.
-
-        `sensors` holds (spec, tan(half_angle)) in chest, knee, toe, arch
-        order; c_cal and c_actual are the sound speeds at temp_cal and
-        temp_actual.
-        """
-        sensors = tuple(
-            (spec, math.tan(math.radians(spec.half_angle)))
-            for spec in map(self.sensor, SENSOR_ORDER)
-        )
-        return sensors, sound_speed(self.temp_cal), sound_speed(self.temp_actual)
+    def sound_speeds(self) -> tuple:
+        """(c_cal, c_actual): the sound speeds at temp_cal and temp_actual."""
+        return sound_speed(self.temp_cal), sound_speed(self.temp_actual)
 
 
 @dataclass(frozen=True)
@@ -272,19 +263,19 @@ def tick(
     `measure(scene, spec, x, ...)` for that sensor, before jitter.
     Returns (FrameOutput, next x); `state` is updated in place.
     """
-    sensors, c_cal, c_actual = config.rig
+    c_cal, c_actual = config.sound_speeds
     calib = config.calibration
     jitter = config.jitter_cm if rng is not None else 0.0
     ground_z = scene.elevation(x)
     readings = []
-    for spec, tan_h in sensors:
+    for spec in config.sensors:
         oz = spec.mount_height
         check_origin(x, oz, ground_z)
-        true = _cone(scene, x, oz, ground_z, spec.aim, tan_h)
-        r = echo_reading(true, spec, c_cal, c_actual, calib)
+        true = _cone(scene, x, oz, ground_z, spec.aim, _TAN_BEAM)
+        r = echo_reading(true, c_cal, c_actual, calib)
         if r is not None and jitter > 0.0:
             r = r + rng.uniform(-jitter, jitter)
-            r = min(max(r, spec.min_range), spec.max_range)
+            r = min(max(r, MIN_RANGE_CM), MAX_RANGE_CM)
         readings.append(r)
     d_chest, d_knee, d_toe, d_down = readings
 
@@ -295,8 +286,7 @@ def tick(
 
     # No downward echo means the drop exceeds the sensor's reach: treat as
     # an unbounded hazard depth.
-    arch, _ = sensors[3]
-    depth = math.inf if d_down is None else d_down - arch.mount_height
+    depth = math.inf if d_down is None else d_down - config.sensors[3].mount_height
     brzP = classify_depth(depth)
     downstep = is_downstep(depth)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -54,38 +54,39 @@ class Calibration:
 IDENTITY_CALIBRATION = Calibration()
 
 
+# Every module's range (cm).
+MIN_RANGE_CM = 3.0
+MAX_RANGE_CM = 300.0
+
+
 @dataclass(frozen=True)
 class SensorSpec:
-    """One ultrasonic module: where it sits, where it points, its ranges.
+    """Where one module sits; every module has the same beam and range.
 
-    `sarl` is validated (min_range < sarl <= max_range for a forward
-    sensor, > 0 for a down one) but read by nothing else: the buzzer
-    bands are the fixed tables in `classify`.
+    `aim` follows from the name: the arch sensor faces down, the rest
+    forward.  `sarl` is validated (MIN_RANGE_CM < sarl <= MAX_RANGE_CM for
+    a forward sensor, > 0 for a down one) but read by nothing else: the
+    buzzer bands are the fixed tables in `classify`.
     """
 
     name: SensorName
     mount_height: float
-    aim: Aim
     sarl: float
-    half_angle: float = 15.0
-    min_range: float = 3.0
-    max_range: float = 300.0
+    aim: Aim = field(init=False)
 
     def __post_init__(self):
+        aim = Aim.DOWN if self.name is SensorName.ARCH else Aim.FORWARD
+        object.__setattr__(self, "aim", aim)
         if not self.mount_height > 0.0:
             raise SensingError(
                 f"{self.name.value}: mount_height must be > 0, got {self.mount_height}"
             )
-        if self.aim is Aim.FORWARD:
-            if not 0.0 < self.min_range < self.sarl <= self.max_range:
-                raise SensingError(
-                    f"{self.name.value}: need 0 < min_range < sarl <= max_range"
-                )
-        else:
-            if self.sarl <= 0.0:
-                raise SensingError(f"{self.name.value}: sarl must be > 0")
-        if not 0.0 < self.half_angle < 90.0:
-            raise SensingError("half_angle must be in (0, 90) degrees")
+        if aim is Aim.FORWARD and not MIN_RANGE_CM < self.sarl <= MAX_RANGE_CM:
+            raise SensingError(
+                f"{self.name.value}: need {MIN_RANGE_CM:g} < sarl <= {MAX_RANGE_CM:g}"
+            )
+        if aim is Aim.DOWN and not self.sarl > 0.0:
+            raise SensingError(f"{self.name.value}: sarl must be > 0")
 
 
 def default_sensors() -> tuple:
@@ -96,10 +97,10 @@ def default_sensors() -> tuple:
     30 degree divergence.
     """
     return (
-        SensorSpec(SensorName.CHEST, 150.0, Aim.FORWARD, sarl=150.0),
-        SensorSpec(SensorName.KNEE, 50.0, Aim.FORWARD, sarl=60.0),
-        SensorSpec(SensorName.TOE, 5.0, Aim.FORWARD, sarl=40.0),
-        SensorSpec(SensorName.ARCH, 10.0, Aim.DOWN, sarl=10.0),
+        SensorSpec(SensorName.CHEST, 150.0, sarl=150.0),
+        SensorSpec(SensorName.KNEE, 50.0, sarl=60.0),
+        SensorSpec(SensorName.TOE, 5.0, sarl=40.0),
+        SensorSpec(SensorName.ARCH, 10.0, sarl=10.0),
     )
 
 
@@ -116,36 +117,27 @@ def measure(
     Casts the sensor's cone from (user_x, mount_height) and passes the
     true distance through `echo_reading`.
     """
-    true = cone_min_distance(
-        scene,
-        (user_x, spec.mount_height),
-        spec.aim,
-        half_angle=spec.half_angle,
-    )
-    return echo_reading(true, spec, sound_speed(temp_cal), sound_speed(temp_actual), calib)
+    true = cone_min_distance(scene, (user_x, spec.mount_height), spec.aim)
+    return echo_reading(true, sound_speed(temp_cal), sound_speed(temp_actual), calib)
 
 
 def echo_reading(
-    true: Optional[float],
-    spec: SensorSpec,
-    c_cal: float,
-    c_actual: float,
-    calib: Calibration,
+    true: Optional[float], c_cal: float, c_actual: float, calib: Calibration
 ) -> Optional[float]:
     """The device's reading of a true echo distance (cm), or None.
 
     The distance is scaled by the temperature bias factor c_cal / c_actual
     (the device converts time-of-flight with the sound speed it was
     calibrated at), then distorted by the device's linear calibration
-    response.  True hits beyond max_range are lost; readings are clamped
-    into [min_range, max_range].  The product is taken before the
-    quotient, as `true * c_cal / c_actual`: a precomputed ratio rounds
-    differently and can move a trace digit.
+    response.  True hits beyond MAX_RANGE_CM are lost; readings are
+    clamped into [MIN_RANGE_CM, MAX_RANGE_CM].  The product is taken
+    before the quotient, as `true * c_cal / c_actual`: a precomputed ratio
+    rounds differently and can move a trace digit.
     """
-    if true is None or true > spec.max_range:
+    if true is None or true > MAX_RANGE_CM:
         return None
     raw = calib.gain * (true * c_cal / c_actual) + calib.offset
-    return min(max(raw, spec.min_range), spec.max_range)
+    return min(max(raw, MIN_RANGE_CM), MAX_RANGE_CM)
 
 
 def fit_calibration(pairs) -> Calibration:

@@ -102,7 +102,7 @@ class TestBuildSimulation:
     def test_sensor_override_applies(self):
         s = parse_scenario("SENSOR chest 140 150\nWALK 100 1\n")
         _, config, _, _ = build_simulation(s)
-        chest = config.sensor(SensorName.CHEST)
+        chest = config.sensors[0]
         assert chest.mount_height == 140.0
 
     def test_missing_walk_rejected(self):
@@ -336,6 +336,13 @@ class TestConfigRoute:
         assert len(rows) == 10
         for row in rows:
             assert (row[6], row[10], row[14]) == ("10.0", "0", "MoveForward")
+
+    @pytest.mark.parametrize("key", ["seed", "debounce_ticks"])
+    def test_huge_integer_runs(self, tmp_path, capsys, key):
+        # An int is finite however large: 1 followed by 330 zeros is past
+        # the float range, and is still a valid seed or debounce count.
+        _, rows = self.trace(tmp_path, capsys, f"CONFIG {key} 1{'0' * 330}\nWALK 100 0.1\n")
+        assert len(rows) == 3
 
     def test_jitter_seed(self, tmp_path, capsys):
         def jittered(seed):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ultranav.classify import Advisory, BuzzerFrame, UpperLevel
 from ultranav.geometry import (
+    BEAM_HALF_ANGLE_DEG,
     Aim,
     GeometryError,
     GroundSegment,
@@ -17,6 +19,7 @@ from ultranav.geometry import (
 )
 from ultranav.pipeline import (
     MAX_TICKS,
+    SENSOR_ORDER,
     PipelineError,
     SimConfig,
     TickFlags,
@@ -28,7 +31,15 @@ from ultranav.pipeline import (
     tick,
     trajectory_ticks,
 )
-from ultranav.sensing import Calibration, SensorName, default_sensors, measure, sound_speed
+from ultranav.sensing import (
+    MAX_RANGE_CM,
+    MIN_RANGE_CM,
+    Calibration,
+    SensorName,
+    default_sensors,
+    measure,
+    sound_speed,
+)
 
 from ultranav.cli import build_simulation, format_trace, parse_scenario
 
@@ -90,7 +101,7 @@ _CALIBRATIONS = st.one_of(
 
 
 class TestLeanTick:
-    """The tick's resolved rig and single terrain read give `measure`'s readings."""
+    """The tick's sensors in firing order and single terrain read give `measure`'s readings."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), _profiles(), _obstacles(), _TEMPS, _TEMPS, _CALIBRATIONS)
@@ -116,8 +127,8 @@ class TestLeanTick:
             calibration=calib,
         )
         expected = []
-        for name in _ORDER:
-            spec = config.sensor(name)
+        for name, spec in zip(_ORDER, config.sensors):
+            assert spec.name is name
             try:
                 reading = measure(scene, spec, x, temp_actual, temp_cal, calib)
             except GeometryError as exc:
@@ -126,13 +137,14 @@ class TestLeanTick:
                 assert str(raised.value) == str(exc)
                 return
             # The echo model written out, in the order the trace depends on.
-            true = cone_min_distance(scene, (x, spec.mount_height), spec.aim, spec.half_angle)
-            if true is None or true > spec.max_range:
+            aim = Aim.DOWN if name is SensorName.ARCH else Aim.FORWARD
+            true = cone_min_distance(scene, (x, spec.mount_height), aim, BEAM_HALF_ANGLE_DEG)
+            if true is None or true > MAX_RANGE_CM:
                 assert reading is None
             else:
                 raw = calib.gain * (true * sound_speed(temp_cal) / sound_speed(temp_actual))
                 raw += calib.offset
-                assert reading == min(max(raw, spec.min_range), spec.max_range)
+                assert reading == min(max(raw, MIN_RANGE_CM), MAX_RANGE_CM)
             expected.append(reading)
         frame, _ = tick(scene, x, 0.0, config, TickState())
         assert [frame.d_chest, frame.d_knee, frame.d_toe, frame.d_down] == expected
@@ -144,10 +156,10 @@ class TestLeanTick:
         cold, _ = tick(scene, 0.0, 0.0, base, TickState())
         warm_config = replace(base, temp_actual=40.0)
         warm, _ = tick(scene, 0.0, 0.0, warm_config, TickState())
-        chest = base.sensor(SensorName.CHEST)
+        chest = base.sensors[0]
         assert cold.d_chest == measure(scene, chest, 0.0) == 100.0
         assert warm.d_chest == measure(scene, chest, 0.0, temp_actual=40.0) < 100.0
-        assert warm_config.rig[1:] == (sound_speed(20.0), sound_speed(40.0))
+        assert warm_config.sound_speeds == (sound_speed(20.0), sound_speed(40.0))
 
     @pytest.mark.parametrize(
         "step,toe_height,origin_z,aim",
@@ -363,6 +375,20 @@ class TestConfigValidation:
         sensors = SimConfig().sensors
         with pytest.raises(PipelineError):
             SimConfig(sensors=(sensors[0],) * 4)
+
+    def test_sensors_are_stored_in_firing_order(self):
+        sensors = default_sensors()
+        assert SENSOR_ORDER == _ORDER == tuple(s.name for s in sensors)
+        for order in itertools.permutations(sensors):
+            assert SimConfig(sensors=order).sensors == sensors
+        assert SimConfig(sensors=list(reversed(sensors))).sensors == sensors
+
+    def test_huge_int_settings_run(self):
+        # An int is finite however large, even past the float range.
+        config = SimConfig(debounce_ticks=10**400, jitter_cm=1.0, seed=10**400)
+        frames = run_scenario(SagittalScene((Rect(100, 102, 0, 200),), ()), stand(), config)
+        assert all(f.frame.brzC == 1 for f in frames)
+        assert all(f.advisory == Advisory.MOVE_FORWARD for f in frames)
 
     def test_speed_sanity_bound(self):
         for speed in (600.0, -501.0):

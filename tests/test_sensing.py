@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ultranav.geometry import Aim, Rect, SagittalScene
 from ultranav.sensing import (
+    MAX_RANGE_CM,
+    MIN_RANGE_CM,
     Calibration,
     SensingError,
     SensorName,
@@ -81,7 +84,7 @@ class TestMeasure:
         calib = Calibration(gain=1.2, offset=5.0)
         for d in (2.0, 50.0, 150.0, 290.0):
             r = measure(wall_scene(d), spec, 0.0, calib=calib)
-            assert spec.min_range <= r <= spec.max_range
+            assert MIN_RANGE_CM <= r <= MAX_RANGE_CM
 
 
 class TestCalibration:
@@ -154,8 +157,23 @@ class TestSensorSpec:
         assert arch.aim is Aim.DOWN
         assert arch.sarl == 10.0
 
+    def test_aim_follows_the_name(self):
+        for spec in default_sensors():
+            assert spec.aim is (Aim.DOWN if spec.name is SensorName.ARCH else Aim.FORWARD)
+            assert replace(spec, mount_height=20.0).aim is spec.aim
+        arch, chest = spec_by_name(SensorName.ARCH), spec_by_name(SensorName.CHEST)
+        with pytest.raises(ValueError, match="aim"):
+            replace(arch, aim=Aim.FORWARD)
+        with pytest.raises(ValueError, match="aim"):
+            replace(chest, aim=Aim.DOWN)
+
+    @pytest.mark.parametrize("name", ["aim", "half_angle", "min_range", "max_range"])
+    def test_one_beam_and_range_for_every_sensor(self, name):
+        with pytest.raises(TypeError, match=name):
+            SensorSpec(SensorName.CHEST, 150.0, 150.0, **{name: 15.0})
+
     def test_forward_range_ordering_enforced(self):
         with pytest.raises(SensingError):
-            SensorSpec(SensorName.CHEST, 150.0, Aim.FORWARD, sarl=400.0)
+            SensorSpec(SensorName.CHEST, 150.0, sarl=400.0)
         with pytest.raises(SensingError):
-            SensorSpec(SensorName.CHEST, 150.0, Aim.FORWARD, sarl=2.0)
+            SensorSpec(SensorName.CHEST, 150.0, sarl=2.0)
