@@ -8,16 +8,16 @@ toe step, a knee riser 25 cm beyond it, a waist block, a head-height
 block, a wall and one block out of reach.  `test_tick` times one
 steady-state `tick` over the middle hole, with the scene's face indexes
 and the config's sound speeds already built.  `test_run_scenario` times
-`run_scenario` on each bundled scenario, parsed and built outside the
-timing.  `test_format_trace` times `format_trace` on the 3,000 frames of
-four back-and-forth walks over the course.
+`run_scenario` on each bundled scenario, parsed outside the timing.
+`test_format_trace` times `format_trace` on the 3,000 frames of four
+back-and-forth walks over the course.
 """
 
 from pathlib import Path
 
 import pytest
 
-from ultranav.cli import build_simulation, format_trace, parse_scenario
+from ultranav.cli import format_trace, parse_scenario
 from ultranav.geometry import GroundSegment, Rect, SagittalScene
 from ultranav.pipeline import SimConfig, TickState, TrajectorySegment, run_scenario, tick
 
@@ -54,8 +54,7 @@ def test_tick(benchmark):
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_run_scenario(benchmark, path):
-    scene, config, trajectory, start_x = build_simulation(parse_scenario(path.read_text()))
-    frames = benchmark(run_scenario, scene, trajectory, config, start_x=start_x)
+    frames = benchmark(run_scenario, *parse_scenario(path.read_text()))
     assert frames
 
 

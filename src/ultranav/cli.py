@@ -4,6 +4,11 @@ A run's parameters come only from its scenario file plus the optional
 `--calib` file; `run` takes no flag that overrides a CONFIG line.  Bad
 arguments, like bad scenarios, give one 'ultranav: error:' line and exit 2.
 
+`parse_scenario` reads a scenario file, plus the calibration file, in one
+pass into `run_scenario`'s arguments (scene, trajectory, config).  Each
+value is built at the line that sets it, and a rejected one is reported
+with that line.
+
 Scenario format: one directive per line, '#' starts a comment.
 
     CONFIG key value        tick_ms, debounce_ticks, temp, temp_cal,
@@ -24,8 +29,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 
 from .classify import (
     classify_chest,
@@ -36,14 +40,14 @@ from .classify import (
 )
 from .geometry import GeometryError, GroundSegment, Rect, SagittalScene, ground_overlap
 from .pipeline import PipelineError, SimConfig, TrajectorySegment, run_scenario
-from .sensing import SensingError, SensorName, default_sensors, load_calibration
+from .sensing import SensingError, SensorName, SensorSpec, default_sensors, load_calibration
 
 TRACE_HEADER = (
     "tick,t_ms,user_x,d_chest,d_knee,d_toe,d_down,"
     "brzC,brzK,brzT,brzP,upstairs,downstep,inferred,advisory"
 )
 
-# CONFIG key -> (SimConfig field, or run_scenario's start_x; value type)
+# CONFIG key -> (SimConfig field, value type)
 _CONFIG_KEYS = {
     "tick_ms": ("tick_ms", float),
     "debounce_ticks": ("debounce_ticks", int),
@@ -57,19 +61,6 @@ _CONFIG_KEYS = {
 
 class ScenarioError(ValueError):
     """Scenario file syntax or semantic error, with line number."""
-
-
-@dataclass
-class Scenario:
-    """Parsed scenario file contents."""
-
-    config: dict = field(default_factory=dict)
-    sensors: dict = field(default_factory=dict)  # SensorName -> (height, sarl)
-    # SimConfig field or SensorName -> line of the directive that last set it
-    lines: dict = field(default_factory=dict)
-    obstacles: list = field(default_factory=list)
-    ground: list = field(default_factory=list)
-    walks: list = field(default_factory=list)
 
 
 def _numbers(fields, n, lineno, directive):
@@ -93,14 +84,23 @@ def _build(kind, n, fields, lineno, directive):
     values = _numbers(fields, n, lineno, directive)
     try:
         return kind(*values)
-    except (GeometryError, PipelineError) as exc:
+    except (GeometryError, PipelineError, SensingError) as exc:
         raise ScenarioError(f"line {lineno}: {exc}") from None
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse scenario text; raises ScenarioError with the offending line."""
-    scenario = Scenario()
-    ground_lines = []
+def parse_scenario(text: str, calib=None):
+    """Scenario text, plus an optional calibration file, as run_scenario's arguments.
+
+    Returns (scene, trajectory, config).  Each directive's value is built
+    at its line, and a value it rejects is reported with that line; so is
+    a CONFIG value SimConfig rejects.  Settings the scenario leaves out
+    keep their SimConfig defaults, and sensors it leaves out their
+    `default_sensors` mounts.  Raises ScenarioError.
+    """
+    settings = {}
+    lines = {}  # SimConfig field -> line of the CONFIG directive that last set it
+    sensors = {spec.name: spec for spec in default_sensors()}
+    obstacles, ground, ground_lines, walks = [], [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -113,16 +113,17 @@ def parse_scenario(text: str) -> Scenario:
             key, value = fields
             if key not in _CONFIG_KEYS:
                 raise ScenarioError(f"line {lineno}: unknown CONFIG key {key!r}")
+            setting, kind = _CONFIG_KEYS[key]
             try:
-                value = _CONFIG_KEYS[key][1](value)
+                value = kind(value)
             except ValueError:
                 raise ScenarioError(
                     f"line {lineno}: bad value {value!r} for CONFIG {key}"
                 ) from None
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioError(f"line {lineno}: non-finite value in CONFIG")
-            scenario.config[key] = value
-            scenario.lines[_CONFIG_KEYS[key][0]] = lineno
+            settings[setting] = value
+            lines[setting] = lineno
         elif directive == "SENSOR":
             if len(fields) != 3:
                 raise ScenarioError(f"line {lineno}: SENSOR takes 'name height sarl'")
@@ -132,60 +133,31 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(
                     f"line {lineno}: unknown sensor name {fields[0]!r}"
                 ) from None
-            height, sarl = _numbers(fields[1:], 2, lineno, "SENSOR")
-            scenario.sensors[name] = (height, sarl)
-            scenario.lines[name] = lineno
+            sensors[name] = _build(partial(SensorSpec, name), 2, fields[1:], lineno, directive)
         elif directive == "OBSTACLE":
-            scenario.obstacles.append(_build(Rect, 4, fields, lineno, directive))
+            obstacles.append(_build(Rect, 4, fields, lineno, directive))
         elif directive == "GROUND":
-            scenario.ground.append(_build(GroundSegment, 3, fields, lineno, directive))
+            ground.append(_build(GroundSegment, 3, fields, lineno, directive))
             ground_lines.append(lineno)
         elif directive == "WALK":
-            scenario.walks.append(_build(TrajectorySegment, 2, fields, lineno, directive))
+            walks.append(_build(TrajectorySegment, 2, fields, lineno, directive))
         else:
             raise ScenarioError(f"line {lineno}: unknown directive {directive!r}")
 
-    overlap = ground_overlap(scenario.ground)
+    overlap = ground_overlap(ground)
     if overlap is not None:
         raise ScenarioError(
             f"line {ground_lines[overlap]}: ground segment overlaps an earlier one"
         )
-    return scenario
-
-
-def build_simulation(scenario: Scenario, calib=None):
-    """Turn a parsed scenario, plus an optional calibration file, into runnable pieces.
-
-    Returns (scene, config, trajectory, start_x).  Settings the scenario
-    leaves out keep their SimConfig defaults.  A value SimConfig or
-    SensorSpec rejects is reported with the line of the CONFIG or SENSOR
-    directive that set it.
-    """
-    settings = {_CONFIG_KEYS[key][0]: value for key, value in scenario.config.items()}
-    start_x = settings.pop("start_x", 0.0)
-    if scenario.sensors:
-        sensors = []
-        for spec in default_sensors():
-            if spec.name in scenario.sensors:
-                height, sarl = scenario.sensors[spec.name]
-                try:
-                    spec = replace(spec, mount_height=height, sarl=sarl)
-                except SensingError as exc:
-                    raise ScenarioError(f"line {scenario.lines[spec.name]}: {exc}") from None
-            sensors.append(spec)
-        settings["sensors"] = tuple(sensors)
     if calib is not None:
         settings["calibration"] = load_calibration(calib)
     try:
-        config = SimConfig(**settings)
+        config = SimConfig(sensors=tuple(sensors.values()), **settings)
     except PipelineError as exc:
-        raise ScenarioError(f"line {scenario.lines[exc.field]}: {exc}") from None
-
-    scene = SagittalScene(tuple(scenario.obstacles), tuple(scenario.ground))
-    trajectory = list(scenario.walks)
-    if not trajectory:
+        raise ScenarioError(f"line {lines[exc.field]}: {exc}") from None
+    if not walks:
         raise ScenarioError("scenario has no WALK directive")
-    return scene, config, trajectory, start_x
+    return SagittalScene(obstacles, ground), walks, config
 
 
 def _fmt_distance(d) -> str:
@@ -327,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
-            scenario = parse_scenario(fh.read())
-        scene, config, trajectory, start_x = build_simulation(scenario, args.calib)
-        frames = run_scenario(scene, trajectory, config, start_x=start_x)
+            text = fh.read()
+        frames = run_scenario(*parse_scenario(text, args.calib))
     except (OSError, ValueError) as exc:
         print(f"ultranav: error: {exc}", file=sys.stderr)
         return 2

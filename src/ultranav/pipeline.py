@@ -59,6 +59,14 @@ class PipelineError(ValueError):
         self.field = field
 
 
+def _check_fits_float(value, name: str, field: Optional[str] = None) -> None:
+    """Reject an int past the float range, which float() cannot hold."""
+    try:
+        float(value)
+    except OverflowError:
+        raise PipelineError(f"{name} must be finite, got an int past the float range", field) from None
+
+
 @dataclass(frozen=True)
 class TrajectorySegment:
     """Constant-speed stretch of the walk."""
@@ -69,6 +77,7 @@ class TrajectorySegment:
     def __post_init__(self):
         if not self.duration_s > 0.0:
             raise PipelineError("trajectory segment duration must be > 0")
+        _check_fits_float(self.duration_s, "trajectory segment duration")
         if not abs(self.speed) <= MAX_USER_SPEED_CM_S:
             raise PipelineError(f"|speed| must be <= {MAX_USER_SPEED_CM_S} cm/s")
 
@@ -91,12 +100,15 @@ class SimConfig:
     debounce_ticks: int = 2
     jitter_cm: float = 0.0
     seed: int = 0
+    start_x: float = 0.0  # walker's x at tick 0 (cm)
 
     def __post_init__(self):
-        for name in ("tick_ms", "temp_actual", "temp_cal", "debounce_ticks", "jitter_cm"):
+        for name in ("tick_ms", "temp_actual", "temp_cal", "debounce_ticks", "jitter_cm", "start_x"):
             value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise PipelineError(f"{name} must be finite, got {value}", name)
+            if name != "debounce_ticks":  # a count: an int of any size is valid
+                _check_fits_float(value, name, name)
         if not self.tick_ms > 0.0:
             raise PipelineError("tick_ms must be > 0", "tick_ms")
         if self.debounce_ticks < 1:
@@ -323,29 +335,20 @@ def trajectory_ticks(trajectory, tick_ms: float) -> list:
     return counts
 
 
-def run_scenario(
-    scene: SagittalScene,
-    trajectory,
-    config: SimConfig = None,
-    start_x: float = 0.0,
-):
-    """Run the tick loop over a piecewise-constant speed schedule.
+def run_scenario(scene: SagittalScene, trajectory, config: SimConfig = None):
+    """Run the tick loop over a piecewise-constant speed schedule from config.start_x.
 
     Deterministic: identical inputs produce identical traces.  Returns the
     list of FrameOutput, one per tick.
     """
     config = config if config is not None else SimConfig()
-    if not math.isfinite(start_x):
-        raise PipelineError(f"start_x must be finite, got {start_x}")
     trajectory = list(trajectory)
-    if not trajectory:
-        raise PipelineError("trajectory must contain at least one segment")
     counts = trajectory_ticks(trajectory, config.tick_ms)
     rng = random.Random(config.seed) if config.jitter_cm > 0.0 else None
 
     frames = []
     state = TickState()
-    x = start_x
+    x = config.start_x
     index = 0
     for segment, count in zip(trajectory, counts):
         for _ in range(count):

@@ -9,14 +9,26 @@ import pytest
 from ultranav.cli import (
     ScenarioError,
     build_parser,
-    build_simulation,
+    format_trace,
     main,
     parse_scenario,
     verify_tables,
 )
 from ultranav.geometry import GroundSegment, Rect
-from ultranav.pipeline import PipelineError, SimConfig, TrajectorySegment, segment_ticks
-from ultranav.sensing import ZERO_SOUND_SPEED_C, SensorName, sound_speed
+from ultranav.pipeline import (
+    PipelineError,
+    SimConfig,
+    TrajectorySegment,
+    run_scenario,
+    segment_ticks,
+)
+from ultranav.sensing import (
+    ZERO_SOUND_SPEED_C,
+    SensorName,
+    SensorSpec,
+    default_sensors,
+    sound_speed,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -59,26 +71,26 @@ class TestParser:
 
 class TestParseScenario:
     def test_obstacle_directive(self):
-        s = parse_scenario("OBSTACLE 100 102 0 200\nWALK 100 1\n")
-        assert s.obstacles == [Rect(100, 102, 0, 200)]
+        scene, _, _ = parse_scenario("OBSTACLE 100 102 0 200\nWALK 100 1\n")
+        assert scene.obstacles == (Rect(100, 102, 0, 200),)
 
     def test_ground_directive(self):
-        s = parse_scenario("GROUND 500 560 -30\nWALK 100 1\n")
-        assert s.ground == [GroundSegment(500, 560, -30)]
+        scene, _, _ = parse_scenario("GROUND 500 560 -30\nWALK 100 1\n")
+        assert scene.ground == (GroundSegment(500, 560, -30),)
 
     def test_walk_tick_count(self):
-        s = parse_scenario("WALK 140 3.0\n")
-        assert s.walks == [TrajectorySegment(140.0, 3.0)]
-        assert segment_ticks(s.walks[0], 30.0) == 100
+        _, trajectory, _ = parse_scenario("WALK 140 3.0\n")
+        assert trajectory == [TrajectorySegment(140.0, 3.0)]
+        assert segment_ticks(trajectory[0], 30.0) == 100
 
     def test_comments_and_blank_lines(self):
-        s = parse_scenario("# header\n\nWALK 100 1  # trailing\n")
-        assert s.walks == [TrajectorySegment(100.0, 1.0)]
+        _, trajectory, _ = parse_scenario("# header\n\nWALK 100 1  # trailing\n")
+        assert trajectory == [TrajectorySegment(100.0, 1.0)]
 
     def test_config_and_sensor(self):
-        s = parse_scenario("CONFIG tick_ms 25\nSENSOR chest 140 150\nWALK 100 1\n")
-        assert s.config == {"tick_ms": 25.0}
-        assert s.sensors == {SensorName.CHEST: (140.0, 150.0)}
+        _, _, config = parse_scenario("CONFIG tick_ms 25\nSENSOR chest 140 150\nWALK 100 1\n")
+        assert config.tick_ms == 25.0
+        assert config.sensors == (SensorSpec(SensorName.CHEST, 140.0, 150.0), *default_sensors()[1:])
 
     def test_unknown_directive(self):
         with pytest.raises(ScenarioError, match="line 2"):
@@ -97,17 +109,20 @@ class TestParseScenario:
             with pytest.raises(ScenarioError, match="line 2"):
                 parse_scenario(f"GROUND 0 50 -10\n{second}\nWALK 100 1\n")
 
-
-class TestBuildSimulation:
     def test_sensor_override_applies(self):
-        s = parse_scenario("SENSOR chest 140 150\nWALK 100 1\n")
-        _, config, _, _ = build_simulation(s)
+        _, _, config = parse_scenario("SENSOR chest 140 150\nWALK 100 1\n")
         chest = config.sensors[0]
         assert chest.mount_height == 140.0
 
     def test_missing_walk_rejected(self):
         with pytest.raises(ScenarioError, match="WALK"):
-            build_simulation(parse_scenario("OBSTACLE 100 102 0 200\n"))
+            parse_scenario("OBSTACLE 100 102 0 200\n")
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda p: p.stem)
+    def test_returns_run_scenario_arguments(self, path):
+        golden = GOLDEN_DIR / f"{path.stem}.trace.csv"
+        frames = run_scenario(*parse_scenario(path.read_text()))
+        assert format_trace(frames) == golden.read_text()
 
 
 class TestRunCommand:
@@ -245,6 +260,12 @@ class TestInputBounds:
                 "SENSOR knee -5 60\nWALK 100 1\n",
                 "line 1: knee: mount_height must be > 0, got -5.0",
                 id="sensor-below-ground",
+            ),
+            pytest.param(
+                # A later SENSOR line for the same name does not hide a bad value.
+                "SENSOR chest -5 150\nSENSOR chest 140 150\nWALK 100 0.1\n",
+                "line 1: chest: mount_height must be > 0, got -5.0",
+                id="sensor-set-again",
             ),
             pytest.param(
                 "WALK 600 1\n", "line 1: |speed| must be <= 500.0 cm/s", id="walk-too-fast"

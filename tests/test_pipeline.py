@@ -41,7 +41,7 @@ from ultranav.sensing import (
     sound_speed,
 )
 
-from ultranav.cli import build_simulation, format_trace, parse_scenario
+from ultranav.cli import format_trace, parse_scenario
 
 from test_geometry import _NUDGE, _obstacles, _positions, _profiles, _scene
 
@@ -200,8 +200,7 @@ class TestSharedRows:
     def test_levels_and_flags_keep_their_types(self, path):
         # Cache keys that compare equal share an entry (True == 1), so a
         # level or bit built as a bool would be handed to later ticks.
-        scene, config, trajectory, start_x = build_simulation(parse_scenario(path.read_text()))
-        for f in run_scenario(scene, trajectory, config, start_x=start_x):
+        for f in run_scenario(*parse_scenario(path.read_text())):
             assert {type(level) for level in (f.frame.brzC, f.frame.brzK, f.frame.brzT, f.frame.brzP)} == {int}
             assert type(f.flags.upstairs) is bool and type(f.flags.downstep) is bool
             assert type(f.flags.knee_bit) is int and type(f.flags.toe_bit) is int
@@ -414,7 +413,10 @@ class TestConfigValidation:
         with pytest.raises(PipelineError, match="tick_ms must be finite, got nan"):
             SimConfig(tick_ms=math.nan)
 
-    @pytest.mark.parametrize("speed,duration", [(math.nan, 0.09), (140.0, math.nan)])
+    @pytest.mark.parametrize(
+        "speed,duration",
+        [(math.nan, 0.09), (140.0, math.nan), pytest.param(0.0, 10**400, id="int-past-float")],
+    )
     def test_nan_segment_rejected(self, speed, duration):
         with pytest.raises(PipelineError):
             TrajectorySegment(speed, duration)
@@ -428,6 +430,12 @@ class TestConfigValidation:
             ("debounce_ticks", math.nan),
             ("debounce_ticks", math.inf),
             ("jitter_cm", math.inf),
+            # An int past the float range in a setting read as a float.
+            *(
+                pytest.param(name, sign * 10**400, id=f"{name}-{sign_id}10**400")
+                for name in ("tick_ms", "temp_actual", "temp_cal", "jitter_cm", "start_x")
+                for sign, sign_id in ((1, ""), (-1, "-"))
+            ),
         ],
     )
     def test_non_finite_settings_rejected(self, name, value):
@@ -435,7 +443,9 @@ class TestConfigValidation:
             SimConfig(**{name: value})
         assert raised.value.field == name
 
-    @pytest.mark.parametrize("start_x", [math.nan, math.inf, -math.inf])
-    def test_non_finite_start_rejected(self, start_x):
-        with pytest.raises(PipelineError, match="start_x must be finite"):
-            run_scenario(SagittalScene(), stand(), SimConfig(), start_x=start_x)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, value):
+        with pytest.raises(PipelineError, match="start_x must be finite") as raised:
+            SimConfig(**{"start_x": value})
+        assert raised.value.field == "start_x"
+
