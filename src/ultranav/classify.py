@@ -8,10 +8,12 @@ more urgent level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from ._record import Record
 
 Reading = Optional[float]  # echo distance in cm, None = no echo
 
@@ -45,21 +47,18 @@ UPPER_OBSTACLE_ADVISORY = {
 }
 
 
-@dataclass(frozen=True)
-class BuzzerFrame:
+class BuzzerFrame(Record, namedtuple("BuzzerFrame", "brzC brzK brzT brzP")):
     """Per-tick buzzer channel levels (0 = off)."""
 
-    brzC: int = 0
-    brzK: int = 0
-    brzT: int = 0
-    brzP: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.brzC <= 4:
-            raise ValueError(f"brzC out of range: {self.brzC}")
-        for label, level in (("brzK", self.brzK), ("brzT", self.brzT), ("brzP", self.brzP)):
+    def __new__(cls, brzC: int = 0, brzK: int = 0, brzT: int = 0, brzP: int = 0):
+        if not 0 <= brzC <= 4:
+            raise ValueError(f"brzC out of range: {brzC}")
+        for label, level in (("brzK", brzK), ("brzT", brzT), ("brzP", brzP)):
             if not 0 <= level <= 3:
                 raise ValueError(f"{label} out of range: {level}")
+        return super().__new__(cls, brzC, brzK, brzT, brzP)
 
     def any_active(self) -> bool:
         return bool(self.brzC or self.brzK or self.brzT or self.brzP)
@@ -100,8 +99,7 @@ def classify_toe(r: Reading) -> int:
     return 3
 
 
-@dataclass(frozen=True)
-class StairCheck:
+class StairCheck(NamedTuple):
     """Outcome of the knee/toe coordination check."""
 
     upstairs: bool

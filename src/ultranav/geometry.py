@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from typing import Optional
+
+from ._record import FrozenRecord, Record
 
 # Faces thinner than this (forward extent, cm) return no usable echo.
 MIN_OBSTACLE_THICKNESS_CM = 0.3
@@ -57,37 +59,30 @@ class Aim(Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(Record, namedtuple("Rect", "x0 x1 z0 z1")):
     """Axis-aligned obstacle body in the forward x height plane (cm)."""
 
-    x0: float
-    x1: float
-    z0: float
-    z1: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.x0 < self.x1:
-            raise GeometryError(f"rect needs x0 < x1, got [{self.x0}, {self.x1}]")
-        if not self.z0 < self.z1:
-            raise GeometryError(f"rect needs z0 < z1, got [{self.z0}, {self.z1}]")
+    def __new__(cls, x0: float, x1: float, z0: float, z1: float):
+        if not x0 < x1:
+            raise GeometryError(f"rect needs x0 < x1, got [{x0}, {x1}]")
+        if not z0 < z1:
+            raise GeometryError(f"rect needs z0 < z1, got [{z0}, {z1}]")
+        return super().__new__(cls, x0, x1, z0, z1)
 
 
-@dataclass(frozen=True)
-class GroundSegment:
+class GroundSegment(Record, namedtuple("GroundSegment", "x0 x1 dz")):
     """Terrain span [x0, x1) at elevation dz relative to nominal ground."""
 
-    x0: float
-    x1: float
-    dz: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.x0 < self.x1:
-            raise GeometryError(
-                f"ground segment needs x0 < x1, got [{self.x0}, {self.x1}]"
-            )
-        if not math.isfinite(self.dz):
-            raise GeometryError(f"ground segment needs a finite dz, got {self.dz}")
+    def __new__(cls, x0: float, x1: float, dz: float):
+        if not x0 < x1:
+            raise GeometryError(f"ground segment needs x0 < x1, got [{x0}, {x1}]")
+        if not math.isfinite(dz):
+            raise GeometryError(f"ground segment needs a finite dz, got {dz}")
+        return super().__new__(cls, x0, x1, dz)
 
 
 def ground_overlap(ground) -> Optional[int]:
@@ -102,16 +97,13 @@ def ground_overlap(ground) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class SagittalScene:
+class SagittalScene(FrozenRecord):
     """Immutable obstacle + terrain description of the vertical slice."""
 
-    obstacles: tuple = ()
-    ground: tuple = ()
+    _fields = ("obstacles", "ground")
 
-    def __post_init__(self):
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        object.__setattr__(self, "ground", tuple(self.ground))
+    def __init__(self, obstacles: tuple = (), ground: tuple = ()):
+        self._set(obstacles=tuple(obstacles), ground=tuple(ground))
         self.ground_profile  # validate terrain eagerly
 
     @cached_property

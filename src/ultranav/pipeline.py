@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, cached_property
 from typing import NamedTuple, Optional
 
+from ._record import FrozenRecord, Record
 from .classify import (
     Advisory,
     BuzzerFrame,
@@ -67,42 +68,40 @@ def _check_fits_float(value, name: str, field: Optional[str] = None) -> None:
         raise PipelineError(f"{name} must be finite, got an int past the float range", field) from None
 
 
-@dataclass(frozen=True)
-class TrajectorySegment:
-    """Constant-speed stretch of the walk."""
+class TrajectorySegment(Record, namedtuple("TrajectorySegment", "speed duration_s")):
+    """Constant-speed stretch of the walk: speed in cm/s (negative = stepping back)."""
 
-    speed: float  # cm/s, negative = stepping back
-    duration_s: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.duration_s > 0.0:
+    def __new__(cls, speed: float, duration_s: float):
+        if not duration_s > 0.0:
             raise PipelineError("trajectory segment duration must be > 0")
-        _check_fits_float(self.duration_s, "trajectory segment duration")
-        if not abs(self.speed) <= MAX_USER_SPEED_CM_S:
+        _check_fits_float(duration_s, "trajectory segment duration")
+        if not abs(speed) <= MAX_USER_SPEED_CM_S:
             raise PipelineError(f"|speed| must be <= {MAX_USER_SPEED_CM_S} cm/s")
+        return super().__new__(cls, speed, duration_s)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(FrozenRecord):
     """Everything the tick loop needs besides the scene and trajectory.
 
-    `sensors` is stored in SENSOR_ORDER, whatever order it is given in.
-    The sound speeds are resolved on first use and kept on the instance
-    (`sound_speeds`); `dataclasses.replace` builds a new instance, which
+    `sensors` is stored in SENSOR_ORDER, whatever order it is given in;
+    `start_x` is the walker's x at tick 0 (cm).  The sound speeds and the
+    mounts are resolved on first use and kept on the instance
+    (`sound_speeds`, `mounts`); `_replace` builds a new instance, which
     resolves its own.
     """
 
-    tick_ms: float = 30.0
-    sensors: tuple = field(default_factory=default_sensors)
-    temp_actual: float = 20.0
-    temp_cal: float = 20.0
-    calibration: Calibration = IDENTITY_CALIBRATION
-    debounce_ticks: int = 2
-    jitter_cm: float = 0.0
-    seed: int = 0
-    start_x: float = 0.0  # walker's x at tick 0 (cm)
+    _fields = ("tick_ms", "sensors", "temp_actual", "temp_cal", "calibration",
+               "debounce_ticks", "jitter_cm", "seed", "start_x")
 
-    def __post_init__(self):
+    def __init__(self, tick_ms: float = 30.0, sensors: tuple = default_sensors(),
+                 temp_actual: float = 20.0, temp_cal: float = 20.0,
+                 calibration: Calibration = IDENTITY_CALIBRATION, debounce_ticks: int = 2,
+                 jitter_cm: float = 0.0, seed: int = 0, start_x: float = 0.0):
+        self._set(tick_ms=tick_ms, temp_actual=temp_actual, temp_cal=temp_cal,
+                  calibration=calibration, debounce_ticks=debounce_ticks,
+                  jitter_cm=jitter_cm, seed=seed, start_x=start_x)
         for name in ("tick_ms", "temp_actual", "temp_cal", "debounce_ticks", "jitter_cm", "start_x"):
             value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -123,19 +122,23 @@ class SimConfig:
                     f" speed reaches zero, got {temp}",
                     name,
                 )
-        sensors = tuple(sorted(self.sensors, key=lambda s: SENSOR_ORDER.index(s.name)))
+        sensors = tuple(sorted(sensors, key=lambda s: SENSOR_ORDER.index(s.name)))
         if tuple(s.name for s in sensors) != SENSOR_ORDER:
             raise PipelineError("config needs exactly one sensor per name")
-        object.__setattr__(self, "sensors", sensors)
+        self._set(sensors=sensors)
 
     @cached_property
     def sound_speeds(self) -> tuple:
         """(c_cal, c_actual): the sound speeds at temp_cal and temp_actual."""
         return sound_speed(self.temp_cal), sound_speed(self.temp_actual)
 
+    @cached_property
+    def mounts(self) -> tuple:
+        """(mount_height, aim) per sensor: the tick unpacks these faster than it reads fields."""
+        return tuple((spec.mount_height, spec.aim) for spec in self.sensors)
 
-@dataclass(frozen=True)
-class TickFlags:
+
+class TickFlags(NamedTuple):
     """Per-tick findings feeding advisory fusion."""
 
     upstairs: bool = False
@@ -181,17 +184,20 @@ class FrameOutput(NamedTuple):
         )
 
 
-@dataclass
 class TickState:
     """Mutable loop state: chest disambiguation tracking and debounce."""
 
-    prev_chest_active: bool = False
-    last_active_distance: Optional[float] = None
-    armed_distance: Optional[float] = None
-    inferred: Optional[UpperLevel] = None
-    advisory: Advisory = Advisory.MOVE_FORWARD
-    pending: Optional[Advisory] = None
-    pending_count: int = 0
+    __slots__ = ("prev_chest_active", "last_active_distance", "armed_distance", "inferred",
+                 "advisory", "pending", "pending_count")
+
+    def __init__(self, prev_chest_active: bool = False,
+                 last_active_distance: Optional[float] = None,
+                 armed_distance: Optional[float] = None, inferred: Optional[UpperLevel] = None,
+                 advisory: Advisory = Advisory.MOVE_FORWARD, pending: Optional[Advisory] = None,
+                 pending_count: int = 0):
+        self.prev_chest_active, self.last_active_distance = prev_chest_active, last_active_distance
+        self.armed_distance, self.inferred, self.advisory = armed_distance, inferred, advisory
+        self.pending, self.pending_count = pending, pending_count
 
 
 def disambiguate(
@@ -276,15 +282,14 @@ def tick(
     Returns (FrameOutput, next x); `state` is updated in place.
     """
     c_cal, c_actual = config.sound_speeds
-    calib = config.calibration
+    gain, offset = config.calibration
     jitter = config.jitter_cm if rng is not None else 0.0
     ground_z = scene.elevation(x)
     readings = []
-    for spec in config.sensors:
-        oz = spec.mount_height
+    for oz, aim in config.mounts:
         check_origin(x, oz, ground_z)
-        true = _cone(scene, x, oz, ground_z, spec.aim, _TAN_BEAM)
-        r = echo_reading(true, c_cal, c_actual, calib)
+        true = _cone(scene, x, oz, ground_z, aim, _TAN_BEAM)
+        r = echo_reading(true, c_cal, c_actual, gain, offset)
         if r is not None and jitter > 0.0:
             r = r + rng.uniform(-jitter, jitter)
             r = min(max(r, MIN_RANGE_CM), MAX_RANGE_CM)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from typing import Optional
 
+from ._record import Record
 from .geometry import Aim, SagittalScene, cone_min_distance
 
 
@@ -35,20 +36,19 @@ def sound_speed(temp_c: float) -> float:
     return _SOUND_SPEED_0C + _SOUND_SPEED_PER_C * temp_c
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(Record, namedtuple("Calibration", "gain offset")):
     """Linear device response: measured = gain * actual + offset (cm)."""
 
-    gain: float = 1.0
-    offset: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.gain > 0.0:
-            raise SensingError(f"calibration gain must be > 0, got {self.gain}")
-        if not (math.isfinite(self.gain) and math.isfinite(self.offset)):
+    def __new__(cls, gain: float = 1.0, offset: float = 0.0):
+        if not gain > 0.0:
+            raise SensingError(f"calibration gain must be > 0, got {gain}")
+        if not (math.isfinite(gain) and math.isfinite(offset)):
             raise SensingError(
-                f"calibration must be finite, got gain {self.gain} and offset {self.offset}"
+                f"calibration must be finite, got gain {gain} and offset {offset}"
             )
+        return super().__new__(cls, gain, offset)
 
 
 IDENTITY_CALIBRATION = Calibration()
@@ -59,34 +59,29 @@ MIN_RANGE_CM = 3.0
 MAX_RANGE_CM = 300.0
 
 
-@dataclass(frozen=True)
-class SensorSpec:
+class SensorSpec(Record, namedtuple("SensorSpec", "name mount_height sarl aim")):
     """Where one module sits; every module has the same beam and range.
 
-    `aim` follows from the name: the arch sensor faces down, the rest
-    forward.  `sarl` is validated (MIN_RANGE_CM < sarl <= MAX_RANGE_CM for
-    a forward sensor, > 0 for a down one) but read by nothing else: the
+    Built from (name, mount_height, sarl).  The fourth field, `aim`,
+    follows from the name: the arch sensor faces down, the rest forward.
+    No constructor takes it, so `_replace(aim=...)` raises TypeError.
+    `sarl` is validated (MIN_RANGE_CM < sarl <= MAX_RANGE_CM for a
+    forward sensor, > 0 for a down one) but read by nothing else: the
     buzzer bands are the fixed tables in `classify`.
     """
 
-    name: SensorName
-    mount_height: float
-    sarl: float
-    aim: Aim = field(init=False)
+    __slots__ = ()
+    _derived = ("aim",)
 
-    def __post_init__(self):
-        aim = Aim.DOWN if self.name is SensorName.ARCH else Aim.FORWARD
-        object.__setattr__(self, "aim", aim)
-        if not self.mount_height > 0.0:
-            raise SensingError(
-                f"{self.name.value}: mount_height must be > 0, got {self.mount_height}"
-            )
-        if aim is Aim.FORWARD and not MIN_RANGE_CM < self.sarl <= MAX_RANGE_CM:
-            raise SensingError(
-                f"{self.name.value}: need {MIN_RANGE_CM:g} < sarl <= {MAX_RANGE_CM:g}"
-            )
-        if aim is Aim.DOWN and not self.sarl > 0.0:
-            raise SensingError(f"{self.name.value}: sarl must be > 0")
+    def __new__(cls, name: SensorName, mount_height: float, sarl: float):
+        aim = Aim.DOWN if name is SensorName.ARCH else Aim.FORWARD
+        if not mount_height > 0.0:
+            raise SensingError(f"{name.value}: mount_height must be > 0, got {mount_height}")
+        if aim is Aim.FORWARD and not MIN_RANGE_CM < sarl <= MAX_RANGE_CM:
+            raise SensingError(f"{name.value}: need {MIN_RANGE_CM:g} < sarl <= {MAX_RANGE_CM:g}")
+        if aim is Aim.DOWN and not sarl > 0.0:
+            raise SensingError(f"{name.value}: sarl must be > 0")
+        return super().__new__(cls, name, mount_height, sarl, aim)
 
 
 def default_sensors() -> tuple:
@@ -118,25 +113,27 @@ def measure(
     true distance through `echo_reading`.
     """
     true = cone_min_distance(scene, (user_x, spec.mount_height), spec.aim)
-    return echo_reading(true, sound_speed(temp_cal), sound_speed(temp_actual), calib)
+    return echo_reading(
+        true, sound_speed(temp_cal), sound_speed(temp_actual), calib.gain, calib.offset
+    )
 
 
 def echo_reading(
-    true: Optional[float], c_cal: float, c_actual: float, calib: Calibration
+    true: Optional[float], c_cal: float, c_actual: float, gain: float, offset: float
 ) -> Optional[float]:
     """The device's reading of a true echo distance (cm), or None.
 
     The distance is scaled by the temperature bias factor c_cal / c_actual
     (the device converts time-of-flight with the sound speed it was
     calibrated at), then distorted by the device's linear calibration
-    response.  True hits beyond MAX_RANGE_CM are lost; readings are
+    response, gain * distance + offset.  True hits beyond MAX_RANGE_CM are lost; readings are
     clamped into [MIN_RANGE_CM, MAX_RANGE_CM].  The product is taken
     before the quotient, as `true * c_cal / c_actual`: a precomputed ratio
     rounds differently and can move a trace digit.
     """
     if true is None or true > MAX_RANGE_CM:
         return None
-    raw = calib.gain * (true * c_cal / c_actual) + calib.offset
+    raw = gain * (true * c_cal / c_actual) + offset
     return min(max(raw, MIN_RANGE_CM), MAX_RANGE_CM)
 
 

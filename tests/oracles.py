@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ultranav.geometry import (
     Aim,
     GeometryError,
@@ -138,11 +136,12 @@ def occupied(scene: SagittalScene, x: float, z: float) -> bool:
     return z <= scene.elevation(x)
 
 
-def _elevation_array(scene, xs):
-    elev = np.zeros_like(xs)
+def _grid_elevation(scene, x):
+    """Elevation at x from the profile segment [x0, x1) holding it (the last, if several)."""
+    elev = 0.0
     for seg in scene.ground_profile:
-        mask = (xs >= seg.x0) & (xs < seg.x1)
-        elev[mask] = seg.dz
+        if seg.x0 <= x < seg.x1:
+            elev = seg.dz
     return elev
 
 
@@ -162,21 +161,18 @@ def march_raycast(
     orientation can echo back to the given aim.
     """
     dx, dz = ray_direction(aim, angle)
-    t = np.arange(1, int(max_dist / step)) * step
-    xs = ox + t * dx
-    zs = oz + t * dz
-
-    occ = zs <= _elevation_array(scene, xs)
-    for r in scene.obstacles:
-        occ |= (xs >= r.x0) & (xs <= r.x1) & (zs >= r.z0) & (zs <= r.z1)
-
-    prev = np.concatenate(([False], occ[:-1]))
-    crossings = np.flatnonzero(occ & ~prev)
-    for i in crossings:
-        if i == 0:
-            lo, hi = 0.0, t[0]
-        else:
-            lo, hi = t[i - 1], t[i]
+    prev_occ, prev_t = False, 0.0
+    for k in range(1, int(max_dist / step)):
+        t = k * step
+        x, z = ox + t * dx, oz + t * dz
+        occ = z <= _grid_elevation(scene, x) or any(
+            r.x0 <= x <= r.x1 and r.z0 <= z <= r.z1 for r in scene.obstacles
+        )
+        crossing = occ and not prev_occ
+        lo, hi = prev_t, t
+        prev_occ, prev_t = occ, t
+        if not crossing:
+            continue
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if occupied(scene, ox + mid * dx, oz + mid * dz):

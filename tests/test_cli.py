@@ -197,13 +197,15 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err == proc.stderr
 
-    def test_runs_without_numpy(self, tmp_path):
+    @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+    def test_runs_without(self, tmp_path, module):
+        # Blocking a module makes any import of it raise ImportError.
         calib = tmp_path / "cal.txt"
         calib.write_text("10 12\n100 102\n300 302\n")
         scn = str(SCENARIO_DIR / "wall_approach.scn")
         proc = run_cli(
             ["run", scn, "--calib", str(calib), "--out", str(tmp_path / "t.csv")],
-            prelude='import sys; sys.modules["numpy"] = None',
+            prelude=f"import sys; sys.modules[{module!r}] = None",
         )
         assert proc.returncode == 0, proc.stderr
 

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -117,7 +116,7 @@ class TestLeanTick:
         )
         mounts = data.draw(st.dictionaries(st.sampled_from(_ORDER), heights))
         sensors = [
-            replace(spec, mount_height=mounts.get(spec.name, spec.mount_height))
+            spec._replace(mount_height=mounts.get(spec.name, spec.mount_height))
             for spec in default_sensors()
         ]
         config = SimConfig(
@@ -154,7 +153,7 @@ class TestLeanTick:
         scene = SagittalScene((Rect(100, 102, 0, 200),), ())
         base = SimConfig()
         cold, _ = tick(scene, 0.0, 0.0, base, TickState())
-        warm_config = replace(base, temp_actual=40.0)
+        warm_config = base._replace(temp_actual=40.0)
         warm, _ = tick(scene, 0.0, 0.0, warm_config, TickState())
         chest = base.sensors[0]
         assert cold.d_chest == measure(scene, chest, 0.0) == 100.0
@@ -174,7 +173,7 @@ class TestLeanTick:
         # Mounts are checked in firing order: chest, knee, toe, arch.
         scene = SagittalScene((), (GroundSegment(-10, 10, step),))
         sensors = tuple(
-            replace(s, mount_height=toe_height) if s.name is SensorName.TOE else s
+            s._replace(mount_height=toe_height) if s.name is SensorName.TOE else s
             for s in default_sensors()
         )
         with pytest.raises(GeometryError) as direct:
@@ -245,17 +244,17 @@ class TestSharedRows:
 class TestFuse:
     def test_priority_order(self):
         quiet = TickFlags()
-        assert fuse(BuzzerFrame(brzP=3), replace(quiet, upstairs=True)) == Advisory.STOP_IMMEDIATELY
-        assert fuse(BuzzerFrame(brzP=2), replace(quiet, upstairs=True)) == Advisory.ALTERNATE_PATH
-        assert fuse(BuzzerFrame(), replace(quiet, upstairs=True, knee_bit=1, toe_bit=1)) == Advisory.UP_STAIRS_AHEAD
+        assert fuse(BuzzerFrame(brzP=3), quiet._replace(upstairs=True)) == Advisory.STOP_IMMEDIATELY
+        assert fuse(BuzzerFrame(brzP=2), quiet._replace(upstairs=True)) == Advisory.ALTERNATE_PATH
+        assert fuse(BuzzerFrame(), quiet._replace(upstairs=True, knee_bit=1, toe_bit=1)) == Advisory.UP_STAIRS_AHEAD
         assert (
-            fuse(BuzzerFrame(brzC=1), replace(quiet, inferred=UpperLevel.WAIST))
+            fuse(BuzzerFrame(brzC=1), quiet._replace(inferred=UpperLevel.WAIST))
             == Advisory.UPPER_OBSTACLE_WAIST
         )
-        assert fuse(BuzzerFrame(brzK=1), replace(quiet, knee_bit=1)) == Advisory.KNEE_OBSTACLE_AHEAD
-        assert fuse(BuzzerFrame(brzT=1), replace(quiet, toe_bit=1)) == Advisory.TOE_OBSTACLE_AHEAD
+        assert fuse(BuzzerFrame(brzK=1), quiet._replace(knee_bit=1)) == Advisory.KNEE_OBSTACLE_AHEAD
+        assert fuse(BuzzerFrame(brzT=1), quiet._replace(toe_bit=1)) == Advisory.TOE_OBSTACLE_AHEAD
         assert fuse(BuzzerFrame(brzC=1), quiet) == Advisory.MOVE_FORWARD_CAUTION
-        assert fuse(BuzzerFrame(), replace(quiet, downstep=True)) == Advisory.MOVE_FORWARD_CAUTION
+        assert fuse(BuzzerFrame(), quiet._replace(downstep=True)) == Advisory.MOVE_FORWARD_CAUTION
         assert fuse(BuzzerFrame(), quiet) == Advisory.MOVE_FORWARD
 
     def test_knee_beats_toe_when_both_flagged(self):
