@@ -11,12 +11,13 @@ with that line.
 
 Scenario format: one directive per line, '#' starts a comment.
 
-    CONFIG key value        tick_ms, debounce_ticks, temp, temp_cal,
-                            start_x, jitter, seed
+    CONFIG key value        debounce_ticks, temp, temp_cal
     SENSOR name height sarl chest|knee|toe|arch, lengths in cm
     OBSTACLE x0 x1 z0 z1    rectangle in the forward x height plane (cm)
     GROUND x0 x1 dz         terrain elevation patch (cm; negative = hole)
     WALK speed seconds      constant-speed stretch (cm/s, s)
+
+The walk starts at x = 0 and is cut into ticks of 30 ms (TICK_MS).
 
 Trace format: CSV with header
     tick,t_ms,user_x,d_chest,d_knee,d_toe,d_down,brzC,brzK,brzT,brzP,
@@ -49,13 +50,9 @@ TRACE_HEADER = (
 
 # CONFIG key -> (SimConfig field, value type)
 _CONFIG_KEYS = {
-    "tick_ms": ("tick_ms", float),
     "debounce_ticks": ("debounce_ticks", int),
     "temp": ("temp_actual", float),
     "temp_cal": ("temp_cal", float),
-    "start_x": ("start_x", float),
-    "jitter": ("jitter_cm", float),
-    "seed": ("seed", int),
 }
 
 

@@ -145,34 +145,34 @@ class SagittalScene(FrozenRecord):
     @cached_property
     def _echoing_obstacles(self) -> tuple:
         return tuple(
-            r
-            for r in self.obstacles
-            if (r.x1 - r.x0) >= MIN_OBSTACLE_THICKNESS_CM - _EPS
+            (x0, x1, z0, z1)
+            for x0, x1, z0, z1 in self.obstacles
+            if (x1 - x0) >= MIN_OBSTACLE_THICKNESS_CM - _EPS
         )
 
     @cached_property
     def vertical_faces(self) -> tuple:
         """Faces visible to forward beams: (x, z_lo, z_hi) triples."""
         faces = []
-        for r in self._echoing_obstacles:
-            faces.append((r.x0, r.z0, r.z1))
-            faces.append((r.x1, r.z0, r.z1))
+        for x0, x1, z0, z1 in self._echoing_obstacles:
+            faces.append((x0, z0, z1))
+            faces.append((x1, z0, z1))
         # Riser faces wherever the elevation profile jumps.
         profile = self.ground_profile
-        for left, right in zip(profile, profile[1:]):
-            if left.dz != right.dz:
-                faces.append((left.x1, min(left.dz, right.dz), max(left.dz, right.dz)))
+        for (_, x, dz_left), (_, _, dz_right) in zip(profile, profile[1:]):
+            if dz_left != dz_right:
+                faces.append((x, min(dz_left, dz_right), max(dz_left, dz_right)))
         return tuple(faces)
 
     @cached_property
     def horizontal_faces(self) -> tuple:
         """Faces visible to downward beams: (z, x_lo, x_hi) triples."""
         faces = []
-        for r in self._echoing_obstacles:
-            faces.append((r.z1, r.x0, r.x1))
-            faces.append((r.z0, r.x0, r.x1))
-        for seg in self.ground_profile:
-            faces.append((seg.dz, seg.x0, seg.x1))
+        for x0, x1, z0, z1 in self._echoing_obstacles:
+            faces.append((z1, x0, x1))
+            faces.append((z0, x0, x1))
+        for x0, x1, dz in self.ground_profile:
+            faces.append((dz, x0, x1))
         return tuple(faces)
 
     @cached_property

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import random
 from collections import namedtuple
 from functools import cache, cached_property
 from typing import NamedTuple, Optional
@@ -26,8 +25,6 @@ from .geometry import BEAM_HALF_ANGLE_DEG, SagittalScene, _cone, check_origin
 from .sensing import (
     Calibration,
     IDENTITY_CALIBRATION,
-    MAX_RANGE_CM,
-    MIN_RANGE_CM,
     SensorName,
     ZERO_SOUND_SPEED_C,
     default_sensors,
@@ -37,8 +34,11 @@ from .sensing import (
 
 MAX_USER_SPEED_CM_S = 500.0
 
+# The tick period (ms).  Every walk starts at x = 0.
+TICK_MS = 30.0
+
 # Longest walk, in ticks before rounding to whole ticks per segment:
-# about 8.3 h at 30 ms.
+# about 8.3 h.
 MAX_TICKS = 1_000_000
 
 # The order the sensors fire in within a tick: SensorName is declared in it.
@@ -85,35 +85,28 @@ class TrajectorySegment(Record, namedtuple("TrajectorySegment", "speed duration_
 class SimConfig(FrozenRecord):
     """Everything the tick loop needs besides the scene and trajectory.
 
-    `sensors` is stored in SENSOR_ORDER, whatever order it is given in;
-    `start_x` is the walker's x at tick 0 (cm).  The sound speeds and the
-    mounts are resolved on first use and kept on the instance
-    (`sound_speeds`, `mounts`); `_replace` builds a new instance, which
-    resolves its own.
+    `sensors` is stored in SENSOR_ORDER, whatever order it is given in.
+    The tick period (TICK_MS) and the start at x = 0 are fixed, and the
+    readings carry no noise.  The sound speeds and the mounts are resolved
+    on first use and kept on the instance (`sound_speeds`, `mounts`);
+    `_replace` builds a new instance, which resolves its own.
     """
 
-    _fields = ("tick_ms", "sensors", "temp_actual", "temp_cal", "calibration",
-               "debounce_ticks", "jitter_cm", "seed", "start_x")
+    _fields = ("sensors", "temp_actual", "temp_cal", "calibration", "debounce_ticks")
 
-    def __init__(self, tick_ms: float = 30.0, sensors: tuple = default_sensors(),
-                 temp_actual: float = 20.0, temp_cal: float = 20.0,
-                 calibration: Calibration = IDENTITY_CALIBRATION, debounce_ticks: int = 2,
-                 jitter_cm: float = 0.0, seed: int = 0, start_x: float = 0.0):
-        self._set(tick_ms=tick_ms, temp_actual=temp_actual, temp_cal=temp_cal,
-                  calibration=calibration, debounce_ticks=debounce_ticks,
-                  jitter_cm=jitter_cm, seed=seed, start_x=start_x)
-        for name in ("tick_ms", "temp_actual", "temp_cal", "debounce_ticks", "jitter_cm", "start_x"):
+    def __init__(self, sensors: tuple = default_sensors(), temp_actual: float = 20.0,
+                 temp_cal: float = 20.0, calibration: Calibration = IDENTITY_CALIBRATION,
+                 debounce_ticks: int = 2):
+        self._set(temp_actual=temp_actual, temp_cal=temp_cal, calibration=calibration,
+                  debounce_ticks=debounce_ticks)
+        for name in ("temp_actual", "temp_cal", "debounce_ticks"):
             value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise PipelineError(f"{name} must be finite, got {value}", name)
             if name != "debounce_ticks":  # a count: an int of any size is valid
                 _check_fits_float(value, name, name)
-        if not self.tick_ms > 0.0:
-            raise PipelineError("tick_ms must be > 0", "tick_ms")
         if self.debounce_ticks < 1:
             raise PipelineError("debounce_ticks must be >= 1", "debounce_ticks")
-        if not self.jitter_cm >= 0.0:
-            raise PipelineError(f"jitter_cm must be >= 0, got {self.jitter_cm}", "jitter_cm")
         for name in ("temp_actual", "temp_cal"):
             temp = getattr(self, name)
             if not temp > ZERO_SOUND_SPEED_C:
@@ -190,14 +183,10 @@ class TickState:
     __slots__ = ("prev_chest_active", "last_active_distance", "armed_distance", "inferred",
                  "advisory", "pending", "pending_count")
 
-    def __init__(self, prev_chest_active: bool = False,
-                 last_active_distance: Optional[float] = None,
-                 armed_distance: Optional[float] = None, inferred: Optional[UpperLevel] = None,
-                 advisory: Advisory = Advisory.MOVE_FORWARD, pending: Optional[Advisory] = None,
-                 pending_count: int = 0):
-        self.prev_chest_active, self.last_active_distance = prev_chest_active, last_active_distance
-        self.armed_distance, self.inferred, self.advisory = armed_distance, inferred, advisory
-        self.pending, self.pending_count = pending, pending_count
+    def __init__(self):
+        self.prev_chest_active = False
+        self.last_active_distance = self.armed_distance = self.inferred = None
+        self.advisory, self.pending, self.pending_count = Advisory.MOVE_FORWARD, None, 0
 
 
 def disambiguate(
@@ -268,32 +257,26 @@ def tick(
     config: SimConfig,
     state: TickState,
     tick_index: int = 0,
-    rng: Optional[random.Random] = None,
 ):
     """Run one sense-classify-fuse cycle.
 
     Sensors fire sequentially (chest, knee, toe, arch) against the same
-    walker position x; the walker then advances by speed (cm/s) * tick
-    period.  The terrain under x is looked up once per tick.  Each mount
+    walker position x; the walker then advances by speed (cm/s) *
+    TICK_MS.  The terrain under x is looked up once per tick.  Each mount
     is checked against it in firing order (the first one below ground
     raises the GeometryError `cone_min_distance` would raise for it) and
     cast with the cone kernel, so each reading equals
-    `measure(scene, spec, x, ...)` for that sensor, before jitter.
+    `measure(scene, spec, x, ...)` for that sensor.
     Returns (FrameOutput, next x); `state` is updated in place.
     """
     c_cal, c_actual = config.sound_speeds
     gain, offset = config.calibration
-    jitter = config.jitter_cm if rng is not None else 0.0
     ground_z = scene.elevation(x)
     readings = []
     for oz, aim in config.mounts:
         check_origin(x, oz, ground_z)
         true = _cone(scene, x, oz, ground_z, aim, _TAN_BEAM)
-        r = echo_reading(true, c_cal, c_actual, gain, offset)
-        if r is not None and jitter > 0.0:
-            r = r + rng.uniform(-jitter, jitter)
-            r = min(max(r, MIN_RANGE_CM), MAX_RANGE_CM)
-        readings.append(r)
+        readings.append(echo_reading(true, c_cal, c_actual, gain, offset))
     d_chest, d_knee, d_toe, d_down = readings
 
     brzC = classify_chest(d_chest)
@@ -315,49 +298,44 @@ def tick(
     advisory = _debounced_advisory(state, fuse(frame, flags), config.debounce_ticks)
 
     output = FrameOutput(
-        tick_index, tick_index * config.tick_ms, x, d_chest, d_knee, d_toe, d_down,
+        tick_index, tick_index * TICK_MS, x, d_chest, d_knee, d_toe, d_down,
         frame, advisory, flags,
     )
-    return output, x + speed * config.tick_ms / 1000.0
+    return output, x + speed * TICK_MS / 1000.0
 
 
-def segment_ticks(segment: TrajectorySegment, tick_ms: float) -> int:
-    """Number of whole ticks a trajectory segment occupies."""
-    return int(round(segment.duration_s * 1000.0 / tick_ms))
-
-
-def trajectory_ticks(trajectory, tick_ms: float) -> list:
+def trajectory_ticks(trajectory) -> list:
     """Whole ticks of each segment; raises PipelineError unless they total 1 to MAX_TICKS."""
-    total = sum(segment.duration_s for segment in trajectory) * 1000.0 / tick_ms
+    total = sum(segment.duration_s for segment in trajectory) * 1000.0 / TICK_MS
     # Bound the float total before rounding: rounding an infinite ratio
     # raises, and a huge finite one gives a loop that never ends.
-    counts = [segment_ticks(s, tick_ms) for s in trajectory] if total <= MAX_TICKS else None
-    if counts is None or sum(counts) < 1:
-        raise PipelineError(
-            f"the walk lasts {total:.4g} ticks of {tick_ms:g} ms;"
-            f" it must last 1 to {MAX_TICKS} ticks"
-        )
-    return counts
+    if total <= MAX_TICKS:
+        counts = [int(round(s.duration_s * 1000.0 / TICK_MS)) for s in trajectory]
+        if sum(counts) >= 1:
+            return counts
+    raise PipelineError(
+        f"the walk lasts {total:.4g} ticks of {TICK_MS:g} ms;"
+        f" it must last 1 to {MAX_TICKS} ticks"
+    )
 
 
 def run_scenario(scene: SagittalScene, trajectory, config: SimConfig = None):
-    """Run the tick loop over a piecewise-constant speed schedule from config.start_x.
+    """Run the tick loop over a piecewise-constant speed schedule from x = 0.
 
     Deterministic: identical inputs produce identical traces.  Returns the
     list of FrameOutput, one per tick.
     """
     config = config if config is not None else SimConfig()
     trajectory = list(trajectory)
-    counts = trajectory_ticks(trajectory, config.tick_ms)
-    rng = random.Random(config.seed) if config.jitter_cm > 0.0 else None
+    counts = trajectory_ticks(trajectory)
 
     frames = []
     state = TickState()
-    x = config.start_x
+    x = 0.0
     index = 0
     for segment, count in zip(trajectory, counts):
         for _ in range(count):
-            frame, x = tick(scene, x, segment.speed, config, state, tick_index=index, rng=rng)
+            frame, x = tick(scene, x, segment.speed, config, state, tick_index=index)
             frames.append(frame)
             index += 1
     return frames

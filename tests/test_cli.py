@@ -20,7 +20,7 @@ from ultranav.pipeline import (
     SimConfig,
     TrajectorySegment,
     run_scenario,
-    segment_ticks,
+    trajectory_ticks,
 )
 from ultranav.sensing import (
     ZERO_SOUND_SPEED_C,
@@ -81,15 +81,15 @@ class TestParseScenario:
     def test_walk_tick_count(self):
         _, trajectory, _ = parse_scenario("WALK 140 3.0\n")
         assert trajectory == [TrajectorySegment(140.0, 3.0)]
-        assert segment_ticks(trajectory[0], 30.0) == 100
+        assert trajectory_ticks(trajectory) == [100]
 
     def test_comments_and_blank_lines(self):
         _, trajectory, _ = parse_scenario("# header\n\nWALK 100 1  # trailing\n")
         assert trajectory == [TrajectorySegment(100.0, 1.0)]
 
     def test_config_and_sensor(self):
-        _, _, config = parse_scenario("CONFIG tick_ms 25\nSENSOR chest 140 150\nWALK 100 1\n")
-        assert config.tick_ms == 25.0
+        _, _, config = parse_scenario("CONFIG temp 25\nSENSOR chest 140 150\nWALK 100 1\n")
+        assert config.temp_actual == 25.0
         assert config.sensors == (SensorSpec(SensorName.CHEST, 140.0, 150.0), *default_sensors()[1:])
 
     def test_unknown_directive(self):
@@ -175,6 +175,15 @@ class TestRunCommand:
         "scenario_text,flags,named",
         [
             pytest.param("CONFIG n_rays 31\nWALK 140 0.3\n", [], "n_rays", id="CONFIG-n_rays"),
+            *(
+                pytest.param(
+                    f"WALK 140 0.3\nCONFIG {key} {value}\n",
+                    [],
+                    f"line 2: unknown CONFIG key {key!r}",
+                    id=f"CONFIG-{key}",
+                )
+                for key, value in (("tick_ms", 30), ("start_x", 50), ("jitter", 1), ("seed", 3))
+            ),
             pytest.param("WALK 140 0.3\n", ["--rays", "31"], "--rays", id="--rays"),
             pytest.param("WALK 140 0.3\n", ["--temp", "25"], "--temp", id="--temp"),
             pytest.param("WALK 140 0.3\n", ["--tick-ms", "30"], "--tick-ms", id="--tick-ms"),
@@ -234,11 +243,6 @@ class TestInputBounds:
                 id="config-inf",
             ),
             pytest.param(
-                "CONFIG jitter -5\nWALK 100 1\n",
-                "line 1: jitter_cm must be >= 0, got -5.0",
-                id="negative-jitter",
-            ),
-            pytest.param(
                 "WALK 100 1\nCONFIG temp -547\n",
                 "line 2: temp_actual must be above -546.7 C",
                 id="temp-below-zero-sound-speed",
@@ -278,17 +282,17 @@ class TestInputBounds:
                 id="walk-zero-duration",
             ),
             pytest.param(
-                "CONFIG tick_ms 1e-300\nWALK 140 1e10\n",
-                "the walk lasts inf ticks of 1e-300 ms; it must last 1 to 1000000 ticks",
+                "WALK 140 1e306\n",
+                "the walk lasts inf ticks of 30 ms; it must last 1 to 1000000 ticks",
                 id="ticks-overflow",
             ),
             pytest.param(
-                "CONFIG tick_ms 1e-300\nWALK 140 1\n",
-                "the walk lasts 1e+303 ticks of 1e-300 ms; it must last 1 to 1000000 ticks",
+                "WALK 140 1e12\n",
+                "the walk lasts 3.333e+13 ticks of 30 ms; it must last 1 to 1000000 ticks",
                 id="ticks-huge",
             ),
             pytest.param(
-                "CONFIG tick_ms 30\nWALK 140 0.01\n",
+                "WALK 140 0.01\n",
                 "the walk lasts 0.3333 ticks of 30 ms; it must last 1 to 1000000 ticks",
                 id="ticks-below-one",
             ),
@@ -320,7 +324,7 @@ class TestInputBounds:
         assert sound_speed(ZERO_SOUND_SPEED_C) == pytest.approx(0.0, abs=1e-9)
         with pytest.raises(PipelineError, match="temp_cal"):
             SimConfig(temp_cal=ZERO_SOUND_SPEED_C)
-        SimConfig(temp_actual=-546.0, temp_cal=-546.0, jitter_cm=0.0)
+        SimConfig(temp_actual=-546.0, temp_cal=-546.0)
 
 
 class TestConfigRoute:
@@ -343,39 +347,12 @@ class TestConfigRoute:
         expected = float(base[0][3]) * sound_speed(20.0) / sound_speed(40.0)
         assert float(warm[0][3]) == pytest.approx(expected, abs=0.05)
 
-    def test_tick_ms(self, tmp_path, capsys):
-        _, rows = self.trace(tmp_path, capsys, "CONFIG tick_ms 25\nWALK 140 0.3\n")
-        assert [float(r[1]) for r in rows] == [25.0 * i for i in range(12)]
-
-    def test_start_x(self, tmp_path, capsys):
-        _, rows = self.trace(tmp_path, capsys, "CONFIG start_x 50\nWALK 140 0.3\n")
-        assert float(rows[0][2]) == 50.0
-
-    @pytest.mark.parametrize("start_x", ["2e7", "-2e7"])
-    def test_far_start_stands_on_flat_ground(self, tmp_path, capsys, start_x):
-        # Terrain outside the authored segments is flat ground without end,
-        # however far from the origin the walk starts.
-        _, rows = self.trace(tmp_path, capsys, f"CONFIG start_x {start_x}\nWALK 140 0.3\n")
-        assert len(rows) == 10
-        for row in rows:
-            assert (row[6], row[10], row[14]) == ("10.0", "0", "MoveForward")
-
-    @pytest.mark.parametrize("key", ["seed", "debounce_ticks"])
+    @pytest.mark.parametrize("key", ["debounce_ticks"])
     def test_huge_integer_runs(self, tmp_path, capsys, key):
         # An int is finite however large: 1 followed by 330 zeros is past
-        # the float range, and is still a valid seed or debounce count.
+        # the float range, and is still a valid debounce count.
         _, rows = self.trace(tmp_path, capsys, f"CONFIG {key} 1{'0' * 330}\nWALK 100 0.1\n")
         assert len(rows) == 3
-
-    def test_jitter_seed(self, tmp_path, capsys):
-        def jittered(seed):
-            text = self.WALL + f"CONFIG jitter 1\nCONFIG seed {seed}\nWALK 0 0.3\n"
-            return self.trace(tmp_path, capsys, text)
-
-        one, rows = jittered(1)
-        _, other_rows = jittered(2)
-        assert [r[3:7] for r in rows] != [r[3:7] for r in other_rows]
-        assert jittered(1)[0] == one
 
 
 class TestVerifyTables:
