@@ -1,8 +1,13 @@
 """Scenario files, trace emission, and band-table verification commands.
 
-A run's parameters come only from its scenario file plus the optional
-`--calib` file; `run` takes no flag that overrides a CONFIG line.  Bad
-arguments, like bad scenarios, give one 'ultranav: error:' line and exit 2.
+The command line is `run SCENARIO [--calib FILE] [--out FILE]` or
+`verify-tables` (USAGE, read by `parse_args`).  Flags may come before or
+after SCENARIO, as `--flag FILE` or `--flag=FILE`, spelt in full; a
+repeated flag keeps its last value.  `-h` or `--help` anywhere prints
+USAGE and exits 0.  A run's parameters come only from its scenario file
+plus the optional `--calib` file; `run` takes no flag that overrides a
+CONFIG line.  Bad arguments, like bad scenarios and an unwritable `--out`
+file, give one 'ultranav: error:' line and exit 2.
 
 `parse_scenario` reads a scenario file, plus the calibration file, in one
 pass into `run_scenario`'s arguments (scene, trajectory, config).  Each
@@ -27,10 +32,9 @@ Distances have one decimal place, no-echo prints as '-'.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
-from functools import cache, partial
+from functools import partial
 
 from .classify import (
     classify_chest,
@@ -264,63 +268,105 @@ def verify_tables(out=None) -> bool:
     return bool(ok)
 
 
+USAGE = """\
+usage: ultranav run SCENARIO [--calib FILE] [--out FILE]
+       ultranav verify-tables
+
+Deterministic simulator for a four-sensor ultrasonic navigation aid.
+
+  run SCENARIO      run a scenario file and write its trace
+    --calib FILE    calibration file (actual measured per line)
+    --out FILE      trace output file (default stdout)
+  verify-tables     sweep all decision bands and report
+"""
+
+
 class UsageError(ValueError):
     """Bad command-line arguments."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises UsageError instead of printing usage and exiting."""
+def parse_args(argv):
+    """(command, scenario, calib, out) read from argv; raises UsageError.
 
-    def error(self, message):
-        raise UsageError(message)
+    command is "run", "verify-tables", or "help" when argv holds -h or
+    --help anywhere; the other three are None unless `run` sets them.
+    """
+    if "-h" in argv or "--help" in argv:
+        return "help", None, None, None
+    if not argv:
+        raise UsageError("no command given (choose from 'run', 'verify-tables')")
+    command, *words = argv
+    if command == "verify-tables":
+        if words:
+            raise UsageError(f"verify-tables takes no arguments, got {words[0]!r}")
+        return command, None, None, None
+    if command != "run":
+        raise UsageError(
+            f"unknown command {command!r} (choose from 'run', 'verify-tables')"
+        )
+    flags = {"--calib": None, "--out": None}
+    scenario = None
+    words = iter(words)
+    for word in words:
+        name, eq, value = word.partition("=")
+        if name in flags:
+            if not eq:
+                value = next(words, None)
+                if value is None or value.startswith("-"):
+                    raise UsageError(f"{name} needs a file")
+            flags[name] = value
+        elif word.startswith("-"):
+            raise UsageError(f"unknown flag {name!r}")
+        elif scenario is None:
+            scenario = word
+        else:
+            raise UsageError(f"run takes one scenario, got a second: {word!r}")
+    if scenario is None:
+        raise UsageError("run needs a scenario file")
+    return command, scenario, flags["--calib"], flags["--out"]
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by later calls."""
-    parser = _Parser(
-        prog="ultranav",
-        description="Deterministic simulator for a four-sensor ultrasonic navigation aid.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run a scenario file and emit a trace")
-    run_p.add_argument("scenario", help="path to a scenario file")
-    run_p.add_argument("--calib", default=None, help="calibration file (actual measured per line)")
-    run_p.add_argument("--out", default=None, help="trace output file (default stdout)")
-
-    sub.add_parser("verify-tables", help="sweep all decision bands and report")
-    return parser
+def _error(message) -> int:
+    print(f"ultranav: error: {message}", file=sys.stderr)
+    return 2
 
 
-def cmd_run(args) -> int:
+def cmd_run(scenario, calib, out) -> int:
+    """Run a scenario file and write its trace to `out` or stdout; the exit code.
+
+    The output file is opened only after the run succeeds, so a rejected
+    scenario leaves an existing one untouched.
+    """
     try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
+        with open(scenario, "r", encoding="utf-8") as fh:
             text = fh.read()
-        frames = run_scenario(*parse_scenario(text, args.calib))
+        frames = run_scenario(*parse_scenario(text, calib))
     except (OSError, ValueError) as exc:
-        print(f"ultranav: error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     trace = format_trace(frames)
-    if args.out is None:
+    if out is None:
         sys.stdout.write(trace)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        return 0
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(trace)
+    except OSError as exc:
+        return _error(exc)
     return 0
 
 
 def main(argv=None) -> int:
+    """The CLI's exit code for argv (default sys.argv[1:]); raises nothing for bad argv."""
     try:
-        args = build_parser().parse_args(argv)
+        command, scenario, calib, out = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
-        print(f"ultranav: error: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "verify-tables":
+        return _error(exc)
+    if command == "run":
+        return cmd_run(scenario, calib, out)
+    if command == "verify-tables":
         return 0 if verify_tables(sys.stdout) else 1
-    raise AssertionError(f"unhandled command {args.command}")
+    sys.stdout.write(USAGE)
+    return 0
 
 
 if __name__ == "__main__":

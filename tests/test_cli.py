@@ -8,9 +8,9 @@ import pytest
 
 from ultranav.cli import (
     ScenarioError,
-    build_parser,
     format_trace,
     main,
+    parse_args,
     parse_scenario,
     verify_tables,
 )
@@ -44,29 +44,76 @@ def run_cli(argv, prelude=""):
     )
 
 
+def check_exit_2(argv, named, capsys):
+    """argv gives exit 2, empty stdout and one error line naming `named`, in a
+    fresh interpreter and in process, where main returns rather than raises."""
+    proc = run_cli(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("ultranav: error:") and named in proc.stderr
+
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == proc.stderr
+
+
 class TestParser:
     def test_run_flags(self):
-        args = build_parser().parse_args(
-            ["run", "walk.scn", "--calib", "cal.txt", "--out", "trace.csv"]
+        assert parse_args(["run", "walk.scn", "--calib", "cal.txt", "--out", "trace.csv"]) == (
+            "run",
+            "walk.scn",
+            "cal.txt",
+            "trace.csv",
         )
-        assert vars(args) == {
-            "command": "run",
-            "scenario": "walk.scn",
-            "calib": "cal.txt",
-            "out": "trace.csv",
-        }
+        assert parse_args(["run", "walk.scn"]) == ("run", "walk.scn", None, None)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--calib", "cal.txt", "--out", "trace.csv", "walk.scn"], id="before"),
+            pytest.param(["--out", "trace.csv", "walk.scn", "--calib", "cal.txt"], id="around"),
+            pytest.param(["walk.scn", "--out=trace.csv", "--calib=cal.txt"], id="equals"),
+            pytest.param(
+                ["--out", "old.csv", "walk.scn", "--calib=c0", "--calib", "cal.txt", "--out=trace.csv"],
+                id="repeated",
+            ),
+        ],
+    )
+    def test_flag_spellings(self, argv):
+        assert parse_args(["run", *argv]) == ("run", "walk.scn", "cal.txt", "trace.csv")
 
     def test_verify_tables_command(self):
-        args = build_parser().parse_args(["verify-tables"])
-        assert args.command == "verify-tables"
-
-    def test_parser_is_built_once(self):
-        assert build_parser() is build_parser()
+        assert parse_args(["verify-tables"]) == ("verify-tables", None, None, None)
 
     def test_help_exits_zero(self):
         result = run_cli(["--help"])
         assert result.returncode == 0
         assert result.stdout.startswith("usage: ultranav")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["run", "-h"], ["run", "walk.scn", "--help"], ["verify-tables", "-h"], ["walk", "-h"]],
+        ids=" ".join,
+    )
+    def test_help_in_process(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: ultranav run SCENARIO")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            pytest.param([], "no command given", id="no-command"),
+            pytest.param(["walk", "x.scn"], "unknown command 'walk'", id="unknown-command"),
+            pytest.param(["run"], "run needs a scenario file", id="no-scenario"),
+            pytest.param(["verify-tables", "x"], "verify-tables takes no arguments", id="verify-arg"),
+        ],
+    )
+    def test_malformed_exit_2(self, capsys, argv, named):
+        check_exit_2(argv, named, capsys)
 
 
 class TestParseScenario:
@@ -189,24 +236,27 @@ class TestRunCommand:
             pytest.param("WALK 140 0.3\n", ["--tick-ms", "30"], "--tick-ms", id="--tick-ms"),
             pytest.param("WALK 140 0.3\n", ["--temp-cal", "20"], "--temp-cal", id="--temp-cal"),
             pytest.param("WALK 140 0.3\n", ["--seed", "3"], "--seed", id="--seed"),
+            pytest.param("WALK 140 0.3\n", ["--rays=31"], "unknown flag '--rays'", id="--rays="),
+            pytest.param("WALK 140 0.3\n", ["--cal", "x"], "unknown flag '--cal'", id="--cal"),
+            pytest.param("WALK 140 0.3\n", ["--o", "x"], "unknown flag '--o'", id="--o"),
+            pytest.param("WALK 140 0.3\n", ["--", "x"], "unknown flag '--'", id="--"),
+            pytest.param("WALK 140 0.3\n", ["--out"], "--out needs a file", id="--out-no-value"),
+            pytest.param(
+                "WALK 140 0.3\n", ["--calib", "--out", "t.csv"], "--calib needs a file",
+                id="--calib-no-value",
+            ),
+            pytest.param(
+                "WALK 140 0.3\n", ["b.scn"], "run takes one scenario, got a second: 'b.scn'",
+                id="second-positional",
+            ),
         ],
     )
     def test_removed_options_exit_2(self, tmp_path, capsys, scenario_text, flags, named):
         scn = tmp_path / "removed.scn"
         scn.write_text(scenario_text)
-        argv = ["run", str(scn), *flags]
-        proc = run_cli(argv)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("ultranav: error:") and named in proc.stderr
+        check_exit_2(["run", str(scn), *flags], named, capsys)
 
-        assert main(argv) == 2  # returns in process, raises no SystemExit
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == proc.stderr
-
-    @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+    @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect", "argparse", "gettext"])
     def test_runs_without(self, tmp_path, module):
         # Blocking a module makes any import of it raise ImportError.
         calib = tmp_path / "cal.txt"
@@ -217,6 +267,25 @@ class TestRunCommand:
             prelude=f"import sys; sys.modules[{module!r}] = None",
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "target,named",
+        [
+            pytest.param("no/such/dir/t.csv", "No such file or directory", id="missing-dir"),
+            pytest.param(".", "Is a directory", id="directory"),
+        ],
+    )
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, target, named):
+        scn = str(SCENARIO_DIR / "flat_walk.scn")
+        check_exit_2(["run", scn, "--out", str(tmp_path / target)], named, capsys)
+
+    def test_failed_run_leaves_out_file_untouched(self, tmp_path):
+        scn = tmp_path / "bad.scn"
+        scn.write_text("JUMP 3\n")
+        out = tmp_path / "t.csv"
+        out.write_text("previous trace\n")
+        assert main(["run", str(scn), "--out", str(out)]) == 2
+        assert out.read_text() == "previous trace\n"
 
 
 class TestInputBounds:
