@@ -1,56 +1,33 @@
 """Immutable value types without `dataclasses`, whose import costs more than ours."""
 
+import math
+
 
 class Record:
     """Mixin for a namedtuple subclass whose `__new__` checks its values.
 
-    `_make`, `_replace`, copy and pickle build through that `__new__`; a
-    namedtuple's own `_make` and `_replace` skip it.  `_make` takes the
-    constructor's arguments; `_derived` names fields the constructor computes.
+    Every build path runs that `__new__`: `_make` here calls the class,
+    the namedtuple's own `_replace` builds through `_make`, and copy and
+    pickle rebuild through `__new__` from the fields.  A subclass that
+    declares no `__slots__` keeps an instance dict for `cached_property`
+    values; assigning any attribute still raises.
     """
 
     __slots__ = ()
-    _derived = ()
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def _replace(self, **changes):
-        return type(self)(**{**self._args(), **changes})
-
-    def _args(self) -> dict:
-        """The constructor arguments that rebuild this value, by name."""
-        return {name: getattr(self, name) for name in self._fields if name not in self._derived}
-
-    def __getnewargs__(self):
-        return tuple(self._args().values())
-
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot assign to {name!r}")
 
 
-class FrozenRecord(Record):
-    """Immutable plain class with the fields `_fields`, which `__init__` sets
-    through `_set`; eq, hash and repr go over them."""
-
-    def _set(self, **fields):
-        # As a frozen dataclass does: filling vars(self) instead slows every
-        # later attribute read.
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._args() == other._args()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self._args().values()))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in self._args().items())
-        return f"{type(self).__name__}({fields})"
+def check_finite(error, name: str, value) -> None:
+    """Raise `error` unless `value` is finite; an int past the float range is not."""
+    try:
+        if math.isfinite(value):
+            return
+    except OverflowError:
+        raise error(f"{name} must be finite, got an int past the float range") from None
+    raise error(f"{name} must be finite, got {value}")

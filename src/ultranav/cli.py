@@ -44,7 +44,7 @@ from .classify import (
     detect_upstairs,
 )
 from .geometry import GeometryError, GroundSegment, Rect, SagittalScene, ground_overlap
-from .pipeline import PipelineError, SimConfig, TrajectorySegment, run_scenario
+from .pipeline import PipelineError, SimConfig, TrajectorySegment, check_setting, run_scenario
 from .sensing import SensingError, SensorName, SensorSpec, default_sensors, load_calibration
 
 TRACE_HEADER = (
@@ -93,13 +93,12 @@ def parse_scenario(text: str, calib=None):
     """Scenario text, plus an optional calibration file, as run_scenario's arguments.
 
     Returns (scene, trajectory, config).  Each directive's value is built
-    at its line, and a value it rejects is reported with that line; so is
-    a CONFIG value SimConfig rejects.  Settings the scenario leaves out
+    or checked at its line, and a value it rejects is reported with that
+    line, even if a later line sets it again.  Settings the scenario leaves out
     keep their SimConfig defaults, and sensors it leaves out their
     `default_sensors` mounts.  Raises ScenarioError.
     """
     settings = {}
-    lines = {}  # SimConfig field -> line of the CONFIG directive that last set it
     sensors = {spec.name: spec for spec in default_sensors()}
     obstacles, ground, ground_lines, walks = [], [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -123,8 +122,11 @@ def parse_scenario(text: str, calib=None):
                 ) from None
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioError(f"line {lineno}: non-finite value in CONFIG")
+            try:
+                check_setting(setting, value)
+            except PipelineError as exc:
+                raise ScenarioError(f"line {lineno}: {exc}") from None
             settings[setting] = value
-            lines[setting] = lineno
         elif directive == "SENSOR":
             if len(fields) != 3:
                 raise ScenarioError(f"line {lineno}: SENSOR takes 'name height sarl'")
@@ -152,10 +154,7 @@ def parse_scenario(text: str, calib=None):
         )
     if calib is not None:
         settings["calibration"] = load_calibration(calib)
-    try:
-        config = SimConfig(sensors=tuple(sensors.values()), **settings)
-    except PipelineError as exc:
-        raise ScenarioError(f"line {lines[exc.field]}: {exc}") from None
+    config = SimConfig(sensors=tuple(sensors.values()), **settings)
     if not walks:
         raise ScenarioError("scenario has no WALK directive")
     return SagittalScene(obstacles, ground), walks, config

@@ -37,7 +37,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from ._record import FrozenRecord, Record
+from ._record import Record
 
 # Faces thinner than this (forward extent, cm) return no usable echo.
 MIN_OBSTACLE_THICKNESS_CM = 0.3
@@ -97,14 +97,17 @@ def ground_overlap(ground) -> Optional[int]:
     return None
 
 
-class SagittalScene(FrozenRecord):
-    """Immutable obstacle + terrain description of the vertical slice."""
+class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
+    """Immutable obstacle + terrain description of the vertical slice.
 
-    _fields = ("obstacles", "ground")
+    Declares no `__slots__`: the face indexes below are cached in the
+    instance dict.
+    """
 
-    def __init__(self, obstacles: tuple = (), ground: tuple = ()):
-        self._set(obstacles=tuple(obstacles), ground=tuple(ground))
+    def __new__(cls, obstacles: tuple = (), ground: tuple = ()):
+        self = super().__new__(cls, tuple(obstacles), tuple(ground))
         self.ground_profile  # validate terrain eagerly
+        return self
 
     @cached_property
     def ground_profile(self) -> tuple:

@@ -7,7 +7,7 @@ from collections import namedtuple
 from functools import cache, cached_property
 from typing import NamedTuple, Optional
 
-from ._record import FrozenRecord, Record
+from ._record import Record, check_finite
 from .classify import (
     Advisory,
     BuzzerFrame,
@@ -49,23 +49,7 @@ _TAN_BEAM = math.tan(math.radians(BEAM_HALF_ANGLE_DEG))
 
 
 class PipelineError(ValueError):
-    """Invalid simulation configuration or trajectory.
-
-    `field` names the SimConfig field a configuration error rejects, and
-    is None for every other error.
-    """
-
-    def __init__(self, message: str, field: Optional[str] = None):
-        super().__init__(message)
-        self.field = field
-
-
-def _check_fits_float(value, name: str, field: Optional[str] = None) -> None:
-    """Reject an int past the float range, which float() cannot hold."""
-    try:
-        float(value)
-    except OverflowError:
-        raise PipelineError(f"{name} must be finite, got an int past the float range", field) from None
+    """Invalid simulation configuration or trajectory."""
 
 
 class TrajectorySegment(Record, namedtuple("TrajectorySegment", "speed duration_s")):
@@ -76,49 +60,56 @@ class TrajectorySegment(Record, namedtuple("TrajectorySegment", "speed duration_
     def __new__(cls, speed: float, duration_s: float):
         if not duration_s > 0.0:
             raise PipelineError("trajectory segment duration must be > 0")
-        _check_fits_float(duration_s, "trajectory segment duration")
+        check_finite(PipelineError, "trajectory segment duration", duration_s)
         if not abs(speed) <= MAX_USER_SPEED_CM_S:
             raise PipelineError(f"|speed| must be <= {MAX_USER_SPEED_CM_S} cm/s")
         return super().__new__(cls, speed, duration_s)
 
 
-class SimConfig(FrozenRecord):
+def check_setting(name: str, value) -> None:
+    """Raise PipelineError unless `value` is valid for the SimConfig setting `name`.
+
+    `debounce_ticks` is a count, valid as an int of any size >= 1.  A
+    temperature must be finite and above ZERO_SOUND_SPEED_C.
+    """
+    if name == "debounce_ticks":
+        if isinstance(value, float):
+            check_finite(PipelineError, name, value)
+        if value < 1:
+            raise PipelineError("debounce_ticks must be >= 1")
+        return
+    check_finite(PipelineError, name, value)
+    if not value > ZERO_SOUND_SPEED_C:
+        raise PipelineError(
+            f"{name} must be above {ZERO_SOUND_SPEED_C:.1f} C, where sound"
+            f" speed reaches zero, got {value}"
+        )
+
+
+class SimConfig(
+    Record,
+    namedtuple("SimConfig", "sensors temp_actual temp_cal calibration debounce_ticks"),
+):
     """Everything the tick loop needs besides the scene and trajectory.
 
     `sensors` is stored in SENSOR_ORDER, whatever order it is given in.
     The tick period (TICK_MS) and the start at x = 0 are fixed, and the
-    readings carry no noise.  The sound speeds and the mounts are resolved
-    on first use and kept on the instance (`sound_speeds`, `mounts`);
-    `_replace` builds a new instance, which resolves its own.
+    readings carry no noise.  Declares no `__slots__`: the sound speeds
+    and the mounts are resolved on first use and cached in the instance
+    dict (`sound_speeds`, `mounts`); `_replace` builds a new instance,
+    which resolves its own.
     """
 
-    _fields = ("sensors", "temp_actual", "temp_cal", "calibration", "debounce_ticks")
-
-    def __init__(self, sensors: tuple = default_sensors(), temp_actual: float = 20.0,
-                 temp_cal: float = 20.0, calibration: Calibration = IDENTITY_CALIBRATION,
-                 debounce_ticks: int = 2):
-        self._set(temp_actual=temp_actual, temp_cal=temp_cal, calibration=calibration,
-                  debounce_ticks=debounce_ticks)
-        for name in ("temp_actual", "temp_cal", "debounce_ticks"):
-            value = getattr(self, name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise PipelineError(f"{name} must be finite, got {value}", name)
-            if name != "debounce_ticks":  # a count: an int of any size is valid
-                _check_fits_float(value, name, name)
-        if self.debounce_ticks < 1:
-            raise PipelineError("debounce_ticks must be >= 1", "debounce_ticks")
-        for name in ("temp_actual", "temp_cal"):
-            temp = getattr(self, name)
-            if not temp > ZERO_SOUND_SPEED_C:
-                raise PipelineError(
-                    f"{name} must be above {ZERO_SOUND_SPEED_C:.1f} C, where sound"
-                    f" speed reaches zero, got {temp}",
-                    name,
-                )
+    def __new__(cls, sensors: tuple = default_sensors(), temp_actual: float = 20.0,
+                temp_cal: float = 20.0, calibration: Calibration = IDENTITY_CALIBRATION,
+                debounce_ticks: int = 2):
+        check_setting("temp_actual", temp_actual)
+        check_setting("temp_cal", temp_cal)
+        check_setting("debounce_ticks", debounce_ticks)
         sensors = tuple(sorted(sensors, key=lambda s: SENSOR_ORDER.index(s.name)))
         if tuple(s.name for s in sensors) != SENSOR_ORDER:
             raise PipelineError("config needs exactly one sensor per name")
-        self._set(sensors=sensors)
+        return super().__new__(cls, sensors, temp_actual, temp_cal, calibration, debounce_ticks)
 
     @cached_property
     def sound_speeds(self) -> tuple:

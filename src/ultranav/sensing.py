@@ -7,7 +7,7 @@ from collections import namedtuple
 from enum import Enum
 from typing import Optional
 
-from ._record import Record
+from ._record import Record, check_finite
 from .geometry import Aim, SagittalScene, cone_min_distance
 
 
@@ -44,10 +44,8 @@ class Calibration(Record, namedtuple("Calibration", "gain offset")):
     def __new__(cls, gain: float = 1.0, offset: float = 0.0):
         if not gain > 0.0:
             raise SensingError(f"calibration gain must be > 0, got {gain}")
-        if not (math.isfinite(gain) and math.isfinite(offset)):
-            raise SensingError(
-                f"calibration must be finite, got gain {gain} and offset {offset}"
-            )
+        check_finite(SensingError, "calibration gain", gain)
+        check_finite(SensingError, "calibration offset", offset)
         return super().__new__(cls, gain, offset)
 
 
@@ -59,29 +57,34 @@ MIN_RANGE_CM = 3.0
 MAX_RANGE_CM = 300.0
 
 
-class SensorSpec(Record, namedtuple("SensorSpec", "name mount_height sarl aim")):
+class SensorSpec(Record, namedtuple("SensorSpec", "name mount_height sarl")):
     """Where one module sits; every module has the same beam and range.
 
-    Built from (name, mount_height, sarl).  The fourth field, `aim`,
-    follows from the name: the arch sensor faces down, the rest forward.
-    No constructor takes it, so `_replace(aim=...)` raises TypeError.
-    `sarl` is validated (MIN_RANGE_CM < sarl <= MAX_RANGE_CM for a
-    forward sensor, > 0 for a down one) but read by nothing else: the
-    buzzer bands are the fixed tables in `classify`.
+    `aim` follows from the name: the arch sensor faces down, the rest
+    forward.  It is not a field, so `_replace(aim=...)` raises (ValueError,
+    or TypeError from Python 3.13).
+    `mount_height` must be finite and > 0.  `sarl` must be finite and is
+    validated (MIN_RANGE_CM < sarl <= MAX_RANGE_CM for a forward sensor,
+    > 0 for a down one) but read by nothing else: the buzzer bands are the
+    fixed tables in `classify`.
     """
 
     __slots__ = ()
-    _derived = ("aim",)
 
     def __new__(cls, name: SensorName, mount_height: float, sarl: float):
-        aim = Aim.DOWN if name is SensorName.ARCH else Aim.FORWARD
         if not mount_height > 0.0:
             raise SensingError(f"{name.value}: mount_height must be > 0, got {mount_height}")
-        if aim is Aim.FORWARD and not MIN_RANGE_CM < sarl <= MAX_RANGE_CM:
+        check_finite(SensingError, f"{name.value}: mount_height", mount_height)
+        check_finite(SensingError, f"{name.value}: sarl", sarl)
+        if name is not SensorName.ARCH and not MIN_RANGE_CM < sarl <= MAX_RANGE_CM:
             raise SensingError(f"{name.value}: need {MIN_RANGE_CM:g} < sarl <= {MAX_RANGE_CM:g}")
-        if aim is Aim.DOWN and not sarl > 0.0:
+        if name is SensorName.ARCH and not sarl > 0.0:
             raise SensingError(f"{name.value}: sarl must be > 0")
-        return super().__new__(cls, name, mount_height, sarl, aim)
+        return super().__new__(cls, name, mount_height, sarl)
+
+    @property
+    def aim(self) -> Aim:
+        return Aim.DOWN if self.name is SensorName.ARCH else Aim.FORWARD
 
 
 def default_sensors() -> tuple:

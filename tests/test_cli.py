@@ -327,6 +327,18 @@ class TestInputBounds:
                 id="debounce-zero",
             ),
             pytest.param(
+                # A later CONFIG line for the same key does not hide a bad value.
+                "CONFIG temp -600\nCONFIG temp 20\nWALK 100 1\n",
+                "line 1: temp_actual must be above -546.7 C",
+                id="config-set-again",
+            ),
+            pytest.param(
+                # The first bad CONFIG line is named, whichever setting it sets.
+                "CONFIG temp_cal -600\nCONFIG debounce_ticks 0\nWALK 100 1\n",
+                "line 1: temp_cal must be above -546.7 C",
+                id="config-first-bad-line",
+            ),
+            pytest.param(
                 "WALK 100 1\nSENSOR arch 0 60\n",
                 "line 2: arch: mount_height must be > 0, got 0.0",
                 id="sensor-at-ground",

@@ -1,4 +1,5 @@
-"""Every way of building a checked value runs its constructor's checks."""
+"""Every way of building a checked value runs its constructor's checks, and
+no built value can be changed."""
 
 import copy
 import pickle
@@ -12,7 +13,7 @@ from ultranav.pipeline import PipelineError, SimConfig, TrajectorySegment
 from ultranav.sensing import Calibration, SensingError, SensorName, SensorSpec
 
 
-@pytest.mark.parametrize(
+RECORDS = pytest.mark.parametrize(
     "good,bad,error,message",
     [
         pytest.param(Rect(0, 1, 0, 1), {"x1": -5}, GeometryError, "rect needs x0 < x1", id="Rect"),
@@ -44,10 +45,20 @@ from ultranav.sensing import Calibration, SensingError, SensorName, SensorSpec
         pytest.param(BuzzerFrame(1, 2, 3, 3), {"brzT": 4}, ValueError, "brzT out of range: 4", id="BuzzerFrame"),
     ],
 )
+
+
+@RECORDS
 def test_every_build_path_checks(good, bad, error, message):
-    cls, args = type(good), {**good._args(), **bad}
+    cls, args = type(good), {**good._asdict(), **bad}
     for build in (lambda: cls(**args), lambda: good._replace(**bad), lambda: cls._make(args.values())):
         with pytest.raises(error, match=re.escape(message)):
             build()
     # copy and pickle rebuild through the constructor too, to an equal value
     assert copy.deepcopy(good) == pickle.loads(pickle.dumps(good)) == good
+
+
+@RECORDS
+def test_fields_and_attributes_cannot_be_assigned(good, bad, error, message):
+    for name in (*bad, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(good, name, 1)

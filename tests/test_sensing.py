@@ -121,7 +121,11 @@ class TestCalibration:
 
     @pytest.mark.parametrize(
         "gain,offset",
-        [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)],
+        [
+            (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+            pytest.param(10**400, 0.0, id="gain-int-past-float"),
+            pytest.param(1.0, -(10**400), id="offset-int-past-float"),
+        ],
     )
     def test_non_finite_calibration_rejected(self, gain, offset):
         with pytest.raises(SensingError):
@@ -161,10 +165,27 @@ class TestSensorSpec:
             assert spec.aim is (Aim.DOWN if spec.name is SensorName.ARCH else Aim.FORWARD)
             assert spec._replace(mount_height=20.0).aim is spec.aim
         arch, chest = spec_by_name(SensorName.ARCH), spec_by_name(SensorName.CHEST)
-        with pytest.raises(TypeError, match="aim"):
+        # aim is not a field: namedtuple's `_replace` rejects it with
+        # ValueError, or with TypeError from Python 3.13.
+        with pytest.raises((TypeError, ValueError), match="aim"):
             arch._replace(aim=Aim.FORWARD)
-        with pytest.raises(TypeError, match="aim"):
+        with pytest.raises((TypeError, ValueError), match="aim"):
             chest._replace(aim=Aim.DOWN)
+
+    @pytest.mark.parametrize(
+        "name,height,sarl",
+        [
+            (SensorName.CHEST, math.inf, 150.0),
+            (SensorName.ARCH, math.inf, 10.0),
+            (SensorName.ARCH, 10.0, math.inf),
+            (SensorName.CHEST, 10**400, 150.0),
+            (SensorName.ARCH, 10.0, 10**400),
+        ],
+        ids=["chest-inf", "arch-inf", "arch-sarl-inf", "chest-int-past-float", "arch-sarl-int-past-float"],
+    )
+    def test_non_finite_mount_rejected(self, name, height, sarl):
+        with pytest.raises(SensingError, match=f"{name.value}: (mount_height|sarl) must be finite"):
+            SensorSpec(name, height, sarl)
 
     @pytest.mark.parametrize("name", ["aim", "half_angle", "min_range", "max_range"])
     def test_one_beam_and_range_for_every_sensor(self, name):
