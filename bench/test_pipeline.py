@@ -7,10 +7,13 @@ generates: five holes of every pothole grade under a 240 cm path, then a
 toe step, a knee riser 25 cm beyond it, a waist block, a head-height
 block, a wall and one block out of reach.  `test_tick` times one
 steady-state `tick` over the middle hole, with the scene's face indexes
-and the config's sound speeds already built.  `test_run_scenario` times
-`run_scenario` on each bundled scenario, parsed outside the timing.
-`test_format_trace` times `format_trace` on the 3,000 frames of four
-back-and-forth walks over the course.
+and the config's sound speeds already built; each round gets a fresh
+`TickState`, whose memo is empty, so every round senses the position.
+`test_run_scenario` times `run_scenario` on each bundled scenario,
+parsed outside the timing.  `test_run_back_and_forth` times
+`run_scenario` on four back-and-forth walks over the course (3,000 ticks
+at 580 distinct positions), and `test_format_trace` times
+`format_trace` on their frames.
 """
 
 from pathlib import Path
@@ -46,9 +49,13 @@ BACK_AND_FORTH = [TrajectorySegment(21.0, 11.25), TrajectorySegment(-21.0, 11.25
 
 
 def test_tick(benchmark):
-    config, state = SimConfig(), TickState()
-    tick(COURSE, 130.0, 140.0, config, state)  # build the face indexes
-    frame, _ = benchmark(tick, COURSE, 130.0, 140.0, config, state)
+    config = SimConfig()
+    tick(COURSE, 130.0, 140.0, config, TickState())  # build the face indexes
+
+    def fresh_state():
+        return (COURSE, 130.0, 140.0, config, TickState()), {}
+
+    frame, _ = benchmark.pedantic(tick, setup=fresh_state, rounds=2000)
     assert frame.frame.brzP == 2
 
 
@@ -56,6 +63,13 @@ def test_tick(benchmark):
 def test_run_scenario(benchmark, path):
     frames = benchmark(run_scenario, *parse_scenario(path.read_text()))
     assert frames
+
+
+def test_run_back_and_forth(benchmark):
+    run_scenario(COURSE, BACK_AND_FORTH, SimConfig())  # build the face indexes
+    frames = benchmark(run_scenario, COURSE, BACK_AND_FORTH, SimConfig())
+    assert len(frames) == 3000
+    assert len({frame.user_x for frame in frames}) == 580
 
 
 def test_format_trace(benchmark):

@@ -60,11 +60,20 @@ class Aim(Enum):
 
 
 class Rect(Record, namedtuple("Rect", "x0 x1 z0 z1")):
-    """Axis-aligned obstacle body in the forward x height plane (cm)."""
+    """Axis-aligned obstacle body in the forward x height plane (cm).
+
+    Bounds are stored as floats and may be infinite.
+    """
 
     __slots__ = ()
 
     def __new__(cls, x0: float, x1: float, z0: float, z1: float):
+        try:
+            x0, x1, z0, z1 = float(x0), float(x1), float(z0), float(z1)
+        except OverflowError:
+            raise GeometryError(
+                "rect bounds must fit a float, got an int past the float range"
+            ) from None
         if not x0 < x1:
             raise GeometryError(f"rect needs x0 < x1, got [{x0}, {x1}]")
         if not z0 < z1:
@@ -73,11 +82,20 @@ class Rect(Record, namedtuple("Rect", "x0 x1 z0 z1")):
 
 
 class GroundSegment(Record, namedtuple("GroundSegment", "x0 x1 dz")):
-    """Terrain span [x0, x1) at elevation dz relative to nominal ground."""
+    """Terrain span [x0, x1) at elevation dz relative to nominal ground.
+
+    Values are stored as floats; x0 and x1 may be infinite.
+    """
 
     __slots__ = ()
 
     def __new__(cls, x0: float, x1: float, dz: float):
+        try:
+            x0, x1, dz = float(x0), float(x1), float(dz)
+        except OverflowError:
+            raise GeometryError(
+                "ground segment values must fit a float, got an int past the float range"
+            ) from None
         if not x0 < x1:
             raise GeometryError(f"ground segment needs x0 < x1, got [{x0}, {x1}]")
         if not math.isfinite(dz):

@@ -41,6 +41,10 @@ TICK_MS = 30.0
 # about 8.3 h.
 MAX_TICKS = 1_000_000
 
+# Most positions a TickState keeps sensed readings for (about 0.5 MB);
+# a compact course walked back and forth revisits about 1,300.
+_MEMO_SIZE = 4096
+
 # The order the sensors fire in within a tick: SensorName is declared in it.
 SENSOR_ORDER = tuple(SensorName)
 
@@ -169,15 +173,22 @@ class FrameOutput(NamedTuple):
 
 
 class TickState:
-    """Mutable loop state: chest disambiguation tracking and debounce."""
+    """Mutable loop state: chest disambiguation tracking, debounce and the sensing memo.
+
+    One state serves one run, so one scene and one config: `tick` keeps
+    what it sensed at each position in `memo`, keyed by x, for the
+    `memo_scene` and `memo_config` it was sensed with, and starts a new
+    memo when called with another scene or config object.
+    """
 
     __slots__ = ("prev_chest_active", "last_active_distance", "armed_distance", "inferred",
-                 "advisory", "pending", "pending_count")
+                 "advisory", "pending", "pending_count", "memo", "memo_scene", "memo_config")
 
     def __init__(self):
         self.prev_chest_active = False
         self.last_active_distance = self.armed_distance = self.inferred = None
         self.advisory, self.pending, self.pending_count = Advisory.MOVE_FORWARD, None, 0
+        self.memo, self.memo_scene, self.memo_config = {}, None, None
 
 
 def disambiguate(
@@ -241,6 +252,32 @@ def _debounced_advisory(state: TickState, candidate: Advisory, debounce_ticks: i
     return state.advisory
 
 
+def _sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
+    """The stateless half of a tick: what the sensors tell at position x.
+
+    Returns (d_chest, d_knee, d_toe, d_down, frame, stair, downstep), a
+    pure function of its arguments: scenes and configs are immutable, and
+    `_frame` and `detect_upstairs` return shared objects.
+    """
+    c_cal, c_actual = config.sound_speeds
+    gain, offset = config.calibration
+    ground_z = scene.elevation(x)
+    readings = []
+    for oz, aim in config.mounts:
+        check_origin(x, oz, ground_z)
+        true = _cone(scene, x, oz, ground_z, aim, _TAN_BEAM)
+        readings.append(echo_reading(true, c_cal, c_actual, gain, offset))
+    d_chest, d_knee, d_toe, d_down = readings
+
+    # No downward echo means the drop exceeds the sensor's reach: treat as
+    # an unbounded hazard depth.
+    depth = math.inf if d_down is None else d_down - config.sensors[3].mount_height
+    frame = _frame(classify_chest(d_chest), classify_knee(d_knee), classify_toe(d_toe),
+                   classify_depth(depth))
+    return (d_chest, d_knee, d_toe, d_down, frame, detect_upstairs(d_knee, d_toe),
+            is_downstep(depth))
+
+
 def tick(
     scene: SagittalScene,
     x: float,
@@ -253,37 +290,32 @@ def tick(
 
     Sensors fire sequentially (chest, knee, toe, arch) against the same
     walker position x; the walker then advances by speed (cm/s) *
-    TICK_MS.  The terrain under x is looked up once per tick.  Each mount
-    is checked against it in firing order (the first one below ground
-    raises the GeometryError `cone_min_distance` would raise for it) and
-    cast with the cone kernel, so each reading equals
+    TICK_MS.  The terrain under x is looked up once per position.  Each
+    mount is checked against it in firing order (the first one below
+    ground raises the GeometryError `cone_min_distance` would raise for
+    it) and cast with the cone kernel, so each reading equals
     `measure(scene, spec, x, ...)` for that sensor.
+
+    Sensing depends on the scene, x and the config alone, so `state`
+    keeps its result per x for this scene and config (`TickState`) and a
+    walk that steps back over its ground casts each position once.  The
+    memo is cleared when it reaches _MEMO_SIZE positions; a position that
+    raises is not kept.  Disambiguation, flags, fusion and the debounce
+    run on every tick.
     Returns (FrameOutput, next x); `state` is updated in place.
     """
-    c_cal, c_actual = config.sound_speeds
-    gain, offset = config.calibration
-    ground_z = scene.elevation(x)
-    readings = []
-    for oz, aim in config.mounts:
-        check_origin(x, oz, ground_z)
-        true = _cone(scene, x, oz, ground_z, aim, _TAN_BEAM)
-        readings.append(echo_reading(true, c_cal, c_actual, gain, offset))
-    d_chest, d_knee, d_toe, d_down = readings
+    if scene is not state.memo_scene or config is not state.memo_config:
+        state.memo, state.memo_scene, state.memo_config = {}, scene, config
+    memo = state.memo
+    sensed = memo.get(x)
+    if sensed is None:
+        sensed = _sense(scene, x, config)
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        memo[x] = sensed
+    d_chest, d_knee, d_toe, d_down, frame, stair, downstep = sensed
 
-    brzC = classify_chest(d_chest)
-    brzK = classify_knee(d_knee)
-    brzT = classify_toe(d_toe)
-    stair = detect_upstairs(d_knee, d_toe)
-
-    # No downward echo means the drop exceeds the sensor's reach: treat as
-    # an unbounded hazard depth.
-    depth = math.inf if d_down is None else d_down - config.sensors[3].mount_height
-    brzP = classify_depth(depth)
-    downstep = is_downstep(depth)
-
-    frame = _frame(brzC, brzK, brzT, brzP)
-
-    disambiguate(state, brzC, d_chest, advancing=speed > 0, moving_back=speed < 0)
+    disambiguate(state, frame.brzC, d_chest, advancing=speed > 0, moving_back=speed < 0)
 
     flags = _flags(stair.upstairs, stair.knee_bit, stair.toe_bit, downstep, state.inferred)
     advisory = _debounced_advisory(state, fuse(frame, flags), config.debounce_ticks)

@@ -392,6 +392,25 @@ class TestSceneValidation:
             with pytest.raises(GeometryError, match="finite dz"):
                 GroundSegment(0, 10, dz)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Rect(100, 10**400, 0, 200),
+            lambda: GroundSegment(100, 10**400, -30.0),
+            lambda: Rect(100, 110, 0, 10**400),
+        ],
+        ids=["rect-x1", "ground-x1", "rect-z1"],
+    )
+    def test_int_past_float_range_rejected(self, build):
+        # Caught when the value is built, not partway through a run.
+        with pytest.raises(GeometryError, match="must fit a float"):
+            build()
+
+    def test_bounds_are_floats_and_may_be_infinite(self):
+        assert Rect(0, math.inf, -math.inf, 2) == (0.0, math.inf, -math.inf, 2.0)
+        assert GroundSegment(-math.inf, 3, -5) == (-math.inf, 3.0, -5.0)
+        assert all(type(v) is float for v in (*Rect(0, 1, 2, 3), *GroundSegment(0, 1, 2)))
+
     def test_overlapping_ground_segments(self):
         with pytest.raises(GeometryError):
             SagittalScene((), (GroundSegment(0, 50, -10), GroundSegment(40, 80, -20)))

@@ -5,7 +5,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultranav.classify import Advisory, BuzzerFrame, UpperLevel
+from ultranav.classify import (
+    Advisory,
+    BuzzerFrame,
+    UpperLevel,
+    classify_chest,
+    classify_depth,
+    classify_knee,
+    classify_toe,
+)
 from ultranav.geometry import (
     BEAM_HALF_ANGLE_DEG,
     Aim,
@@ -17,8 +25,10 @@ from ultranav.geometry import (
     overlap_distance,
 )
 from ultranav.pipeline import (
+    _MEMO_SIZE,
     MAX_TICKS,
     SENSOR_ORDER,
+    TICK_MS,
     PipelineError,
     SimConfig,
     TickFlags,
@@ -188,6 +198,115 @@ class TestLeanTick:
         with pytest.raises(GeometryError) as raised:
             tick(scene, 0.0, 0.0, SimConfig(sensors=sensors), TickState())
         assert str(raised.value) == str(direct.value)
+
+
+# Speeds whose 30 ms step is exact in binary (3 and 15 cm) return to the
+# same x after a step back; 0.63 and 4.2 cm steps may not.
+_SPEEDS = st.sampled_from([21.0, 100.0, 140.0, 500.0])
+
+
+@st.composite
+def _revisiting_walks(draw):
+    """Stands, forward-and-back pairs over the same number of ticks, and
+    single segments, at mixed speeds in both directions."""
+    walk = []
+    for _ in range(draw(st.integers(1, 4))):
+        speed = draw(_SPEEDS) * draw(st.sampled_from([1.0, -1.0]))
+        duration = draw(st.integers(1, 12)) * TICK_MS / 1000.0
+        kind = draw(st.sampled_from(["stand", "pair", "single"]))
+        if kind == "stand":
+            walk.append(TrajectorySegment(0.0, duration))
+        elif kind == "pair":
+            walk += [TrajectorySegment(speed, duration), TrajectorySegment(-speed, duration)]
+        else:
+            walk.append(TrajectorySegment(speed, duration))
+    return walk
+
+
+def _walk_positions(walk):
+    """x at each tick of `walk`, stepped as the tick steps it."""
+    xs = [0.0]
+    for segment, count in zip(walk, trajectory_ticks(walk)):
+        for _ in range(count):
+            xs.append(xs[-1] + segment.speed * TICK_MS / 1000.0)
+    return xs[:-1]
+
+
+def _check_rows(scene, config, rows):
+    """Each row's readings are `measure`'s at its x, and its levels the classifiers'."""
+    for row in rows:
+        readings = [
+            measure(scene, spec, row.user_x, config.temp_actual, config.temp_cal,
+                    config.calibration)
+            for spec in config.sensors
+        ]
+        assert [row.d_chest, row.d_knee, row.d_toe, row.d_down] == readings
+        chest, knee, toe, down = readings
+        depth = math.inf if down is None else down - config.sensors[3].mount_height
+        assert row.frame == (
+            classify_chest(chest), classify_knee(knee), classify_toe(toe), classify_depth(depth)
+        )
+
+
+class TestSensingMemo:
+    """A walk that revisits positions reads at each what a fresh sense would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_profiles(), _obstacles(), _revisiting_walks(), _TEMPS, _CALIBRATIONS)
+    def test_revisiting_walk_equals_measure(self, ground, obstacles, walk, temp_actual, calib):
+        scene = _scene(ground, obstacles)
+        config = SimConfig(temp_actual=temp_actual, calibration=calib)
+        xs = _walk_positions(walk)
+        for x in xs:
+            try:
+                for spec in config.sensors:
+                    measure(scene, spec, x, temp_actual, 20.0, calib)
+            except GeometryError as exc:
+                # The first position with a mount below ground stops the run.
+                with pytest.raises(GeometryError) as raised:
+                    run_scenario(scene, walk, config)
+                assert str(raised.value) == str(exc)
+                return
+        rows = run_scenario(scene, walk, config)
+        assert [row.user_x for row in rows] == xs
+        _check_rows(scene, config, rows)
+
+    def test_one_state_across_scenes_and_configs(self):
+        near = SagittalScene((Rect(100, 102, 0, 200),), ())
+        far = SagittalScene((Rect(150, 152, 0, 200),), ())
+        cool, warm = SimConfig(), SimConfig(temp_actual=40.0)
+        state = TickState()
+        calls = [(near, cool), (far, cool), (far, warm), (near, warm), (near, cool),
+                 (near, SimConfig(temp_actual=40.0))]
+        rows = [tick(scene, 0.0, 0.0, config, state)[0] for scene, config in calls]
+        for (scene, config), row in zip(calls, rows):
+            _check_rows(scene, config, [row])
+        assert len({row.d_chest for row in rows}) == 4
+
+    def test_memo_is_bounded(self):
+        # Out over more distinct positions than the memo holds, then back
+        # over positions it still holds and positions it has dropped, past
+        # holes and head-height blocks all the way.
+        scene = SagittalScene(
+            tuple(Rect(x, x + 5, 160, 200) for x in range(90, 13000, 250)),
+            tuple(GroundSegment(x, x + 20, -5.0 - x % 45) for x in range(40, 13000, 100)),
+        )
+        walk = [
+            TrajectorySegment(100.0, (_MEMO_SIZE + 100) * TICK_MS / 1000.0),
+            TrajectorySegment(-100.0, 200 * TICK_MS / 1000.0),
+        ]
+        config = SimConfig()
+        rows = run_scenario(scene, walk, config)
+        assert len({row.user_x for row in rows}) > _MEMO_SIZE
+        assert len({row.d_chest for row in rows}) > 100
+        _check_rows(scene, config, rows)
+        state, x, sizes = TickState(), 0.0, []
+        for row in rows:
+            speed = 100.0 if row.tick < _MEMO_SIZE + 100 else -100.0
+            frame, x = tick(scene, x, speed, config, state, row.tick)
+            assert frame == row
+            sizes.append(len(state.memo))
+        assert max(sizes) == _MEMO_SIZE
 
 
 class TestSharedRows:
