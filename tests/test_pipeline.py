@@ -200,8 +200,8 @@ class TestLeanTick:
         assert str(raised.value) == str(direct.value)
 
 
-# Speeds whose 30 ms step is exact in binary (3 and 15 cm) return to the
-# same x after a step back; 0.63 and 4.2 cm steps may not.
+# 3 and 15 cm steps (100 and 500 cm/s) are exact in binary, so a step back
+# from a whole-cm x returns to it; 0.63 and 4.2 cm steps may not.
 _SPEEDS = st.sampled_from([21.0, 100.0, 140.0, 500.0])
 
 
@@ -260,7 +260,7 @@ class TestSensingMemo:
         for x in xs:
             try:
                 for spec in config.sensors:
-                    measure(scene, spec, x, temp_actual, 20.0, calib)
+                    measure(scene, spec, x, temp_actual, config.temp_cal, calib)
             except GeometryError as exc:
                 # The first position with a mount below ground stops the run.
                 with pytest.raises(GeometryError) as raised:
