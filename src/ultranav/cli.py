@@ -27,7 +27,8 @@ The walk starts at x = 0 and is cut into ticks of 30 ms (TICK_MS).
 Trace format: CSV with header
     tick,t_ms,user_x,d_chest,d_knee,d_toe,d_down,brzC,brzK,brzT,brzP,
     upstairs,downstep,inferred,advisory
-Distances have one decimal place, no-echo prints as '-'.
+t_ms is the whole number of ms, tick * 30.  Distances have one decimal
+place, no-echo prints as '-'.
 """
 
 from __future__ import annotations
@@ -164,33 +165,22 @@ def _fmt_distance(d) -> str:
     return "-" if d is None else f"{d:.1f}"
 
 
+def format_row(row) -> str:
+    """One FrameOutput as a trace row, its newline included."""
+    tick, t_ms, x, d_chest, d_knee, d_toe, d_down, frame, advisory, flags = row
+    inferred = "-" if flags.inferred is None else flags.inferred.value
+    # The two flags are bools: int() prints them as 0 or 1, faster than a `:d` spec.
+    return (
+        f"{tick},{t_ms},{x:.1f},{_fmt_distance(d_chest)},{_fmt_distance(d_knee)},"
+        f"{_fmt_distance(d_toe)},{_fmt_distance(d_down)},"
+        f"{frame.brzC},{frame.brzK},{frame.brzT},{frame.brzP},"
+        f"{int(flags.upstairs)},{int(flags.downstep)},{inferred},{advisory.value}\n"
+    )
+
+
 def format_trace(frames) -> str:
-    """Byte-stable CSV trace for a frame list."""
-    lines = [TRACE_HEADER]
-    for f in frames:
-        inferred = "-" if f.flags.inferred is None else f.flags.inferred.value
-        lines.append(
-            ",".join(
-                [
-                    str(f.tick),
-                    f"{f.t_ms:g}",
-                    f"{f.user_x:.1f}",
-                    _fmt_distance(f.d_chest),
-                    _fmt_distance(f.d_knee),
-                    _fmt_distance(f.d_toe),
-                    _fmt_distance(f.d_down),
-                    str(f.frame.brzC),
-                    str(f.frame.brzK),
-                    str(f.frame.brzT),
-                    str(f.frame.brzP),
-                    str(int(f.flags.upstairs)),
-                    str(int(f.flags.downstep)),
-                    inferred,
-                    f.advisory.value,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Byte-stable CSV trace: TRACE_HEADER, then the format_row of each frame."""
+    return TRACE_HEADER + "\n" + "".join(map(format_row, frames))
 
 
 # Expected band maps, written out literally so the sweep checks the

@@ -14,6 +14,8 @@ forward-aimed beam sees vertical faces (obstacle fronts/backs, risers),
 a downward-aimed beam sees horizontal faces (ground, obstacle tops).
 Grazing hits on the other orientation scatter away and produce no echo.
 Obstacles thinner than MIN_OBSTACLE_THICKNESS_CM along x have no faces.
+Every cone is the modules' one fixed beam, BEAM_HALF_ANGLE_DEG either
+side of its aim.
 
 Each scene keeps two lazy indexes of its faces, built on the first cone
 that needs them.  A forward cone scans the vertical faces in order of x
@@ -44,6 +46,9 @@ MIN_OBSTACLE_THICKNESS_CM = 0.3
 
 # Half-angle (degrees) of every module's beam: the paper's 30 degree divergence.
 BEAM_HALF_ANGLE_DEG = 15.0
+
+# The beam's cross-axis half-width per cm of depth.
+_TAN_BEAM = math.tan(math.radians(BEAM_HALF_ANGLE_DEG))
 
 _EPS = 1e-9
 
@@ -215,15 +220,11 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
         return faces, keys, tops
 
 
-def cone_min_distance(
-    scene: SagittalScene,
-    origin: tuple,
-    aim: Aim,
-    half_angle: float = BEAM_HALF_ANGLE_DEG,
-) -> Optional[float]:
-    """Nearest echo (cm) inside the cone spanning +-half_angle degrees, or None.
+def cone_min_distance(scene: SagittalScene, origin: tuple, aim: Aim) -> Optional[float]:
+    """Nearest echo (cm) inside the sensor's beam, or None.
 
-    Each face the aim can see lies at depth L along the aim axis; the cone
+    The beam spans h = BEAM_HALF_ANGLE_DEG either side of the aim axis.
+    Each face the aim can see lies at depth L along that axis; the cone
     covers the cross-axis window [c - L tan h, c + L tan h] around the
     origin's cross-axis coordinate c.  A face whose span [lo, hi] meets
     that window echoes at hypot(L, off), where off is the gap from c to
@@ -247,17 +248,14 @@ def cone_min_distance(
     only faces that test would reject.
 
     This is the checked entry in front of the kernel `_cone`: it raises
-    GeometryError if half_angle is outside [0, 90) or the origin is below
-    the terrain, then casts.  A caller that has already looked up the
-    terrain under the origin and checked it (the tick loop) calls the
-    kernel directly.
+    GeometryError if the origin is below the terrain, then casts.  A
+    caller that has already looked up the terrain under the origin and
+    checked it (the tick loop) calls the kernel directly.
     """
-    if not 0.0 <= half_angle < 90.0:
-        raise GeometryError(f"half_angle must be in [0, 90), got {half_angle}")
     ox, oz = origin
     ground_z = scene.elevation(ox)
     check_origin(ox, oz, ground_z)
-    return _cone(scene, ox, oz, ground_z, aim, math.tan(math.radians(half_angle)))
+    return _cone(scene, ox, oz, ground_z, aim)
 
 
 def check_origin(ox: float, oz: float, ground_z: float) -> None:
@@ -267,12 +265,12 @@ def check_origin(ox: float, oz: float, ground_z: float) -> None:
 
 
 def _cone(
-    scene: SagittalScene, ox: float, oz: float, ground_z: float, aim: Aim, tan_h: float
+    scene: SagittalScene, ox: float, oz: float, ground_z: float, aim: Aim
 ) -> Optional[float]:
     """Cone kernel: nearest echo from (ox, oz), ground_z = scene.elevation(ox).
 
-    Unchecked: the origin must not be below ground_z and tan_h must be
-    tan(half_angle) for a half_angle in [0, 90).
+    Unchecked: the origin must not be below ground_z.  The window's
+    half-width per cm of depth is _TAN_BEAM.
     """
     best = None
     if aim is Aim.FORWARD:
@@ -284,7 +282,7 @@ def _cone(
                 continue
             if best is not None and depth >= best:
                 break
-            reach = depth * tan_h
+            reach = depth * _TAN_BEAM
             if lo > oz + reach + _EPS or oz - reach > hi + _EPS:
                 continue
             off = lo - oz if lo > oz else (oz - hi if hi < oz else 0.0)
@@ -297,7 +295,7 @@ def _cone(
     end, left = len(faces), -math.inf
     if oz - ground_z > _EPS:
         best = oz - ground_z
-        window = best * tan_h
+        window = best * _TAN_BEAM
         end, left = bisect_right(keys, ox + window + _EPS), ox - window
     for i in range(end - 1, -1, -1):
         # Every face from here back ends short of the window.
@@ -307,7 +305,7 @@ def _cone(
         depth = oz - z
         if depth <= _EPS or (best is not None and depth >= best):
             continue
-        reach = depth * tan_h
+        reach = depth * _TAN_BEAM
         if lo > ox + reach + _EPS or ox - reach > hi + _EPS:
             continue
         off = lo - ox if lo > ox else (ox - hi if hi < ox else 0.0)

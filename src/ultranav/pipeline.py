@@ -21,7 +21,7 @@ from .classify import (
     infer_upper_level,
     is_downstep,
 )
-from .geometry import BEAM_HALF_ANGLE_DEG, SagittalScene, _cone, check_origin
+from .geometry import SagittalScene, _cone, check_origin
 from .sensing import (
     Calibration,
     IDENTITY_CALIBRATION,
@@ -34,8 +34,9 @@ from .sensing import (
 
 MAX_USER_SPEED_CM_S = 500.0
 
-# The tick period (ms).  Every walk starts at x = 0.
-TICK_MS = 30.0
+# The tick period (ms), an int so that every t_ms is exact.  Every walk
+# starts at x = 0.
+TICK_MS = 30
 
 # Longest walk, in ticks before rounding to whole ticks per segment:
 # about 8.3 h.
@@ -47,9 +48,6 @@ _MEMO_SIZE = 4096
 
 # The order the sensors fire in within a tick: SensorName is declared in it.
 SENSOR_ORDER = tuple(SensorName)
-
-# tan of every module's beam half-angle, as `cone_min_distance` computes it.
-_TAN_BEAM = math.tan(math.radians(BEAM_HALF_ANGLE_DEG))
 
 
 class PipelineError(ValueError):
@@ -74,7 +72,8 @@ def check_setting(name: str, value) -> None:
     """Raise PipelineError unless `value` is valid for the SimConfig setting `name`.
 
     `debounce_ticks` is a count, valid as an int of any size >= 1.  A
-    temperature must be finite and above ZERO_SOUND_SPEED_C.
+    temperature must be above ZERO_SOUND_SPEED_C and give a finite
+    `sound_speed`, so at most about 2.97e306 C.
     """
     if name == "debounce_ticks":
         if isinstance(value, float):
@@ -88,6 +87,8 @@ def check_setting(name: str, value) -> None:
             f"{name} must be above {ZERO_SOUND_SPEED_C:.1f} C, where sound"
             f" speed reaches zero, got {value}"
         )
+    if not math.isfinite(sound_speed(value)):
+        raise PipelineError(f"{name} must keep the sound speed finite, got {value}")
 
 
 class SimConfig(
@@ -148,13 +149,14 @@ _flags = cache(TickFlags)
 class FrameOutput(NamedTuple):
     """One tick's full record: readings, levels, flags, advisory.
 
-    Immutable.  The four readings (cm, None for no echo) are named after
-    the trace's columns; d_down is the arch sensor's.  Rows with equal
-    levels or flags share one `frame` or `flags` object.
+    Immutable.  `t_ms` is the int tick * TICK_MS.  The four readings (cm,
+    None for no echo) are named after the trace's columns; d_down is the
+    arch sensor's.  Rows with equal levels or flags share one `frame` or
+    `flags` object.
     """
 
     tick: int
-    t_ms: float
+    t_ms: int
     user_x: float
     d_chest: Optional[float]
     d_knee: Optional[float]
@@ -265,7 +267,7 @@ def _sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
     readings = []
     for oz, aim in config.mounts:
         check_origin(x, oz, ground_z)
-        true = _cone(scene, x, oz, ground_z, aim, _TAN_BEAM)
+        true = _cone(scene, x, oz, ground_z, aim)
         readings.append(echo_reading(true, c_cal, c_actual, gain, offset))
     d_chest, d_knee, d_toe, d_down = readings
 
@@ -337,7 +339,7 @@ def trajectory_ticks(trajectory) -> list:
         if sum(counts) >= 1:
             return counts
     raise PipelineError(
-        f"the walk lasts {total:.4g} ticks of {TICK_MS:g} ms;"
+        f"the walk lasts {total:.4g} ticks of {TICK_MS} ms;"
         f" it must last 1 to {MAX_TICKS} ticks"
     )
 

@@ -153,7 +153,10 @@ def fit_calibration(pairs) -> Calibration:
         )
     mean_a = sum(a for a, _ in pairs) / n
     mean_m = sum(m for _, m in pairs) / n
-    sxx = sum((a - mean_a) ** 2 for a, _ in pairs)
+    try:
+        sxx = sum((a - mean_a) ** 2 for a, _ in pairs)
+    except OverflowError:  # float ** raises where * gives inf
+        raise SensingError("calibration fit is not finite") from None
     sxy = sum((a - mean_a) * (m - mean_m) for a, m in pairs)
     gain = sxy / sxx if sxx > 0.0 else math.nan
     offset = mean_m - gain * mean_a

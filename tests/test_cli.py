@@ -8,18 +8,22 @@ import pytest
 
 from ultranav.cli import (
     ScenarioError,
+    format_row,
     format_trace,
     main,
     parse_args,
     parse_scenario,
     verify_tables,
 )
-from ultranav.geometry import GroundSegment, Rect
+from ultranav.geometry import GroundSegment, Rect, SagittalScene
 from ultranav.pipeline import (
+    MAX_TICKS,
     PipelineError,
     SimConfig,
+    TickState,
     TrajectorySegment,
     run_scenario,
+    tick,
     trajectory_ticks,
 )
 from ultranav.sensing import (
@@ -183,6 +187,14 @@ class TestRunCommand:
         assert len(lines) == 11
         assert all(line.endswith("MoveForward") for line in lines[1:])
 
+    @pytest.mark.parametrize("index", [33_333, 33_334, 333_334, 333_335, MAX_TICKS - 1])
+    def test_t_ms_is_the_whole_tick_times_30(self, index):
+        # Past tick 33,333 a float t_ms printed with `:g` took exponent
+        # form, and past 333,333 it rounded.
+        row, _ = tick(SagittalScene(), 0.0, 0.0, SimConfig(), TickState(), tick_index=index)
+        assert row.t_ms == index * 30
+        assert format_row(row).split(",")[:2] == [str(index), str(index * 30)]
+
     def test_tick_ms_column_step(self, tmp_path, capsys):
         scn = tmp_path / "flat.scn"
         scn.write_text("WALK 140 0.3\n")
@@ -322,6 +334,21 @@ class TestInputBounds:
                 id="temp_cal-below-zero-sound-speed",
             ),
             pytest.param(
+                "CONFIG temp 1e308\nWALK 100 1\n",
+                "line 1: temp_actual must keep the sound speed finite, got 1e+308",
+                id="temp-sound-speed-overflow",
+            ),
+            pytest.param(
+                "CONFIG temp 1e308\nCONFIG temp_cal 1e308\nWALK 100 1\n",
+                "line 1: temp_actual must keep the sound speed finite, got 1e+308",
+                id="temp-and-temp_cal-sound-speed-overflow",
+            ),
+            pytest.param(
+                "CONFIG temp_cal 2.97e306\nWALK 100 1\n",
+                "line 1: temp_cal must keep the sound speed finite, got 2.97e+306",
+                id="temp_cal-sound-speed-overflow",
+            ),
+            pytest.param(
                 "CONFIG debounce_ticks 0\nWALK 100 1\n",
                 "line 1: debounce_ticks must be >= 1",
                 id="debounce-zero",
@@ -406,6 +433,20 @@ class TestInputBounds:
         with pytest.raises(PipelineError, match="temp_cal"):
             SimConfig(temp_cal=ZERO_SOUND_SPEED_C)
         SimConfig(temp_actual=-546.0, temp_cal=-546.0)
+        SimConfig(temp_actual=2.96e306, temp_cal=2.96e306)
+
+    @pytest.mark.parametrize(
+        "calib_text",
+        [
+            pytest.param("1e200 1e200\n-1e200 -1e200\n", id="squares-overflow"),
+            pytest.param("1e300 1\n2 2\n", id="one-huge-actual"),
+        ],
+    )
+    def test_overflowing_calibration_exit_2(self, tmp_path, capsys, calib_text):
+        calib = tmp_path / "cal.txt"
+        calib.write_text(calib_text)
+        scn = str(SCENARIO_DIR / "flat_walk.scn")
+        check_exit_2(["run", scn, "--calib", str(calib)], "calibration fit is not finite", capsys)
 
 
 class TestConfigRoute:

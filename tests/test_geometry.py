@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ultranav.geometry import (
     _EPS,
+    BEAM_HALF_ANGLE_DEG,
     Aim,
     GeometryError,
     GroundSegment,
@@ -254,15 +255,14 @@ class TestIndexedCone:
         xs, zs = _positions(ground, obstacles)
         ox = data.draw(st.sampled_from(xs)) + data.draw(_NUDGE)
         oz = data.draw(st.sampled_from(zs)) + data.draw(_NUDGE)
-        half_angle = data.draw(st.sampled_from([15.0, 15.0, 0.0, 1.0, 45.0, 89.0]))
         for aim in Aim:
             try:
-                expected = full_scan_cone_min(scene, (ox, oz), aim, half_angle)
+                expected = full_scan_cone_min(scene, (ox, oz), aim)
             except GeometryError:
                 with pytest.raises(GeometryError):
-                    cone_min_distance(scene, (ox, oz), aim, half_angle)
+                    cone_min_distance(scene, (ox, oz), aim)
                 continue
-            assert cone_min_distance(scene, (ox, oz), aim, half_angle) == expected
+            assert cone_min_distance(scene, (ox, oz), aim) == expected
 
     @settings(max_examples=400, deadline=None)
     @given(st.data(), _profiles(), _obstacles())
@@ -276,8 +276,7 @@ class TestIndexedCone:
         oz = data.draw(st.sampled_from(zs)) + data.draw(st.sampled_from([0.0, 10.0, 60.0]))
         depth = oz - scene.elevation(ox)
         assume(depth > 1e-6)
-        half_angle = data.draw(st.sampled_from([0.0, 0.0, 1.0, 15.0, 89.0]))
-        window = depth * math.tan(math.radians(half_angle))
+        window = depth * math.tan(math.radians(BEAM_HALF_ANGLE_DEG))
         edge = data.draw(st.sampled_from([1, -1])) * window + data.draw(
             st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1.5e-9, -1.5e-9, 3e-9, -3e-9])
         )
@@ -286,8 +285,8 @@ class TestIndexedCone:
         x0 = ox + edge if edge > 0 else ox + edge - width
         shelf = Rect(x0, x0 + width, top - 1.0, top)
         scene = _scene(ground, [*obstacles, shelf])
-        expected = full_scan_cone_min(scene, (ox, oz), Aim.DOWN, half_angle)
-        assert cone_min_distance(scene, (ox, oz), Aim.DOWN, half_angle) == expected
+        expected = full_scan_cone_min(scene, (ox, oz), Aim.DOWN)
+        assert cone_min_distance(scene, (ox, oz), Aim.DOWN) == expected
 
     def test_wide_shelf_behind_a_short_face(self):
         # The shelf starts far left of the hole; in order of left ends the
@@ -301,16 +300,17 @@ class TestIndexedCone:
         assert full_scan_cone_min(scene, (0.0, 10.0), Aim.DOWN) == 4.0
 
     def test_flat_ground_between_distant_holes(self):
-        # Two holes 1e7 cm apart, the origin 100 cm inside the second: the
-        # nearest echo of a wide cone is the flat ground between the holes,
-        # 900 cm behind the origin, not the hole floor 50 cm lower.
+        # Two holes 1e7 cm apart, the origin 500 cm inside the second and
+        # 4000 cm up: the nearest echo is the flat ground between the
+        # holes, 500 cm behind the origin at 4031.13 cm, not the hole floor
+        # 50 cm lower.
         scene = SagittalScene(
             (), (GroundSegment(-3e7, -2e7, -50.0), GroundSegment(-1e7 - 1000, 2e7, -50.0))
         )
-        origin = (-1e7 - 100, 4e5)
-        expected = math.hypot(4e5, 900.0)
-        assert cone_min_distance(scene, origin, Aim.DOWN, 89.0) == expected
-        assert full_scan_cone_min(scene, origin, Aim.DOWN, 89.0) == expected
+        origin = (-1e7 - 500, 4000.0)
+        expected = math.hypot(4000.0, 500.0)
+        assert cone_min_distance(scene, origin, Aim.DOWN) == expected
+        assert full_scan_cone_min(scene, origin, Aim.DOWN) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), _profiles())
@@ -370,12 +370,6 @@ class TestIndexedCone:
         for x in (50 - 4.5e-10, 50 - 2e-10, 50.0):
             assert scene.elevation(x) == scan_elevation(scene, x)
         assert scene.elevation(50 - 2e-10) == -5.0
-
-    def test_half_angle_outside_range_raises(self):
-        scene = SagittalScene((Rect(100, 102, 0, 300),), ())
-        for half_angle in (-1.0, 90.0, math.nan):
-            with pytest.raises(GeometryError, match="half_angle"):
-                cone_min_distance(scene, (0.0, 150.0), Aim.FORWARD, half_angle)
 
 
 class TestSceneValidation:

@@ -15,7 +15,6 @@ from ultranav.classify import (
     classify_toe,
 )
 from ultranav.geometry import (
-    BEAM_HALF_ANGLE_DEG,
     Aim,
     GeometryError,
     GroundSegment,
@@ -154,7 +153,7 @@ class TestLeanTick:
                 return
             # The echo model written out, in the order the trace depends on.
             aim = Aim.DOWN if name is SensorName.ARCH else Aim.FORWARD
-            true = cone_min_distance(scene, (x, spec.mount_height), aim, BEAM_HALF_ANGLE_DEG)
+            true = cone_min_distance(scene, (x, spec.mount_height), aim)
             if true is None or true > MAX_RANGE_CM:
                 assert reading is None
             else:
@@ -357,7 +356,8 @@ class TestSharedRows:
             "tick", "t_ms", "user_x", "d_chest", "d_knee", "d_toe", "d_down",
             "frame", "advisory", "flags",
         )
-        assert (row.tick, row.t_ms, row.user_x) == (3, 90.0, 0.0)
+        assert (row.tick, row.t_ms, row.user_x) == (3, 90, 0.0)
+        assert type(row.t_ms) is int
         assert row.readings == {
             SensorName.CHEST: 100.0,
             SensorName.KNEE: 100.0,
@@ -535,21 +535,31 @@ class TestConfigValidation:
             TrajectorySegment(speed, duration)
 
     @pytest.mark.parametrize(
-        "name,value",
+        "name,value,message",
         [
-            ("temp_actual", math.inf),
-            ("temp_cal", math.inf),
-            ("debounce_ticks", math.nan),
-            ("debounce_ticks", math.inf),
+            *(
+                pytest.param(name, value, "must be finite", id=f"{name}-{value}")
+                for name, value in (
+                    ("temp_actual", math.inf),
+                    ("temp_cal", math.inf),
+                    ("debounce_ticks", math.nan),
+                    ("debounce_ticks", math.inf),
+                )
+            ),
             # An int past the float range in a setting read as a float.
             *(
-                pytest.param(name, sign * 10**400, id=f"{name}-{sign_id}10**400")
+                pytest.param(name, sign * 10**400, "must be finite", id=f"{name}-{sign_id}10**400")
                 for name in ("temp_actual", "temp_cal")
                 for sign, sign_id in ((1, ""), (-1, "-"))
             ),
+            # A finite temperature whose sound speed is not.
+            *(
+                pytest.param(name, 1e308, "must keep the sound speed finite", id=f"{name}-1e308")
+                for name in ("temp_actual", "temp_cal")
+            ),
         ],
     )
-    def test_non_finite_settings_rejected(self, name, value):
-        with pytest.raises(PipelineError, match=f"{name} must be finite"):
+    def test_non_finite_settings_rejected(self, name, value, message):
+        with pytest.raises(PipelineError, match=f"{name} {message}"):
             SimConfig(**{name: value})
 

@@ -115,6 +115,15 @@ class TestCalibration:
         with pytest.raises(SensingError):
             fit_calibration([(10, float("nan")), (20, 22)])
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(1e200, 1e200), (-1e200, -1e200)], [(1e300, 1), (2, 2)]],
+        ids=["squares-overflow", "one-huge-actual"],
+    )
+    def test_overflowing_fit_rejected(self, pairs):
+        with pytest.raises(SensingError, match="calibration fit is not finite"):
+            fit_calibration(pairs)
+
     def test_nonpositive_gain_rejected(self):
         with pytest.raises(SensingError):
             Calibration(gain=0.0)
