@@ -1,4 +1,4 @@
-"""Independent brute-force oracles for the geometry module.
+"""Independent oracles: brute-force geometry, and the stateful columns.
 
 `full_scan_cone_min` is the exact cone minimum taken over every face in
 authored order, with no index, early exit or seed: the reference the
@@ -16,6 +16,12 @@ points along the ray, tests solid occupancy, bisects the first free to
 occupied crossing, and classifies the local face orientation by probing
 neighbouring points.  Forward beams accept vertical faces, downward beams
 horizontal ones, mirroring the echo-incidence rule.
+
+`reference_stateful` gives a run's `inferred` and `advisory` columns
+from each tick's stateless inputs, and `debounce_trace_problems` checks
+a trace's advisory column against `debounce_ticks` alone.  Both are
+written from the README and PAPER.md's rules, not from
+`ultranav.pipeline`, which this module does not import.
 """
 
 from __future__ import annotations
@@ -212,3 +218,127 @@ def dense_cone_min(
     ]
     hits = [h for h in hits if h is not None]
     return min(hits) if hits else None
+
+
+# The stateful columns, as the trace prints them.  The upper obstacle's
+# height band from the chest channel's last active distance (cm), with
+# the chest buzzer table's half-open bands (lo, hi].
+UPPER_LEVEL_BANDS = ((87.0, 150.0, "Waist"), (60.0, 87.0, "Head"), (40.0, 60.0, "Chest"))
+
+# The gates of the stair check (cm): a knee or toe echo at or inside its
+# gate sets that channel's bit.
+KNEE_GATE_CM, TOE_GATE_CM = 40.0, 20.0
+
+
+def reference_upper_level(distance) -> str:
+    for lo, hi, name in UPPER_LEVEL_BANDS:
+        if distance is not None and lo < distance <= hi:
+            return name
+    return "Unknown"
+
+
+def reference_candidate(levels, upstairs, knee_bit, toe_bit, downstep, inferred) -> str:
+    """The one advisory a tick's findings call for, the most urgent first.
+
+    `levels` is (brzC, brzK, brzT, brzP); `inferred` is the trace's
+    `inferred` cell ("-" when nothing is inferred).
+    """
+    brzC, brzK, brzT, brzP = levels
+    rules = (
+        (brzP == 3, "StopImmediately"),
+        (brzP == 2, "AlternatePath"),
+        (upstairs, "UpStairsAhead"),
+        (inferred != "-", f"UpperObstacle({inferred})"),
+        (knee_bit, "KneeObstacleAhead"),
+        (toe_bit, "ToeObstacleAhead"),
+        (brzC or brzK or brzT or brzP or downstep, "MoveForwardCaution"),
+    )
+    return next((advisory for fired, advisory in rules if fired), "MoveForward")
+
+
+def reference_stateful(ticks, debounce_ticks) -> list:
+    """(inferred, advisory) per tick, as the trace prints them.
+
+    `ticks` holds one (levels, upstairs, knee_bit, toe_bit, downstep,
+    chest reading, speed) per tick; the chest reading is the one that set
+    brzC, and speed is signed (cm/s).  The rules:
+
+    - the step-back check: a chest dropout (active on the tick before,
+      quiet now) while advancing arms the last active distance; while the
+      chest is active and the walker steps back, an armed distance gives
+      the inferred height band; the chest active while advancing resets
+      the check;
+    - the candidate advisory is `reference_candidate`;
+    - the advisory starts as MoveForward and changes to a candidate once
+      that candidate has been the candidate on `debounce_ticks`
+      consecutive ticks.
+    """
+    rows = []
+    armed, inferred, last_active = None, "-", None
+    advisory, run_of, run_length = "MoveForward", None, 0
+    for levels, upstairs, knee_bit, toe_bit, downstep, chest, speed in ticks:
+        active = levels[0] > 0
+        if active and speed > 0:
+            armed, inferred = None, "-"
+        elif active and speed < 0 and armed is not None:
+            inferred = reference_upper_level(armed)
+        elif not active and speed > 0 and last_active is not None:
+            armed = last_active
+        last_active = chest if active else None
+
+        candidate = reference_candidate(levels, upstairs, knee_bit, toe_bit, downstep, inferred)
+        run_length = run_length + 1 if candidate == run_of else 1
+        run_of = candidate
+        if run_length >= debounce_ticks:
+            advisory = candidate
+        rows.append((inferred, advisory))
+    return rows
+
+
+def _gate_bits(cell: str, gate: float) -> set:
+    """The stair bits a printed reading allows: both when it prints as the gate itself."""
+    if cell == "-":
+        return {0}
+    printed = float(cell)
+    return {0, 1} if printed == gate else {int(printed < gate)}
+
+
+def debounce_trace_problems(text: str, debounce_ticks) -> list:
+    """Rows of a trace whose advisory breaks the debounce, as messages.
+
+    Needs only the trace and `debounce_ticks`.  Each row's candidate is
+    recomputed from its own cells; a knee or toe reading that prints as
+    its gate may lie either side of it, so a row allows a set of
+    candidates.  With k = debounce_ticks:
+
+    - an advisory that changes at row t is a candidate on each of rows
+      t-k+1 to t;
+    - when rows t-k+1 to t each allow only the same candidate c, row t's
+      advisory is c.
+    """
+    k = math.ceil(debounce_ticks)
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    allowed, advisories = [], []
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        levels = tuple(int(row[name]) for name in ("brzC", "brzK", "brzT", "brzP"))
+        allowed.append({
+            reference_candidate(levels, row["upstairs"] == "1", knee_bit, toe_bit,
+                                row["downstep"] == "1", row["inferred"])
+            for knee_bit in _gate_bits(row["d_knee"], KNEE_GATE_CM)
+            for toe_bit in _gate_bits(row["d_toe"], TOE_GATE_CM)
+        })
+        advisories.append(row["advisory"])
+    problems = []
+    before = "MoveForward"
+    for t, advisory in enumerate(advisories):
+        held = allowed[max(0, t - k + 1):t + 1]
+        if advisory != before and (t + 1 < k or any(advisory not in c for c in held)):
+            problems.append(f"row {t}: {advisory} was not the candidate for {k} ticks")
+        if t + 1 >= k and all(c == held[0] and len(c) == 1 for c in held):
+            (settled,) = held[0]
+            if advisory != settled:
+                problems.append(f"row {t}: {settled} held {k} ticks, advisory is {advisory}")
+        before = advisory
+    return problems

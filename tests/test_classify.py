@@ -15,6 +15,7 @@ from ultranav.classify import (
     infer_upper_level,
     is_downstep,
 )
+from ultranav.cli import CHEST_BANDS
 from ultranav.pipeline import TickFlags, fuse
 
 
@@ -163,6 +164,27 @@ class TestInferUpperLevel:
             level = classify_chest(distance)
             expected = mapping.get(level, UpperLevel.UNKNOWN)
             assert infer_upper_level(distance) == expected
+
+    def test_agrees_with_the_chest_table(self):
+        # verify-tables' literal chest bands, mapped to the upper level,
+        # on a 0.5 cm sweep, one ulp either side of each edge, and at
+        # the values no band holds.
+        mapping = {1: UpperLevel.WAIST, 2: UpperLevel.HEAD, 3: UpperLevel.CHEST}
+
+        def expected(d):
+            for lo, hi, level in CHEST_BANDS:
+                if d is not None and lo < d <= hi:
+                    return mapping.get(level, UpperLevel.UNKNOWN)
+            return UpperLevel.UNKNOWN
+
+        edges = {v for lo, hi, _ in CHEST_BANDS for v in (lo, hi) if math.isfinite(v)}
+        distances = [d / 2.0 for d in range(1, 601)]
+        distances += [
+            v for e in edges for v in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))
+        ]
+        distances += [None, math.nan, math.inf, -math.inf]
+        for d in distances:
+            assert infer_upper_level(d) == expected(d), d
 
 
 class TestBuzzerFrame:

@@ -52,6 +52,7 @@ from ultranav.sensing import (
 from ultranav.cli import format_trace, parse_scenario
 
 from test_geometry import _NUDGE, _obstacles, _positions, _profiles, _scene
+from test_stateful import check_rows, walk_speeds
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -269,6 +270,7 @@ class TestSensingMemo:
         rows = run_scenario(scene, walk, config)
         assert [row.user_x for row in rows] == xs
         _check_rows(scene, config, rows)
+        check_rows(rows, walk_speeds(walk), config.debounce_ticks)
 
     def test_one_state_across_scenes_and_configs(self):
         near = SagittalScene((Rect(100, 102, 0, 200),), ())
@@ -299,6 +301,7 @@ class TestSensingMemo:
         assert len({row.user_x for row in rows}) > _MEMO_SIZE
         assert len({row.d_chest for row in rows}) > 100
         _check_rows(scene, config, rows)
+        check_rows(rows, walk_speeds(walk), config.debounce_ticks)
         state, x, sizes = TickState(), 0.0, []
         for row in rows:
             speed = 100.0 if row.tick < _MEMO_SIZE + 100 else -100.0
