@@ -7,7 +7,6 @@ more urgent level.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from enum import Enum
 from functools import cache
@@ -146,19 +145,13 @@ def is_downstep(depth: float) -> bool:
     return 15.0 <= depth <= 30.0
 
 
-def infer_upper_level(last_active_distance: float) -> UpperLevel:
+def infer_upper_level(last_active_distance: Reading) -> UpperLevel:
     """Height band of an upper obstacle from the chest channel's dropout distance.
 
     When the chest buzzer goes quiet while advancing and reactivates while
-    stepping back, the distance at which it was last active places the
-    obstacle at waist, head, or chest height.
+    stepping back, the chest level at the distance where it was last
+    active places the obstacle at waist (1), head (2) or chest (3)
+    height; any other level, None's included, gives UNKNOWN.
     """
-    d = last_active_distance
-    if d is not None and not math.isnan(d):
-        if 87.0 < d <= 150.0:
-            return UpperLevel.WAIST
-        if 60.0 < d <= 87.0:
-            return UpperLevel.HEAD
-        if 40.0 < d <= 60.0:
-            return UpperLevel.CHEST
-    return UpperLevel.UNKNOWN
+    levels = {1: UpperLevel.WAIST, 2: UpperLevel.HEAD, 3: UpperLevel.CHEST}
+    return levels.get(classify_chest(last_active_distance), UpperLevel.UNKNOWN)

@@ -247,21 +247,13 @@ def cone_min_distance(scene: SagittalScene, origin: tuple, aim: Aim) -> Optional
     the same float expressions as the per-face test, so the cull drops
     only faces that test would reject.
 
-    This is the checked entry in front of the kernel `_cone`: it raises
-    GeometryError if the origin is below the terrain, then casts.  A
-    caller that has already looked up the terrain under the origin and
-    checked it (the tick loop) calls the kernel directly.
+    Raises GeometryError if the origin is more than _EPS below the
+    terrain.  This looks up the terrain under the origin and calls the
+    kernel `_cone`; a caller that has already looked it up (the tick
+    loop) calls the kernel directly.
     """
     ox, oz = origin
-    ground_z = scene.elevation(ox)
-    check_origin(ox, oz, ground_z)
-    return _cone(scene, ox, oz, ground_z, aim)
-
-
-def check_origin(ox: float, oz: float, ground_z: float) -> None:
-    """Raise GeometryError if (ox, oz) lies below the terrain height ground_z."""
-    if oz < ground_z - _EPS:
-        raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
+    return _cone(scene, ox, oz, scene.elevation(ox), aim)
 
 
 def _cone(
@@ -269,9 +261,11 @@ def _cone(
 ) -> Optional[float]:
     """Cone kernel: nearest echo from (ox, oz), ground_z = scene.elevation(ox).
 
-    Unchecked: the origin must not be below ground_z.  The window's
-    half-width per cm of depth is _TAN_BEAM.
+    Raises GeometryError if the origin is more than _EPS below ground_z.
+    The window's half-width per cm of depth is _TAN_BEAM.
     """
+    if oz < ground_z - _EPS:
+        raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
     best = None
     if aim is Aim.FORWARD:
         faces, keys = scene._forward_index

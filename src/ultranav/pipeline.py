@@ -21,12 +21,12 @@ from .classify import (
     infer_upper_level,
     is_downstep,
 )
-from .geometry import SagittalScene, _cone, check_origin
+from .geometry import SagittalScene, _cone
 from .sensing import (
+    AIR_TEMP_RANGE_C,
     Calibration,
     IDENTITY_CALIBRATION,
     SensorName,
-    ZERO_SOUND_SPEED_C,
     default_sensors,
     echo_reading,
     sound_speed,
@@ -72,8 +72,7 @@ def check_setting(name: str, value) -> None:
     """Raise PipelineError unless `value` is valid for the SimConfig setting `name`.
 
     `debounce_ticks` is a count, valid as an int of any size >= 1.  A
-    temperature must be above ZERO_SOUND_SPEED_C and give a finite
-    `sound_speed`, so at most about 2.97e306 C.
+    temperature must be finite and lie in AIR_TEMP_RANGE_C.
     """
     if name == "debounce_ticks":
         if isinstance(value, float):
@@ -82,13 +81,9 @@ def check_setting(name: str, value) -> None:
             raise PipelineError("debounce_ticks must be >= 1")
         return
     check_finite(PipelineError, name, value)
-    if not value > ZERO_SOUND_SPEED_C:
-        raise PipelineError(
-            f"{name} must be above {ZERO_SOUND_SPEED_C:.1f} C, where sound"
-            f" speed reaches zero, got {value}"
-        )
-    if not math.isfinite(sound_speed(value)):
-        raise PipelineError(f"{name} must keep the sound speed finite, got {value}")
+    low, high = AIR_TEMP_RANGE_C
+    if not low <= value <= high:
+        raise PipelineError(f"{name} must be from {low:g} to {high:g} C, got {value}")
 
 
 class SimConfig(
@@ -177,46 +172,45 @@ class FrameOutput(NamedTuple):
 class TickState:
     """Mutable loop state: chest disambiguation tracking, debounce and the sensing memo.
 
+    `last_active_distance` is the previous tick's chest reading, None if
+    the chest was quiet then.  `pending`, the candidate advisory being
+    counted, means something only while `pending_count` > 0.
+
     One state serves one run, so one scene and one config: `tick` keeps
     what it sensed at each position in `memo`, keyed by x, for the
     `memo_scene` and `memo_config` it was sensed with, and starts a new
     memo when called with another scene or config object.
     """
 
-    __slots__ = ("prev_chest_active", "last_active_distance", "armed_distance", "inferred",
-                 "advisory", "pending", "pending_count", "memo", "memo_scene", "memo_config")
+    __slots__ = ("last_active_distance", "armed_distance", "inferred", "advisory", "pending",
+                 "pending_count", "memo", "memo_scene", "memo_config")
 
     def __init__(self):
-        self.prev_chest_active = False
         self.last_active_distance = self.armed_distance = self.inferred = None
         self.advisory, self.pending, self.pending_count = Advisory.MOVE_FORWARD, None, 0
         self.memo, self.memo_scene, self.memo_config = {}, None, None
 
 
 def disambiguate(
-    state: TickState,
-    brzC_level: int,
-    chest_reading: Optional[float],
-    advancing: bool,
-    moving_back: bool,
+    state: TickState, brzC_level: int, chest_reading: Optional[float], speed: float
 ) -> None:
     """Advance the upper-obstacle disambiguation state machine in place.
 
-    A chest-channel dropout while advancing arms the last active distance;
-    reactivation while stepping back infers the obstacle's height band.
-    Reactivation while advancing resets the whole check.
+    `chest_reading` gave `brzC_level`, so it is None only at level 0, and
+    `speed` is signed.  A chest dropout while advancing arms the last
+    active distance; the chest active while stepping back infers the
+    obstacle's height band from it, and while advancing resets the check.
     """
-    active = brzC_level > 0
-    if active:
-        if moving_back and state.armed_distance is not None:
+    if brzC_level:
+        if speed > 0:
+            state.armed_distance = state.inferred = None
+        elif speed < 0 and state.armed_distance is not None:
             state.inferred = infer_upper_level(state.armed_distance)
-        if advancing:
-            state.armed_distance = None
-            state.inferred = None
         state.last_active_distance = chest_reading
-    elif state.prev_chest_active and advancing:
-        state.armed_distance = state.last_active_distance
-    state.prev_chest_active = active
+    else:
+        if speed > 0 and state.last_active_distance is not None:
+            state.armed_distance = state.last_active_distance
+        state.last_active_distance = None
 
 
 def fuse(frame: BuzzerFrame, flags: TickFlags) -> Advisory:
@@ -239,18 +233,15 @@ def fuse(frame: BuzzerFrame, flags: TickFlags) -> Advisory:
 
 
 def _debounced_advisory(state: TickState, candidate: Advisory, debounce_ticks: int) -> Advisory:
+    """Count a candidate other than the advisory; commit it at `debounce_ticks`."""
     if candidate == state.advisory:
-        state.pending = None
         state.pending_count = 0
-    else:
-        if candidate != state.pending:
-            state.pending = candidate
-            state.pending_count = 0
+    elif candidate == state.pending:
         state.pending_count += 1
-        if state.pending_count >= debounce_ticks:
-            state.advisory = candidate
-            state.pending = None
-            state.pending_count = 0
+    else:
+        state.pending, state.pending_count = candidate, 1
+    if state.pending_count >= debounce_ticks:
+        state.advisory, state.pending_count = candidate, 0
     return state.advisory
 
 
@@ -259,14 +250,15 @@ def _sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
 
     Returns (d_chest, d_knee, d_toe, d_down, frame, stair, downstep), a
     pure function of its arguments: scenes and configs are immutable, and
-    `_frame` and `detect_upstairs` return shared objects.
+    `_frame` and `detect_upstairs` return shared objects.  The terrain
+    under x is looked up once and handed to each cast; the cone kernel
+    raises for a mount below it.
     """
     c_cal, c_actual = config.sound_speeds
     gain, offset = config.calibration
     ground_z = scene.elevation(x)
     readings = []
     for oz, aim in config.mounts:
-        check_origin(x, oz, ground_z)
         true = _cone(scene, x, oz, ground_z, aim)
         readings.append(echo_reading(true, c_cal, c_actual, gain, offset))
     d_chest, d_knee, d_toe, d_down = readings
@@ -292,10 +284,9 @@ def tick(
 
     Sensors fire sequentially (chest, knee, toe, arch) against the same
     walker position x; the walker then advances by speed (cm/s) *
-    TICK_MS.  The terrain under x is looked up once per position.  Each
-    mount is checked against it in firing order (the first one below
-    ground raises the GeometryError `cone_min_distance` would raise for
-    it) and cast with the cone kernel, so each reading equals
+    TICK_MS.  The mounts are cast with the cone kernel in firing order
+    (the first one below ground raises the GeometryError
+    `cone_min_distance` would raise for it), so each reading equals
     `measure(scene, spec, x, ...)` for that sensor.
 
     Sensing depends on the scene, x and the config alone, so `state`
@@ -317,7 +308,7 @@ def tick(
         memo[x] = sensed
     d_chest, d_knee, d_toe, d_down, frame, stair, downstep = sensed
 
-    disambiguate(state, frame.brzC, d_chest, advancing=speed > 0, moving_back=speed < 0)
+    disambiguate(state, frame.brzC, d_chest, speed)
 
     flags = _flags(stair.upstairs, stair.knee_bit, stair.toe_bit, downstep, state.inferred)
     advisory = _debounced_advisory(state, fuse(frame, flags), config.debounce_ticks)

@@ -26,9 +26,9 @@ class SensorName(Enum):
 _SOUND_SPEED_0C = 33130.0
 _SOUND_SPEED_PER_C = 60.6
 
-# Temperature (C) at which the linear sound-speed model reaches zero,
-# about -546.7 C; no reading can be timed at or below it.
-ZERO_SOUND_SPEED_C = -_SOUND_SPEED_0C / _SOUND_SPEED_PER_C
+# The air temperatures (C) the model takes, just past the recorded
+# extremes of -89.2 and 56.7 C.
+AIR_TEMP_RANGE_C = (-90.0, 60.0)
 
 
 def sound_speed(temp_c: float) -> float:

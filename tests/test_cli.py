@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from ultranav.pipeline import (
     trajectory_ticks,
 )
 from ultranav.sensing import (
-    ZERO_SOUND_SPEED_C,
+    AIR_TEMP_RANGE_C,
     SensorName,
     SensorSpec,
     default_sensors,
@@ -325,28 +326,50 @@ class TestInputBounds:
             ),
             pytest.param(
                 "WALK 100 1\nCONFIG temp -547\n",
-                "line 2: temp_actual must be above -546.7 C",
+                "line 2: temp_actual must be from -90 to 60 C, got -547.0",
                 id="temp-below-zero-sound-speed",
             ),
             pytest.param(
                 "CONFIG temp_cal 20\nCONFIG temp_cal -547\nWALK 100 1\n",
-                "line 2: temp_cal must be above -546.7 C",
+                "line 2: temp_cal must be from -90 to 60 C, got -547.0",
                 id="temp_cal-below-zero-sound-speed",
             ),
             pytest.param(
                 "CONFIG temp 1e308\nWALK 100 1\n",
-                "line 1: temp_actual must keep the sound speed finite, got 1e+308",
+                "line 1: temp_actual must be from -90 to 60 C, got 1e+308",
                 id="temp-sound-speed-overflow",
             ),
             pytest.param(
                 "CONFIG temp 1e308\nCONFIG temp_cal 1e308\nWALK 100 1\n",
-                "line 1: temp_actual must keep the sound speed finite, got 1e+308",
+                "line 1: temp_actual must be from -90 to 60 C, got 1e+308",
                 id="temp-and-temp_cal-sound-speed-overflow",
             ),
             pytest.param(
                 "CONFIG temp_cal 2.97e306\nWALK 100 1\n",
-                "line 1: temp_cal must keep the sound speed finite, got 2.97e+306",
+                "line 1: temp_cal must be from -90 to 60 C, got 2.97e+306",
                 id="temp_cal-sound-speed-overflow",
+            ),
+            # Temperatures the linear sound-speed model takes without
+            # overflow, but no air has.
+            pytest.param(
+                "OBSTACLE 100 102 0 200\nCONFIG temp_cal 1e306\nWALK 0 0.06\n",
+                "line 2: temp_cal must be from -90 to 60 C, got 1e+306",
+                id="temp_cal-1e306",
+            ),
+            pytest.param(
+                "OBSTACLE 100 102 0 200\nCONFIG temp 1e306\nWALK 0 0.06\n",
+                "line 2: temp_actual must be from -90 to 60 C, got 1e+306",
+                id="temp-1e306",
+            ),
+            pytest.param(
+                "OBSTACLE 100 102 0 200\nCONFIG temp 500\nWALK 0 0.06\n",
+                "line 2: temp_actual must be from -90 to 60 C, got 500.0",
+                id="temp-500",
+            ),
+            pytest.param(
+                "CONFIG temp_cal -90.5\nWALK 100 1\n",
+                "line 1: temp_cal must be from -90 to 60 C, got -90.5",
+                id="temp_cal-below-range",
             ),
             pytest.param(
                 "CONFIG debounce_ticks 0\nWALK 100 1\n",
@@ -356,13 +379,13 @@ class TestInputBounds:
             pytest.param(
                 # A later CONFIG line for the same key does not hide a bad value.
                 "CONFIG temp -600\nCONFIG temp 20\nWALK 100 1\n",
-                "line 1: temp_actual must be above -546.7 C",
+                "line 1: temp_actual must be from -90 to 60 C",
                 id="config-set-again",
             ),
             pytest.param(
                 # The first bad CONFIG line is named, whichever setting it sets.
                 "CONFIG temp_cal -600\nCONFIG debounce_ticks 0\nWALK 100 1\n",
-                "line 1: temp_cal must be above -546.7 C",
+                "line 1: temp_cal must be from -90 to 60 C",
                 id="config-first-bad-line",
             ),
             pytest.param(
@@ -428,12 +451,16 @@ class TestInputBounds:
         assert line.startswith("ultranav: error: sensor origin (100.8")
         assert "is below the ground surface" in line
 
-    def test_bounds_are_the_sound_speed_zero(self):
-        assert sound_speed(ZERO_SOUND_SPEED_C) == pytest.approx(0.0, abs=1e-9)
-        with pytest.raises(PipelineError, match="temp_cal"):
-            SimConfig(temp_cal=ZERO_SOUND_SPEED_C)
-        SimConfig(temp_actual=-546.0, temp_cal=-546.0)
-        SimConfig(temp_actual=2.96e306, temp_cal=2.96e306)
+    def test_bounds_are_the_air_range(self):
+        # The range holds the recorded extremes of air, -89.2 and 56.7 C.
+        low, high = AIR_TEMP_RANGE_C
+        assert (low, high) == (-90.0, 60.0)
+        SimConfig(temp_actual=low, temp_cal=high)
+        SimConfig(temp_actual=high, temp_cal=low)
+        for name in ("temp_actual", "temp_cal"):
+            for value in (math.nextafter(low, -math.inf), math.nextafter(high, math.inf)):
+                with pytest.raises(PipelineError, match=f"{name} must be from -90 to 60 C"):
+                    SimConfig(**{name: value})
 
     @pytest.mark.parametrize(
         "calib_text",

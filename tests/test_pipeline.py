@@ -107,8 +107,8 @@ class TestTick:
 # Firing order, written out rather than taken from the pipeline.
 _ORDER = (SensorName.CHEST, SensorName.KNEE, SensorName.TOE, SensorName.ARCH)
 _TEMPS = st.one_of(
-    st.sampled_from([-40.0, 0.0, 20.0, 20.0, 37.5]),
-    st.floats(-500.0, 500.0),
+    st.sampled_from([-90.0, -40.0, 0.0, 20.0, 20.0, 37.5, 60.0]),
+    st.floats(-90.0, 60.0),
 )
 _CALIBRATIONS = st.one_of(
     st.just(Calibration()),
@@ -555,9 +555,9 @@ class TestConfigValidation:
                 for name in ("temp_actual", "temp_cal")
                 for sign, sign_id in ((1, ""), (-1, "-"))
             ),
-            # A finite temperature whose sound speed is not.
+            # A finite temperature past the air range.
             *(
-                pytest.param(name, 1e308, "must keep the sound speed finite", id=f"{name}-1e308")
+                pytest.param(name, 1e308, "must be from -90 to 60 C", id=f"{name}-1e308")
                 for name in ("temp_actual", "temp_cal")
             ),
         ],
