@@ -158,14 +158,6 @@ class TestInferUpperLevel:
         assert infer_upper_level(distance) == expected
 
     def test_agrees_with_chest_banding(self):
-        mapping = {1: UpperLevel.WAIST, 2: UpperLevel.HEAD, 3: UpperLevel.CHEST}
-        for d in range(1, 601):
-            distance = d / 2.0
-            level = classify_chest(distance)
-            expected = mapping.get(level, UpperLevel.UNKNOWN)
-            assert infer_upper_level(distance) == expected
-
-    def test_agrees_with_the_chest_table(self):
         # verify-tables' literal chest bands, mapped to the upper level,
         # on a 0.5 cm sweep, one ulp either side of each edge, and at
         # the values no band holds.

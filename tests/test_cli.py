@@ -367,11 +367,6 @@ class TestInputBounds:
                 id="temp-500",
             ),
             pytest.param(
-                "CONFIG temp_cal -90.5\nWALK 100 1\n",
-                "line 1: temp_cal must be from -90 to 60 C, got -90.5",
-                id="temp_cal-below-range",
-            ),
-            pytest.param(
                 "CONFIG debounce_ticks 0\nWALK 100 1\n",
                 "line 1: debounce_ticks must be >= 1",
                 id="debounce-zero",

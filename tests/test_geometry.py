@@ -156,19 +156,15 @@ class TestConeMinDistance:
 
     def test_origin_below_ground_raises(self):
         scene = SagittalScene((), (GroundSegment(-10, 10, 20.0),))
-        with pytest.raises(GeometryError, match="below the ground"):
-            cone_min_distance(scene, (0.0, 5.0), Aim.DOWN)
-
-    @pytest.mark.parametrize("aim", list(Aim))
-    def test_kernel_checks_its_origin(self, aim):
-        scene = SagittalScene((), (GroundSegment(-10, 10, 20.0),))
-        with pytest.raises(GeometryError) as direct:
-            cone_min_distance(scene, (0.0, 5.0), aim)
-        with pytest.raises(GeometryError) as kernel:
-            _cone(scene, 0.0, 5.0, scene.elevation(0.0), aim)
-        assert str(kernel.value) == str(direct.value)
-        # Within _EPS of the ground is on it.
-        _cone(scene, 0.0, 20.0 - _EPS / 2, 20.0, aim)
+        for aim in Aim:
+            with pytest.raises(GeometryError, match="below the ground") as direct:
+                cone_min_distance(scene, (0.0, 5.0), aim)
+            # The kernel checks its own origin, with the same message.
+            with pytest.raises(GeometryError) as kernel:
+                _cone(scene, 0.0, 5.0, scene.elevation(0.0), aim)
+            assert str(kernel.value) == str(direct.value)
+            # Within _EPS of the ground is on it.
+            _cone(scene, 0.0, 20.0 - _EPS / 2, 20.0, aim)
 
     def test_thin_obstacle_is_invisible(self):
         scene = SagittalScene((Rect(100, 100.2, 0, 200),), ())
