@@ -5,10 +5,11 @@
 The course is a fixed compact walk of the kind perfbench's `walk_long`
 generates: five holes of every pothole grade under a 240 cm path, then a
 toe step, a knee riser 25 cm beyond it, a waist block, a head-height
-block, a wall and one block out of reach.  `test_tick` times one
-steady-state `tick` over the middle hole, with the scene's face indexes
-and the config's sound speeds already built; each round gets a fresh
-`TickState`, whose memo is empty, so every round senses the position.
+block, a wall and one block out of reach.  `test_sense` times one
+`sense` over the middle hole, with the scene's face indexes and the
+config's sound speeds already built, and `test_tick` times `tick`, the
+stateful half, on what `sense` gave there, with a fresh `TickState` each
+round.
 `test_run_scenario` times `run_scenario` on each bundled scenario,
 parsed outside the timing.  `test_run_back_and_forth` times
 `run_scenario` on four back-and-forth walks over the course (3,000 ticks
@@ -22,7 +23,7 @@ import pytest
 
 from ultranav.cli import format_trace, parse_scenario
 from ultranav.geometry import GroundSegment, Rect, SagittalScene
-from ultranav.pipeline import SimConfig, TickState, TrajectorySegment, run_scenario, tick
+from ultranav.pipeline import SimConfig, TickState, TrajectorySegment, run_scenario, sense, tick
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.scn"))
 
@@ -48,12 +49,19 @@ COURSE = SagittalScene(
 BACK_AND_FORTH = [TrajectorySegment(21.0, 11.25), TrajectorySegment(-21.0, 11.25)] * 4
 
 
+def test_sense(benchmark):
+    config = SimConfig()
+    sense(COURSE, 130.0, config)  # build the face indexes
+    sensed = benchmark(sense, COURSE, 130.0, config)
+    assert sensed[4].brzP == 2
+
+
 def test_tick(benchmark):
     config = SimConfig()
-    tick(COURSE, 130.0, 140.0, config, TickState())  # build the face indexes
+    sensed = sense(COURSE, 130.0, config)
 
     def fresh_state():
-        return (COURSE, 130.0, 140.0, config, TickState()), {}
+        return (TickState(), sensed, 130.0, 140.0, config.debounce_ticks), {}
 
     frame, _ = benchmark.pedantic(tick, setup=fresh_state, rounds=2000)
     assert frame.frame.brzP == 2

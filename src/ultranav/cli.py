@@ -121,8 +121,6 @@ def parse_scenario(text: str, calib=None):
                 raise ScenarioError(
                     f"line {lineno}: bad value {value!r} for CONFIG {key}"
                 ) from None
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ScenarioError(f"line {lineno}: non-finite value in CONFIG")
             try:
                 check_setting(setting, value)
             except PipelineError as exc:

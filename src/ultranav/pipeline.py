@@ -42,8 +42,8 @@ TICK_MS = 30
 # about 8.3 h.
 MAX_TICKS = 1_000_000
 
-# Most positions a TickState keeps sensed readings for (about 0.5 MB);
-# a compact course walked back and forth revisits about 1,300.
+# Most positions a run keeps sensed readings for (about 0.5 MB); a
+# compact course walked back and forth revisits about 1,300.
 _MEMO_SIZE = 4096
 
 # The order the sensors fire in within a tick: SensorName is declared in it.
@@ -71,14 +71,15 @@ class TrajectorySegment(Record, namedtuple("TrajectorySegment", "speed duration_
 def check_setting(name: str, value) -> None:
     """Raise PipelineError unless `value` is valid for the SimConfig setting `name`.
 
-    `debounce_ticks` is a count, valid as an int of any size >= 1.  A
-    temperature must be finite and lie in AIR_TEMP_RANGE_C.
+    `debounce_ticks` is a count, valid as an int (not a bool) of any size
+    >= 1.  A temperature must be finite and lie in AIR_TEMP_RANGE_C.
     """
     if name == "debounce_ticks":
-        if isinstance(value, float):
-            check_finite(PipelineError, name, value)
-        if value < 1:
-            raise PipelineError("debounce_ticks must be >= 1")
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            # An int of more than 4,300 digits has no str.
+            huge = isinstance(value, int) and value < -10**99
+            raise PipelineError("debounce_ticks must be an int >= 1, got "
+                                + ("an int below -10**99" if huge else repr(value)))
         return
     check_finite(PipelineError, name, value)
     low, high = AIR_TEMP_RANGE_C
@@ -170,25 +171,20 @@ class FrameOutput(NamedTuple):
 
 
 class TickState:
-    """Mutable loop state: chest disambiguation tracking, debounce and the sensing memo.
+    """Mutable loop state: chest disambiguation tracking and the debounce.
 
     `last_active_distance` is the previous tick's chest reading, None if
-    the chest was quiet then.  `pending`, the candidate advisory being
-    counted, means something only while `pending_count` > 0.
-
-    One state serves one run, so one scene and one config: `tick` keeps
-    what it sensed at each position in `memo`, keyed by x, for the
-    `memo_scene` and `memo_config` it was sensed with, and starts a new
-    memo when called with another scene or config object.
+    the chest was quiet then.  `candidate` is the previous tick's fused
+    candidate advisory (None before the first tick), and `run` counts the
+    ticks in a row it has been the candidate.
     """
 
-    __slots__ = ("last_active_distance", "armed_distance", "inferred", "advisory", "pending",
-                 "pending_count", "memo", "memo_scene", "memo_config")
+    __slots__ = ("last_active_distance", "armed_distance", "inferred", "advisory", "candidate",
+                 "run")
 
     def __init__(self):
-        self.last_active_distance = self.armed_distance = self.inferred = None
-        self.advisory, self.pending, self.pending_count = Advisory.MOVE_FORWARD, None, 0
-        self.memo, self.memo_scene, self.memo_config = {}, None, None
+        self.last_active_distance = self.armed_distance = self.inferred = self.candidate = None
+        self.advisory, self.run = Advisory.MOVE_FORWARD, 0
 
 
 def disambiguate(
@@ -233,26 +229,26 @@ def fuse(frame: BuzzerFrame, flags: TickFlags) -> Advisory:
 
 
 def _debounced_advisory(state: TickState, candidate: Advisory, debounce_ticks: int) -> Advisory:
-    """Count a candidate other than the advisory; commit it at `debounce_ticks`."""
-    if candidate == state.advisory:
-        state.pending_count = 0
-    elif candidate == state.pending:
-        state.pending_count += 1
+    """The advisory becomes the candidate once it has been the candidate on
+    `debounce_ticks` ticks in a row."""
+    if candidate == state.candidate:
+        state.run += 1
     else:
-        state.pending, state.pending_count = candidate, 1
-    if state.pending_count >= debounce_ticks:
-        state.advisory, state.pending_count = candidate, 0
+        state.candidate, state.run = candidate, 1
+    if state.run >= debounce_ticks:
+        state.advisory = candidate
     return state.advisory
 
 
-def _sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
+def sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
     """The stateless half of a tick: what the sensors tell at position x.
 
     Returns (d_chest, d_knee, d_toe, d_down, frame, stair, downstep), a
     pure function of its arguments: scenes and configs are immutable, and
     `_frame` and `detect_upstairs` return shared objects.  The terrain
-    under x is looked up once and handed to each cast; the cone kernel
-    raises for a mount below it.
+    under x is looked up once; the mounts are cast in firing order (chest,
+    knee, toe, arch), the first one below ground raising the GeometryError
+    `cone_min_distance` would, so each reading equals `measure`'s.
     """
     c_cal, c_actual = config.sound_speeds
     gain, offset = config.calibration
@@ -272,51 +268,20 @@ def _sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
             is_downstep(depth))
 
 
-def tick(
-    scene: SagittalScene,
-    x: float,
-    speed: float,
-    config: SimConfig,
-    state: TickState,
-    tick_index: int = 0,
-):
-    """Run one sense-classify-fuse cycle.
+def tick(state: TickState, sensed: tuple, x: float, speed: float, debounce_ticks: int,
+         tick_index: int = 0):
+    """The stateful half of a tick: disambiguate, flag, fuse and debounce.
 
-    Sensors fire sequentially (chest, knee, toe, arch) against the same
-    walker position x; the walker then advances by speed (cm/s) *
-    TICK_MS.  The mounts are cast with the cone kernel in firing order
-    (the first one below ground raises the GeometryError
-    `cone_min_distance` would raise for it), so each reading equals
-    `measure(scene, spec, x, ...)` for that sensor.
-
-    Sensing depends on the scene, x and the config alone, so `state`
-    keeps its result per x for this scene and config (`TickState`) and a
-    walk that steps back over its ground casts each position once.  The
-    memo is cleared when it reaches _MEMO_SIZE positions; a position that
-    raises is not kept.  Disambiguation, flags, fusion and the debounce
-    run on every tick.
-    Returns (FrameOutput, next x); `state` is updated in place.
+    `sensed` is what `sense` returned at position x.  The walker then
+    advances by speed (cm/s) * TICK_MS.  Returns (FrameOutput, next x);
+    `state` is updated in place.
     """
-    if scene is not state.memo_scene or config is not state.memo_config:
-        state.memo, state.memo_scene, state.memo_config = {}, scene, config
-    memo = state.memo
-    sensed = memo.get(x)
-    if sensed is None:
-        sensed = _sense(scene, x, config)
-        if len(memo) >= _MEMO_SIZE:
-            memo.clear()
-        memo[x] = sensed
     d_chest, d_knee, d_toe, d_down, frame, stair, downstep = sensed
-
     disambiguate(state, frame.brzC, d_chest, speed)
-
     flags = _flags(stair.upstairs, stair.knee_bit, stair.toe_bit, downstep, state.inferred)
-    advisory = _debounced_advisory(state, fuse(frame, flags), config.debounce_ticks)
-
-    output = FrameOutput(
-        tick_index, tick_index * TICK_MS, x, d_chest, d_knee, d_toe, d_down,
-        frame, advisory, flags,
-    )
+    advisory = _debounced_advisory(state, fuse(frame, flags), debounce_ticks)
+    output = FrameOutput(tick_index, tick_index * TICK_MS, x, d_chest, d_knee, d_toe, d_down,
+                         frame, advisory, flags)
     return output, x + speed * TICK_MS / 1000.0
 
 
@@ -340,18 +305,27 @@ def run_scenario(scene: SagittalScene, trajectory, config: SimConfig = None):
 
     Deterministic: identical inputs produce identical traces.  Returns the
     list of FrameOutput, one per tick.
+
+    The scene and config are fixed for the run, so its memo keeps
+    `sense`'s result per x, cleared at _MEMO_SIZE positions: a walk that
+    steps back over its ground senses each position once.  A position
+    whose sensing raises ends the run.
     """
     config = config if config is not None else SimConfig()
     trajectory = list(trajectory)
     counts = trajectory_ticks(trajectory)
 
-    frames = []
-    state = TickState()
-    x = 0.0
-    index = 0
+    frames, state, memo = [], TickState(), {}
+    debounce_ticks = config.debounce_ticks
+    x, index = 0.0, 0
     for segment, count in zip(trajectory, counts):
         for _ in range(count):
-            frame, x = tick(scene, x, segment.speed, config, state, tick_index=index)
+            sensed = memo.get(x)
+            if sensed is None:
+                if len(memo) >= _MEMO_SIZE:
+                    memo.clear()
+                sensed = memo[x] = sense(scene, x, config)
+            frame, x = tick(state, sensed, x, segment.speed, debounce_ticks, index)
             frames.append(frame)
             index += 1
     return frames

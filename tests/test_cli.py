@@ -24,6 +24,7 @@ from ultranav.pipeline import (
     TickState,
     TrajectorySegment,
     run_scenario,
+    sense,
     tick,
     trajectory_ticks,
 )
@@ -192,7 +193,8 @@ class TestRunCommand:
     def test_t_ms_is_the_whole_tick_times_30(self, index):
         # Past tick 33,333 a float t_ms printed with `:g` took exponent
         # form, and past 333,333 it rounded.
-        row, _ = tick(SagittalScene(), 0.0, 0.0, SimConfig(), TickState(), tick_index=index)
+        sensed = sense(SagittalScene(), 0.0, SimConfig())
+        row, _ = tick(TickState(), sensed, 0.0, 0.0, 2, tick_index=index)
         assert row.t_ms == index * 30
         assert format_row(row).split(",")[:2] == [str(index), str(index * 30)]
 
@@ -321,7 +323,7 @@ class TestInputBounds:
             ),
             pytest.param(
                 "WALK 100 1\nCONFIG temp -inf\n",
-                "line 2: non-finite value in CONFIG",
+                "line 2: temp_actual must be finite, got -inf",
                 id="config-inf",
             ),
             pytest.param(
@@ -368,7 +370,7 @@ class TestInputBounds:
             ),
             pytest.param(
                 "CONFIG debounce_ticks 0\nWALK 100 1\n",
-                "line 1: debounce_ticks must be >= 1",
+                "line 1: debounce_ticks must be an int >= 1, got 0",
                 id="debounce-zero",
             ),
             pytest.param(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from ultranav.geometry import (
     cone_min_distance,
     overlap_distance,
 )
+from ultranav import pipeline
 from ultranav.pipeline import (
     _MEMO_SIZE,
     MAX_TICKS,
@@ -36,6 +38,7 @@ from ultranav.pipeline import (
     _frame,
     fuse,
     run_scenario,
+    sense,
     tick,
     trajectory_ticks,
 )
@@ -62,9 +65,14 @@ def stand(seconds=0.15):
     return [TrajectorySegment(0.0, seconds)]
 
 
+def tick_at(scene, x, config=SimConfig(), speed=0.0, tick_index=0):
+    """One tick at x from a fresh state: `sense`, then `tick` on what it sensed."""
+    return tick(TickState(), sense(scene, x, config), x, speed, config.debounce_ticks, tick_index)
+
+
 class TestTick:
     def test_empty_scene_is_all_quiet(self):
-        frame, _ = tick(SagittalScene(), 0.0, 0.0, SimConfig(), TickState())
+        frame, _ = tick_at(SagittalScene(), 0.0)
         assert frame.frame == BuzzerFrame()
         assert frame.advisory == Advisory.MOVE_FORWARD
         assert not frame.flags.upstairs and not frame.flags.downstep
@@ -92,7 +100,7 @@ class TestTick:
 
     def test_downward_no_echo_reads_as_unbounded_hazard(self):
         scene = SagittalScene((), (GroundSegment(-100, 100, -400.0),))
-        frame, _ = tick(scene, 0.0, 0.0, SimConfig(), TickState())
+        frame, _ = tick_at(scene, 0.0)
         assert frame.readings[SensorName.ARCH] is None
         assert frame.frame.brzP == 3
 
@@ -100,7 +108,7 @@ class TestTick:
     def test_far_start_stands_on_flat_ground(self, x):
         # Terrain outside the authored segments is flat ground without end,
         # however far from the origin the walker stands.
-        frame, _ = tick(SagittalScene(), x, 140.0, SimConfig(), TickState())
+        frame, _ = tick_at(SagittalScene(), x, speed=140.0)
         assert (frame.d_down, frame.frame.brzP, frame.advisory) == (10.0, 0, Advisory.MOVE_FORWARD)
 
 
@@ -149,7 +157,7 @@ class TestLeanTick:
                 reading = measure(scene, spec, x, temp_actual, temp_cal, calib)
             except GeometryError as exc:
                 with pytest.raises(GeometryError) as raised:
-                    tick(scene, x, 0.0, config, TickState())
+                    sense(scene, x, config)
                 assert str(raised.value) == str(exc)
                 return
             # The echo model written out, in the order the trace depends on.
@@ -162,16 +170,16 @@ class TestLeanTick:
                 raw += calib.offset
                 assert reading == min(max(raw, MIN_RANGE_CM), MAX_RANGE_CM)
             expected.append(reading)
-        frame, _ = tick(scene, x, 0.0, config, TickState())
+        frame, _ = tick_at(scene, x, config)
         assert [frame.d_chest, frame.d_knee, frame.d_toe, frame.d_down] == expected
         assert frame.readings == dict(zip(_ORDER, expected))
 
     def test_replace_resolves_its_own_sound_speeds(self):
         scene = SagittalScene((Rect(100, 102, 0, 200),), ())
         base = SimConfig()
-        cold, _ = tick(scene, 0.0, 0.0, base, TickState())
+        cold, _ = tick_at(scene, 0.0, base)
         warm_config = base._replace(temp_actual=40.0)
-        warm, _ = tick(scene, 0.0, 0.0, warm_config, TickState())
+        warm, _ = tick_at(scene, 0.0, warm_config)
         chest = base.sensors[0]
         assert cold.d_chest == measure(scene, chest, 0.0) == 100.0
         assert warm.d_chest == measure(scene, chest, 0.0, temp_actual=40.0) < 100.0
@@ -196,7 +204,7 @@ class TestLeanTick:
         with pytest.raises(GeometryError) as direct:
             cone_min_distance(scene, (0.0, origin_z), aim)
         with pytest.raises(GeometryError) as raised:
-            tick(scene, 0.0, 0.0, SimConfig(sensors=sensors), TickState())
+            sense(scene, 0.0, SimConfig(sensors=sensors))
         assert str(raised.value) == str(direct.value)
 
 
@@ -272,19 +280,28 @@ class TestSensingMemo:
         _check_rows(scene, config, rows)
         check_rows(rows, walk_speeds(walk), config.debounce_ticks)
 
-    def test_one_state_across_scenes_and_configs(self):
-        near = SagittalScene((Rect(100, 102, 0, 200),), ())
-        far = SagittalScene((Rect(150, 152, 0, 200),), ())
-        cool, warm = SimConfig(), SimConfig(temp_actual=40.0)
-        state = TickState()
-        calls = [(near, cool), (far, cool), (far, warm), (near, warm), (near, cool),
-                 (near, SimConfig(temp_actual=40.0))]
-        rows = [tick(scene, 0.0, 0.0, config, state)[0] for scene, config in calls]
-        for (scene, config), row in zip(calls, rows):
-            _check_rows(scene, config, [row])
-        assert len({row.d_chest for row in rows}) == 4
+    @staticmethod
+    def count_sense(monkeypatch):
+        """The x of each `sense` call the run makes, in order."""
+        calls = []
 
-    def test_memo_is_bounded(self):
+        def counting(scene, x, config):
+            calls.append(x)
+            return sense(scene, x, config)
+
+        monkeypatch.setattr(pipeline, "sense", counting)
+        return calls
+
+    def test_back_and_forth_senses_each_position_once(self, monkeypatch):
+        # 3 cm steps, exact in binary: each return lands on the same floats.
+        scene = SagittalScene((Rect(100, 102, 0, 200),), (GroundSegment(30, 50, -5.0),))
+        walk = [TrajectorySegment(100.0, 0.6), TrajectorySegment(-100.0, 0.6)] * 3
+        calls = self.count_sense(monkeypatch)
+        rows = run_scenario(scene, walk, SimConfig())
+        assert len(rows) == 120
+        assert len(calls) == len(set(calls)) == len({row.user_x for row in rows}) == 21
+
+    def test_memo_is_bounded(self, monkeypatch):
         # Out over more distinct positions than the memo holds, then back
         # over positions it still holds and positions it has dropped, past
         # holes and head-height blocks all the way.
@@ -302,13 +319,18 @@ class TestSensingMemo:
         assert len({row.d_chest for row in rows}) > 100
         _check_rows(scene, config, rows)
         check_rows(rows, walk_speeds(walk), config.debounce_ticks)
-        state, x, sizes = TickState(), 0.0, []
+        # Each run senses what a dict cleared at _MEMO_SIZE positions misses.
+        calls = self.count_sense(monkeypatch)
+        assert run_scenario(scene, walk, config) == rows
+        kept, misses = set(), []
         for row in rows:
-            speed = 100.0 if row.tick < _MEMO_SIZE + 100 else -100.0
-            frame, x = tick(scene, x, speed, config, state, row.tick)
-            assert frame == row
-            sizes.append(len(state.memo))
-        assert max(sizes) == _MEMO_SIZE
+            if row.user_x not in kept:
+                if len(kept) >= _MEMO_SIZE:
+                    kept.clear()
+                kept.add(row.user_x)
+                misses.append(row.user_x)
+        assert calls == misses
+        assert len(misses) > len({row.user_x for row in rows})
 
 
 class TestSharedRows:
@@ -342,7 +364,7 @@ class TestSharedRows:
         assert _frame.cache_info().currsize == size
 
     def test_rows_are_immutable(self):
-        row, _ = tick(SagittalScene(), 0.0, 0.0, SimConfig(), TickState())
+        row, _ = tick_at(SagittalScene(), 0.0)
         with pytest.raises(AttributeError):
             row.advisory = Advisory.STOP_IMMEDIATELY
         with pytest.raises(AttributeError):
@@ -354,7 +376,7 @@ class TestSharedRows:
 
     def test_fields_and_readings(self):
         scene = SagittalScene((Rect(100, 102, 0, 200),), (GroundSegment(-10, 10, -25.0),))
-        row, _ = tick(scene, 0.0, 0.0, SimConfig(), TickState(), tick_index=3)
+        row, _ = tick_at(scene, 0.0, tick_index=3)
         assert row._fields == (
             "tick", "t_ms", "user_x", "d_chest", "d_knee", "d_toe", "d_down",
             "frame", "advisory", "flags",
@@ -508,6 +530,16 @@ class TestConfigValidation:
         assert all(f.frame.brzC == 1 for f in frames)
         assert all(f.advisory == Advisory.MOVE_FORWARD for f in frames)
 
+    @pytest.mark.parametrize(
+        "value,shown",
+        [(1.5, "1.5"), (2.0, "2.0"), (True, "True"), (False, "False"), ("2", "'2'"),
+         pytest.param(-10**5000, "an int below -10**99", id="-10**5000")],
+    )
+    def test_debounce_ticks_is_an_int_of_at_least_one(self, value, shown):
+        message = f"debounce_ticks must be an int >= 1, got {shown}"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            SimConfig(debounce_ticks=value)
+
     def test_speed_sanity_bound(self):
         for speed in (600.0, -501.0):
             with pytest.raises(PipelineError):
@@ -542,12 +574,13 @@ class TestConfigValidation:
         [
             *(
                 pytest.param(name, value, "must be finite", id=f"{name}-{value}")
-                for name, value in (
-                    ("temp_actual", math.inf),
-                    ("temp_cal", math.inf),
-                    ("debounce_ticks", math.nan),
-                    ("debounce_ticks", math.inf),
-                )
+                for name, value in (("temp_actual", math.inf), ("temp_cal", math.inf))
+            ),
+            # A count is an int, so a non-finite float fails as a non-int.
+            *(
+                pytest.param("debounce_ticks", value, f"must be an int >= 1, got {value}",
+                             id=f"debounce_ticks-{value}")
+                for value in (math.nan, math.inf)
             ),
             # An int past the float range in a setting read as a float.
             *(

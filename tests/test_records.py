@@ -31,7 +31,7 @@ RECORDS = pytest.mark.parametrize(
             "|speed| must be <= 500.0 cm/s", id="TrajectorySegment",
         ),
         pytest.param(
-            SimConfig(), {"debounce_ticks": 0}, PipelineError, "debounce_ticks must be >= 1",
+            SimConfig(), {"debounce_ticks": 0}, PipelineError, "debounce_ticks must be an int >= 1, got 0",
             id="SimConfig",
         ),
         pytest.param(

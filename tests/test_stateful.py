@@ -1,8 +1,8 @@
 """The stateful columns, `inferred` and `advisory`, against the reference in oracles.py.
 
-`tick`'s stateful half runs on each tick's sensed tuple.  The sequence
-tests hand `tick` generated tuples through a pre-filled sensing memo, so
-they cast no cone and run thousands of ticks cheaply.
+`tick` is a tick's stateful half and runs on the tuple `sense` gives.
+The sequence tests hand `tick` generated tuples directly, so they cast no
+cone and run thousands of ticks cheaply.
 """
 
 from pathlib import Path
@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ultranav.classify import BuzzerFrame, StairCheck, classify_chest
 from ultranav.cli import format_trace, parse_scenario
-from ultranav.geometry import SagittalScene
-from ultranav.pipeline import SimConfig, TickState, run_scenario, tick, trajectory_ticks
+from ultranav.pipeline import TickState, run_scenario, tick, trajectory_ticks
 
 from oracles import debounce_trace_problems, reference_candidate, reference_stateful
 
@@ -44,12 +43,11 @@ def check_rows(rows, speeds, debounce_ticks):
 
 
 def drive(sensed, speeds, debounce_ticks):
-    """Rows of `tick` fed the given sensed tuples, one position each, through the memo."""
-    scene, config, state = SagittalScene(), SimConfig(debounce_ticks=debounce_ticks), TickState()
-    state.memo_scene, state.memo_config = scene, config
-    state.memo = {float(i): s for i, s in enumerate(sensed)}
+    """Rows of `tick` fed the given sensed tuples, one position each."""
+    state = TickState()
     return [
-        tick(scene, float(i), speed, config, state, i)[0] for i, speed in enumerate(speeds)
+        tick(state, s, float(i), speed, debounce_ticks, i)[0]
+        for i, (s, speed) in enumerate(zip(sensed, speeds, strict=True))
     ]
 
 
