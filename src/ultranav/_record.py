@@ -23,6 +23,11 @@ class Record:
         raise AttributeError(f"cannot assign to {name!r}")
 
 
+def as_record(cls, value):
+    """`value` if it is already a `cls`, else `cls(*value)`, which runs its checks."""
+    return value if isinstance(value, cls) else cls(*value)
+
+
 def check_finite(error, name: str, value) -> None:
     """Raise `error` unless `value` is finite; an int past the float range is not."""
     try:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from functools import cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ._record import Record
 
@@ -59,9 +58,6 @@ class BuzzerFrame(Record, namedtuple("BuzzerFrame", "brzC brzK brzT brzP")):
                 raise ValueError(f"{label} out of range: {level}")
         return super().__new__(cls, brzC, brzK, brzT, brzP)
 
-    def any_active(self) -> bool:
-        return bool(self.brzC or self.brzK or self.brzT or self.brzP)
-
 
 def classify_chest(r: Reading) -> int:
     """Chest channel level: bands 150/87/60/40 cm, innermost loudest."""
@@ -98,31 +94,19 @@ def classify_toe(r: Reading) -> int:
     return 3
 
 
-class StairCheck(NamedTuple):
-    """Outcome of the knee/toe coordination check."""
-
-    upstairs: bool
-    knee_bit: int
-    toe_bit: int
-
-
-# At most 8 distinct outcomes, each built once per process; its one call
-# site passes (bool, int, int), so keys of different types never meet.
-_stair_check = cache(StairCheck)
-
-
-def detect_upstairs(knee: Reading, toe: Reading) -> StairCheck:
+def detect_upstairs(knee: Reading, toe: Reading) -> tuple:
     """Up-staircase truth table on gated knee (<=40 cm) and toe (<=20 cm) echoes.
 
-    Both echoes present with a knee-toe difference strictly inside
-    (24, 26) cm reads as a stair step; a lone gated echo flags a knee-only
-    or toe-only obstacle.  Both echoes outside the window are two
-    independent obstacles, not stairs.
+    Returns (upstairs, knee_bit, toe_bit) as (bool, int, int).  Both
+    echoes present with a knee-toe difference strictly inside (24, 26) cm
+    reads as a stair step; a lone gated echo flags a knee-only or toe-only
+    obstacle.  Both echoes outside the window are two independent
+    obstacles, not stairs.
     """
     k = knee if (knee is not None and knee <= 40.0) else None
     t = toe if (toe is not None and toe <= 20.0) else None
     upstairs = k is not None and t is not None and 24.0 < (k - t) < 26.0
-    return _stair_check(upstairs, int(k is not None), int(t is not None))
+    return upstairs, int(k is not None), int(t is not None)
 
 
 def classify_depth(depth: float) -> int:

@@ -241,13 +241,10 @@ def verify_tables(out=None) -> bool:
     ok &= _sweep("toe", TOE_BANDS, classify_toe, out)
     ok &= _sweep("depth", DEPTH_BANDS, classify_depth, out, lo=0.0, hi=60.0, no_echo=False)
     stairs_ok = True
-    for (knee, toe), (upstairs, kbit, tbit) in STAIR_TRUTH_TABLE:
+    for (knee, toe), expected in STAIR_TRUTH_TABLE:
         got = detect_upstairs(knee, toe)
-        if (got.upstairs, got.knee_bit, got.toe_bit) != (upstairs, kbit, tbit):
-            out.write(
-                f"stairs: MISMATCH for knee={knee} toe={toe}: "
-                f"got {(got.upstairs, got.knee_bit, got.toe_bit)}\n"
-            )
+        if got != expected:
+            out.write(f"stairs: MISMATCH for knee={knee} toe={toe}: got {got}\n")
             stairs_ok = False
     out.write(f"stairs: {'OK' if stairs_ok else 'FAILED'}\n")
     ok &= stairs_ok

@@ -39,7 +39,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from ._record import Record
+from ._record import Record, as_record
 
 # Faces thinner than this (forward extent, cm) return no usable echo.
 MIN_OBSTACLE_THICKNESS_CM = 0.3
@@ -123,12 +123,15 @@ def ground_overlap(ground) -> Optional[int]:
 class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
     """Immutable obstacle + terrain description of the vertical slice.
 
-    Declares no `__slots__`: the face indexes below are cached in the
-    instance dict.
+    A member that is not a Rect or GroundSegment is built as one, so its
+    checks run.  Declares no `__slots__`: the face indexes below are
+    cached in the instance dict.
     """
 
     def __new__(cls, obstacles: tuple = (), ground: tuple = ()):
-        self = super().__new__(cls, tuple(obstacles), tuple(ground))
+        obstacles = tuple(as_record(Rect, o) for o in obstacles)
+        ground = tuple(as_record(GroundSegment, g) for g in ground)
+        self = super().__new__(cls, obstacles, ground)
         self.ground_profile  # validate terrain eagerly
         return self
 
@@ -309,18 +312,14 @@ def _cone(
     return best
 
 
-def overlap_distance(
-    h_upper: float, h_lower: float, divergence: float = 2 * BEAM_HALF_ANGLE_DEG
-) -> float:
+def overlap_distance(h_upper: float, h_lower: float) -> float:
     """Forward distance (cm) at which two stacked cones first intersect.
 
     Two sensors mounted at heights h_upper and h_lower, both aimed forward
-    with full opening angle `divergence` (degrees): the lower edge of the
-    upper cone meets the upper edge of the lower cone at
-    (h_upper - h_lower) / (2 tan(divergence / 2)).
+    with the modules' fixed beam: the lower edge of the upper cone meets
+    the upper edge of the lower cone at (h_upper - h_lower) / (2 tan h),
+    h = BEAM_HALF_ANGLE_DEG.
     """
-    if not 0.0 < divergence < 180.0:
-        raise GeometryError(f"divergence must be in (0, 180), got {divergence}")
     if h_upper < h_lower:
         raise GeometryError("h_upper must be >= h_lower")
-    return (h_upper - h_lower) / (2.0 * math.tan(math.radians(divergence) / 2.0))
+    return (h_upper - h_lower) / (2.0 * _TAN_BEAM)

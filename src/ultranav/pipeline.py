@@ -7,7 +7,7 @@ from collections import namedtuple
 from functools import cache, cached_property
 from typing import NamedTuple, Optional
 
-from ._record import Record, check_finite
+from ._record import Record, as_record, check_finite
 from .classify import (
     Advisory,
     BuzzerFrame,
@@ -27,6 +27,7 @@ from .sensing import (
     Calibration,
     IDENTITY_CALIBRATION,
     SensorName,
+    SensorSpec,
     default_sensors,
     echo_reading,
     sound_speed,
@@ -94,6 +95,7 @@ class SimConfig(
     """Everything the tick loop needs besides the scene and trajectory.
 
     `sensors` is stored in SENSOR_ORDER, whatever order it is given in.
+    A sensor or calibration that is not its record is built as one.
     The tick period (TICK_MS) and the start at x = 0 are fixed, and the
     readings carry no noise.  Declares no `__slots__`: the sound speeds
     and the mounts are resolved on first use and cached in the instance
@@ -107,9 +109,11 @@ class SimConfig(
         check_setting("temp_actual", temp_actual)
         check_setting("temp_cal", temp_cal)
         check_setting("debounce_ticks", debounce_ticks)
-        sensors = tuple(sorted(sensors, key=lambda s: SENSOR_ORDER.index(s.name)))
+        sensors = tuple(sorted((as_record(SensorSpec, s) for s in sensors),
+                               key=lambda s: SENSOR_ORDER.index(s.name)))
         if tuple(s.name for s in sensors) != SENSOR_ORDER:
             raise PipelineError("config needs exactly one sensor per name")
+        calibration = as_record(Calibration, calibration)
         return super().__new__(cls, sensors, temp_actual, temp_cal, calibration, debounce_ticks)
 
     @cached_property
@@ -210,7 +214,8 @@ def disambiguate(
 
 
 def fuse(frame: BuzzerFrame, flags: TickFlags) -> Advisory:
-    """Single verdict for the tick, most urgent finding first."""
+    """Single verdict for the tick, most urgent finding first; `frame` is
+    four int levels, so `any(frame)` tells whether any channel is active."""
     if frame.brzP == 3:
         return Advisory.STOP_IMMEDIATELY
     if frame.brzP == 2:
@@ -223,7 +228,7 @@ def fuse(frame: BuzzerFrame, flags: TickFlags) -> Advisory:
         return Advisory.KNEE_OBSTACLE_AHEAD
     if flags.toe_bit:
         return Advisory.TOE_OBSTACLE_AHEAD
-    if frame.any_active() or flags.downstep:
+    if any(frame) or flags.downstep:
         return Advisory.MOVE_FORWARD_CAUTION
     return Advisory.MOVE_FORWARD
 
@@ -243,9 +248,10 @@ def _debounced_advisory(state: TickState, candidate: Advisory, debounce_ticks: i
 def sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
     """The stateless half of a tick: what the sensors tell at position x.
 
-    Returns (d_chest, d_knee, d_toe, d_down, frame, stair, downstep), a
-    pure function of its arguments: scenes and configs are immutable, and
-    `_frame` and `detect_upstairs` return shared objects.  The terrain
+    Returns (d_chest, d_knee, d_toe, d_down, frame, flags), a pure
+    function of its arguments: scenes and configs are immutable, and
+    `frame` and `flags` (nothing inferred) are shared `_frame` and
+    `_flags` objects.  The terrain
     under x is looked up once; the mounts are cast in firing order (chest,
     knee, toe, arch), the first one below ground raising the GeometryError
     `cone_min_distance` would, so each reading equals `measure`'s.
@@ -264,21 +270,23 @@ def sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
     depth = math.inf if d_down is None else d_down - config.sensors[3].mount_height
     frame = _frame(classify_chest(d_chest), classify_knee(d_knee), classify_toe(d_toe),
                    classify_depth(depth))
-    return (d_chest, d_knee, d_toe, d_down, frame, detect_upstairs(d_knee, d_toe),
-            is_downstep(depth))
+    flags = _flags(*detect_upstairs(d_knee, d_toe), is_downstep(depth), None)
+    return d_chest, d_knee, d_toe, d_down, frame, flags
 
 
 def tick(state: TickState, sensed: tuple, x: float, speed: float, debounce_ticks: int,
          tick_index: int = 0):
     """The stateful half of a tick: disambiguate, flag, fuse and debounce.
 
-    `sensed` is what `sense` returned at position x.  The walker then
+    `sensed` is what `sense` returned at position x; its `flags` go on
+    the row unless an upper obstacle is inferred.  The walker then
     advances by speed (cm/s) * TICK_MS.  Returns (FrameOutput, next x);
     `state` is updated in place.
     """
-    d_chest, d_knee, d_toe, d_down, frame, stair, downstep = sensed
+    d_chest, d_knee, d_toe, d_down, frame, flags = sensed
     disambiguate(state, frame.brzC, d_chest, speed)
-    flags = _flags(stair.upstairs, stair.knee_bit, stair.toe_bit, downstep, state.inferred)
+    if state.inferred is not None:
+        flags = _flags(*flags[:4], state.inferred)
     advisory = _debounced_advisory(state, fuse(frame, flags), debounce_ticks)
     output = FrameOutput(tick_index, tick_index * TICK_MS, x, d_chest, d_knee, d_toe, d_down,
                          frame, advisory, flags)
@@ -304,15 +312,17 @@ def run_scenario(scene: SagittalScene, trajectory, config: SimConfig = None):
     """Run the tick loop over a piecewise-constant speed schedule from x = 0.
 
     Deterministic: identical inputs produce identical traces.  Returns the
-    list of FrameOutput, one per tick.
+    list of FrameOutput, one per tick.  A scene, config or segment that
+    is not its record is built as one.
 
     The scene and config are fixed for the run, so its memo keeps
     `sense`'s result per x, cleared at _MEMO_SIZE positions: a walk that
     steps back over its ground senses each position once.  A position
     whose sensing raises ends the run.
     """
-    config = config if config is not None else SimConfig()
-    trajectory = list(trajectory)
+    scene = as_record(SagittalScene, scene)
+    config = as_record(SimConfig, config) if config is not None else SimConfig()
+    trajectory = [as_record(TrajectorySegment, s) for s in trajectory]
     counts = trajectory_ticks(trajectory)
 
     frames, state, memo = [], TickState(), {}

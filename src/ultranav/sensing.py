@@ -72,6 +72,8 @@ class SensorSpec(Record, namedtuple("SensorSpec", "name mount_height sarl")):
     __slots__ = ()
 
     def __new__(cls, name: SensorName, mount_height: float, sarl: float):
+        if not isinstance(name, SensorName):
+            raise SensingError(f"sensor name must be a SensorName, got {name!r}")
         if not mount_height > 0.0:
             raise SensingError(f"{name.value}: mount_height must be > 0, got {mount_height}")
         check_finite(SensingError, f"{name.value}: mount_height", mount_height)

@@ -38,8 +38,8 @@ def report(ok: bool, label: str):
 
 
 def test_criterion_1_overlap_reproduction():
-    chest_knee = overlap_distance(150.0, 50.0, 30.0)
-    knee_toe = overlap_distance(50.0, 5.0, 30.0)
+    chest_knee = overlap_distance(150.0, 50.0)
+    knee_toe = overlap_distance(50.0, 5.0)
     ok = abs(chest_knee - 186.6) <= 0.1 and abs(knee_toe - 84.0) <= 0.1
     report(ok, f"criterion 1: cone overlaps {chest_knee:.1f} / {knee_toe:.1f} cm")
 

@@ -5,7 +5,6 @@ import pytest
 from ultranav.classify import (
     Advisory,
     BuzzerFrame,
-    StairCheck,
     UpperLevel,
     classify_chest,
     classify_depth,
@@ -15,7 +14,7 @@ from ultranav.classify import (
     infer_upper_level,
     is_downstep,
 )
-from ultranav.cli import CHEST_BANDS
+from ultranav.cli import CHEST_BANDS, STAIR_TRUTH_TABLE
 from ultranav.pipeline import TickFlags, fuse
 
 
@@ -71,45 +70,43 @@ class TestBandStructure:
 
 class TestUpstairs:
     def test_window_hit(self):
-        r = detect_upstairs(40.0, 15.0)  # difference 25
-        assert r.upstairs and r.knee_bit == 1 and r.toe_bit == 1
+        upstairs, knee_bit, toe_bit = detect_upstairs(40.0, 15.0)  # difference 25
+        assert upstairs and knee_bit == 1 and toe_bit == 1
 
     def test_knee_only(self):
-        r = detect_upstairs(35.0, None)
-        assert (r.upstairs, r.knee_bit, r.toe_bit) == (False, 1, 0)
+        assert detect_upstairs(35.0, None) == (False, 1, 0)
 
     def test_toe_only(self):
-        r = detect_upstairs(None, 15.0)
-        assert (r.upstairs, r.knee_bit, r.toe_bit) == (False, 0, 1)
+        assert detect_upstairs(None, 15.0) == (False, 0, 1)
 
     def test_difference_outside_window(self):
-        r = detect_upstairs(35.0, 15.0)  # difference 20
-        assert (r.upstairs, r.knee_bit, r.toe_bit) == (False, 1, 1)
+        assert detect_upstairs(35.0, 15.0) == (False, 1, 1)  # difference 20
 
     @pytest.mark.parametrize("diff", [24.0, 26.0])
     def test_window_endpoints_are_exclusive(self, diff):
-        assert not detect_upstairs(15.0 + diff, 15.0).upstairs
+        upstairs, _, _ = detect_upstairs(15.0 + diff, 15.0)
+        assert not upstairs
 
     def test_gating_boundaries(self):
         # Echoes beyond the knee 40 / toe 20 gates never count.
-        assert detect_upstairs(40.5, 15.0).knee_bit == 0
-        assert detect_upstairs(40.0, 20.5).toe_bit == 0
-        assert detect_upstairs(45.0, 20.0).knee_bit == 0
+        for knee, toe, gated in [(40.5, 15.0, (0, 1)), (40.0, 20.5, (1, 0)), (45.0, 20.0, (0, 1))]:
+            upstairs, knee_bit, toe_bit = detect_upstairs(knee, toe)
+            assert not upstairs and (knee_bit, toe_bit) == gated
 
-    def test_equal_outcomes_share_one_object(self):
-        stair = detect_upstairs(40.0, 15.0)
-        assert detect_upstairs(39.5, 14.0) is stair
-        assert stair == StairCheck(upstairs=True, knee_bit=1, toe_bit=1)
-        for r in (stair, detect_upstairs(None, None), detect_upstairs(35.0, None)):
-            assert type(r.upstairs) is bool
-            assert type(r.knee_bit) is int and type(r.toe_bit) is int
+    def test_truth_table_rows_keep_their_types(self):
+        # `sense` builds its shared flags from this triple, and cache keys
+        # that compare equal share an entry (True == 1).
+        for (knee, toe), expected in STAIR_TRUTH_TABLE:
+            got = detect_upstairs(knee, toe)
+            assert got == expected
+            assert tuple(map(type, got)) == (bool, int, int)
 
     def test_zeroing_an_input_zeroes_its_bit(self):
         for knee, toe in [(40.0, 15.0), (35.0, 12.0)]:
-            r1 = detect_upstairs(None, toe)
-            r2 = detect_upstairs(knee, None)
-            assert r1.knee_bit == 0 and not r1.upstairs
-            assert r2.toe_bit == 0 and not r2.upstairs
+            up1, knee_bit, _ = detect_upstairs(None, toe)
+            up2, _, toe_bit = detect_upstairs(knee, None)
+            assert knee_bit == 0 and not up1
+            assert toe_bit == 0 and not up2
 
 
 class TestDepth:
@@ -188,7 +185,3 @@ class TestBuzzerFrame:
             BuzzerFrame(brzK=4)
         with pytest.raises(ValueError):
             BuzzerFrame(brzP=-1)
-
-    def test_any_active(self):
-        assert not BuzzerFrame().any_active()
-        assert BuzzerFrame(brzT=1).any_active()

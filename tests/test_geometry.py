@@ -30,36 +30,23 @@ DEG = math.radians
 class TestOverlapDistance:
     def test_chest_knee_overlap(self):
         # 100 cm height gap, 30 degree divergence -> 186.6 cm (tables round to 187)
-        assert overlap_distance(150.0, 50.0, 30.0) == pytest.approx(186.6025, abs=1e-3)
+        assert overlap_distance(150.0, 50.0) == pytest.approx(186.6025, abs=1e-3)
 
     def test_knee_toe_overlap(self):
-        assert overlap_distance(50.0, 5.0, 30.0) == pytest.approx(83.9711, abs=1e-3)
+        assert overlap_distance(50.0, 5.0) == pytest.approx(83.9711, abs=1e-3)
 
     def test_coincident_sensors(self):
-        assert overlap_distance(80.0, 80.0, 30.0) == 0.0
-
-    @pytest.mark.parametrize("divergence", [0.0, -10.0, 180.0, 360.0])
-    def test_divergence_domain(self, divergence):
-        with pytest.raises(GeometryError):
-            overlap_distance(150.0, 50.0, divergence)
+        assert overlap_distance(80.0, 80.0) == 0.0
 
     def test_inverted_heights(self):
         with pytest.raises(GeometryError):
-            overlap_distance(50.0, 150.0, 30.0)
+            overlap_distance(50.0, 150.0)
 
-    @given(
-        gap=st.floats(0.0, 300.0),
-        base=st.floats(0.0, 200.0),
-        divergence=st.floats(1.0, 179.0),
-    )
-    def test_linear_in_height_gap(self, gap, base, divergence):
-        direct = overlap_distance(base + gap, base, divergence)
-        unit = overlap_distance(1.0, 0.0, divergence)
+    @given(gap=st.floats(0.0, 300.0), base=st.floats(0.0, 200.0))
+    def test_linear_in_height_gap(self, gap, base):
+        direct = overlap_distance(base + gap, base)
+        unit = overlap_distance(1.0, 0.0)
         assert direct == pytest.approx(gap * unit, rel=1e-9, abs=1e-9)
-
-    def test_strictly_decreasing_in_divergence(self):
-        values = [overlap_distance(150.0, 50.0, d) for d in range(10, 171, 10)]
-        assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestRaycast:

@@ -354,6 +354,22 @@ class TestSharedRows:
             assert type(f.flags.upstairs) is bool and type(f.flags.downstep) is bool
             assert type(f.flags.knee_bit) is int and type(f.flags.toe_bit) is int
 
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.stem)
+    def test_rows_carry_the_flags_sense_built(self, path):
+        # A row with nothing inferred carries the very flags object `sense`
+        # returned at its x; an inferred row keeps its first four fields.
+        scene, walk, config = parse_scenario(path.read_text())
+        rows = run_scenario(scene, walk, config)
+        inferred = [row for row in rows if row.flags.inferred is not None]
+        assert bool(inferred) == (path.stem == "waist_probe")
+        for row in rows:
+            flags = sense(scene, row.user_x, config)[5]
+            assert flags.inferred is None
+            if row.flags.inferred is None:
+                assert row.flags is flags
+            else:
+                assert row.flags[:4] == flags[:4]
+
     def test_out_of_range_level_raises_on_every_call(self):
         size = _frame.cache_info().currsize
         for _ in range(3):
@@ -407,6 +423,13 @@ class TestFuse:
         assert fuse(BuzzerFrame(brzC=1), quiet) == Advisory.MOVE_FORWARD_CAUTION
         assert fuse(BuzzerFrame(), quiet._replace(downstep=True)) == Advisory.MOVE_FORWARD_CAUTION
         assert fuse(BuzzerFrame(), quiet) == Advisory.MOVE_FORWARD
+
+    def test_any_active_level_cautions(self):
+        # A lone active level, on any channel, with no flag set.
+        assert fuse(BuzzerFrame(), TickFlags()) == Advisory.MOVE_FORWARD
+        for channel in BuzzerFrame._fields:
+            frame = BuzzerFrame(**{channel: 1})
+            assert fuse(frame, TickFlags()) == Advisory.MOVE_FORWARD_CAUTION
 
     def test_knee_beats_toe_when_both_flagged(self):
         flags = TickFlags(knee_bit=1, toe_bit=1, upstairs=False)
@@ -476,7 +499,7 @@ class TestScenarioRun:
     def test_chest_never_sees_below_knee_coverage_inside_band(self):
         # Objects entirely below the knee cone cannot trip the chest channel
         # within its 150 cm band: the cones only overlap past 186 cm.
-        assert overlap_distance(150.0, 50.0, 30.0) > 150.0
+        assert overlap_distance(150.0, 50.0) > 150.0
         low = SagittalScene((Rect(60, 70, 0, 45),), ())
         frames = run_scenario(low, stand(), SimConfig())
         assert all(f.frame.brzC == 0 for f in frames)

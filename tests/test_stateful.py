@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultranav.classify import BuzzerFrame, StairCheck, classify_chest
+from ultranav.classify import BuzzerFrame, classify_chest
 from ultranav.cli import format_trace, parse_scenario
-from ultranav.pipeline import TickState, run_scenario, tick, trajectory_ticks
+from ultranav.pipeline import TickFlags, TickState, run_scenario, tick, trajectory_ticks
 
 from oracles import debounce_trace_problems, reference_candidate, reference_stateful
 
@@ -53,12 +53,11 @@ def drive(sensed, speeds, debounce_ticks):
 
 _CHEST = (None, None, None, 3.0, 40.0, 40.5, 59.9, 60.0, 60.1, 86.9, 87.0, 87.1, 120.0, 150.0,
           150.1, 250.0)
-# Stair outcomes with knee and toe readings that give them, so a trace
-# of the rows passes the trace-level check.
+# Stair outcomes (upstairs, knee bit, toe bit) with knee and toe readings
+# that give them, so a trace of the rows passes the trace-level check.
 _STAIRS = (
-    (StairCheck(False, 0, 0), None, 25.0), (StairCheck(False, 1, 0), 35.0, None),
-    (StairCheck(False, 0, 1), 45.0, 15.0), (StairCheck(False, 1, 1), 35.0, 15.0),
-    (StairCheck(True, 1, 1), 40.0, 15.0),
+    ((False, 0, 0), None, 25.0), ((False, 1, 0), 35.0, None), ((False, 0, 1), 45.0, 15.0),
+    ((False, 1, 1), 35.0, 15.0), ((True, 1, 1), 40.0, 15.0),
 )
 _SPEEDS = (-50.0, 0.0, 100.0, 140.0)
 
@@ -78,9 +77,10 @@ def random_ticks(rng):
         for chest, speed in steps:
             frame = BuzzerFrame(classify_chest(chest), rng.choice((0, 0, 0, 1, 2, 3)),
                                 rng.choice((0, 0, 0, 1, 2, 3)), rng.choice((0, 0, 0, 0, 0, 1, 2, 3)))
-            stair, knee, toe = rng.choice(_STAIRS)
+            (up, kb, tb), knee, toe = rng.choice(_STAIRS)
+            flags = TickFlags(up, kb, tb, rng.random() < 0.3)
             repeat = rng.randint(1, 5)
-            sensed += [(chest, knee, toe, 10.0, frame, stair, rng.random() < 0.3)] * repeat
+            sensed += [(chest, knee, toe, 10.0, frame, flags)] * repeat
             speeds += [speed] * repeat
     return sensed, speeds
 
@@ -91,7 +91,7 @@ class TestReference:
     def run_both(self, ticks, debounce_ticks=1):
         expected = reference_stateful(ticks, debounce_ticks)
         sensed = [
-            (chest, None, None, None, BuzzerFrame(*levels), StairCheck(up, kb, tb), down)
+            (chest, None, None, None, BuzzerFrame(*levels), TickFlags(up, kb, tb, down))
             for levels, up, kb, tb, down, chest, _ in ticks
         ]
         rows = drive(sensed, [t[-1] for t in ticks], debounce_ticks)
