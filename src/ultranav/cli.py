@@ -319,7 +319,8 @@ def cmd_run(scenario, calib, out) -> int:
     """Run a scenario file and write its trace to `out` or stdout; the exit code.
 
     The output file is opened only after the run succeeds, so a rejected
-    scenario leaves an existing one untouched.
+    scenario leaves an existing one untouched.  A failed write raises
+    OSError, which `main` reports.
     """
     try:
         with open(scenario, "r", encoding="utf-8") as fh:
@@ -330,27 +331,32 @@ def cmd_run(scenario, calib, out) -> int:
     trace = format_trace(frames)
     if out is None:
         sys.stdout.write(trace)
-        return 0
-    try:
+    else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(trace)
-    except OSError as exc:
-        return _error(exc)
     return 0
 
 
 def main(argv=None) -> int:
-    """The CLI's exit code for argv (default sys.argv[1:]); raises nothing for bad argv."""
+    """The CLI's exit code for argv (default sys.argv[1:]); raises nothing for
+    bad argv or a failed write, to stdout or `--out`."""
     try:
         command, scenario, calib, out = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
         return _error(exc)
-    if command == "run":
-        return cmd_run(scenario, calib, out)
-    if command == "verify-tables":
-        return 0 if verify_tables(sys.stdout) else 1
-    sys.stdout.write(USAGE)
-    return 0
+    try:
+        if command == "run":
+            code = cmd_run(scenario, calib, out)
+        elif command == "verify-tables":
+            code = 0 if verify_tables(sys.stdout) else 1
+        else:
+            sys.stdout.write(USAGE)
+            code = 0
+        # Flush here, or a write that fails only at exit escapes this handler.
+        sys.stdout.flush()
+    except OSError as exc:
+        return _error(exc)
+    return code
 
 
 if __name__ == "__main__":

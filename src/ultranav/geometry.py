@@ -17,17 +17,17 @@ Obstacles thinner than MIN_OBSTACLE_THICKNESS_CM along x have no faces.
 Every cone is the modules' one fixed beam, BEAM_HALF_ANGLE_DEG either
 side of its aim.
 
-Each scene keeps two lazy indexes of its faces, built on the first cone
-that needs them.  A forward cone scans the vertical faces in order of x
-from the origin outward and stops at the first face whose depth already
-reaches the best echo found, since no face can echo nearer than its own
-depth.  A downward cone starts from the echo of the terrain face under
-the walker, which is always in reach straight down.  Any face that can
-beat that echo lies less deep, so its span meets the cone's window at
-the seed depth: the horizontal faces are sorted by their left end, the
-scan starts at the last face that begins left of the window's right
-edge, and walks left until the running maximum of the right ends falls
-short of the window's left edge.
+Each scene keeps two lazy face indexes, each building its own faces on
+the first cone that needs it.  A forward cone scans the vertical faces
+in order of x from the origin outward and stops at the first face whose
+depth already reaches the best echo found, since no face can echo nearer
+than its own depth.  A downward cone starts from the echo of the terrain
+face under the walker, which is always in reach straight down.  Any face
+that can beat that echo lies less deep, so its span meets the cone's
+window at the seed depth: the horizontal faces are sorted by their left
+end, the scan starts at the last face that begins left of the window's
+right edge, and walks left until the running maximum of the right ends
+falls short of the window's left edge.
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
         )
 
     @cached_property
-    def vertical_faces(self) -> tuple:
-        """Faces visible to forward beams: (x, z_lo, z_hi) triples."""
+    def _forward_index(self) -> tuple:
+        """Faces visible to forward beams, (x, z_lo, z_hi) sorted by x, and their x keys."""
         faces = []
         for x0, x1, z0, z1 in self._echoing_obstacles:
             faces.append((x0, z0, z1))
@@ -191,29 +191,20 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
         for (_, x, dz_left), (_, _, dz_right) in zip(profile, profile[1:]):
             if dz_left != dz_right:
                 faces.append((x, min(dz_left, dz_right), max(dz_left, dz_right)))
-        return tuple(faces)
+        faces.sort(key=lambda f: f[0])
+        return faces, [f[0] for f in faces]
 
     @cached_property
-    def horizontal_faces(self) -> tuple:
-        """Faces visible to downward beams: (z, x_lo, x_hi) triples."""
+    def _down_index(self) -> tuple:
+        """Faces visible to downward beams, (z, x_lo, x_hi) sorted by x_lo, their
+        x_lo keys, and the running max of x_hi."""
         faces = []
         for x0, x1, z0, z1 in self._echoing_obstacles:
             faces.append((z1, x0, x1))
             faces.append((z0, x0, x1))
         for x0, x1, dz in self.ground_profile:
             faces.append((dz, x0, x1))
-        return tuple(faces)
-
-    @cached_property
-    def _forward_index(self) -> tuple:
-        """vertical_faces sorted by x, and their x keys."""
-        faces = sorted(self.vertical_faces, key=lambda f: f[0])
-        return faces, [f[0] for f in faces]
-
-    @cached_property
-    def _down_index(self) -> tuple:
-        """horizontal_faces sorted by x_lo, their x_lo keys, and the running max of x_hi."""
-        faces = sorted(self.horizontal_faces, key=lambda f: f[1])
+        faces.sort(key=lambda f: f[1])
         keys, tops, top = [], [], -math.inf
         for _, lo, hi in faces:
             keys.append(lo)

@@ -175,12 +175,15 @@ class FrameOutput(NamedTuple):
 
 
 class TickState:
-    """Mutable loop state: chest disambiguation tracking and the debounce.
+    """Mutable loop state: the step-back check and the debounce.
 
     `last_active_distance` is the previous tick's chest reading, None if
-    the chest was quiet then.  `candidate` is the previous tick's fused
-    candidate advisory (None before the first tick), and `run` counts the
-    ticks in a row it has been the candidate.
+    the chest was quiet then.  A chest dropout while advancing arms it as
+    `armed_distance`; the chest active while stepping back infers the
+    obstacle's height band from that, `inferred`, and while advancing
+    clears both.  `candidate` is the previous tick's fused advisory (None
+    before the first tick), `run` counts the ticks in a row it has been
+    the candidate, and `advisory` takes it once `run` reaches debounce_ticks.
     """
 
     __slots__ = ("last_active_distance", "armed_distance", "inferred", "advisory", "candidate",
@@ -189,28 +192,6 @@ class TickState:
     def __init__(self):
         self.last_active_distance = self.armed_distance = self.inferred = self.candidate = None
         self.advisory, self.run = Advisory.MOVE_FORWARD, 0
-
-
-def disambiguate(
-    state: TickState, brzC_level: int, chest_reading: Optional[float], speed: float
-) -> None:
-    """Advance the upper-obstacle disambiguation state machine in place.
-
-    `chest_reading` gave `brzC_level`, so it is None only at level 0, and
-    `speed` is signed.  A chest dropout while advancing arms the last
-    active distance; the chest active while stepping back infers the
-    obstacle's height band from it, and while advancing resets the check.
-    """
-    if brzC_level:
-        if speed > 0:
-            state.armed_distance = state.inferred = None
-        elif speed < 0 and state.armed_distance is not None:
-            state.inferred = infer_upper_level(state.armed_distance)
-        state.last_active_distance = chest_reading
-    else:
-        if speed > 0 and state.last_active_distance is not None:
-            state.armed_distance = state.last_active_distance
-        state.last_active_distance = None
 
 
 def fuse(frame: BuzzerFrame, flags: TickFlags) -> Advisory:
@@ -231,18 +212,6 @@ def fuse(frame: BuzzerFrame, flags: TickFlags) -> Advisory:
     if any(frame) or flags.downstep:
         return Advisory.MOVE_FORWARD_CAUTION
     return Advisory.MOVE_FORWARD
-
-
-def _debounced_advisory(state: TickState, candidate: Advisory, debounce_ticks: int) -> Advisory:
-    """The advisory becomes the candidate once it has been the candidate on
-    `debounce_ticks` ticks in a row."""
-    if candidate == state.candidate:
-        state.run += 1
-    else:
-        state.candidate, state.run = candidate, 1
-    if state.run >= debounce_ticks:
-        state.advisory = candidate
-    return state.advisory
 
 
 def sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
@@ -276,20 +245,39 @@ def sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
 
 def tick(state: TickState, sensed: tuple, x: float, speed: float, debounce_ticks: int,
          tick_index: int = 0):
-    """The stateful half of a tick: disambiguate, flag, fuse and debounce.
+    """The stateful half of a tick: the step-back check, fuse and debounce.
 
     `sensed` is what `sense` returned at position x; its `flags` go on
     the row unless an upper obstacle is inferred.  The walker then
-    advances by speed (cm/s) * TICK_MS.  Returns (FrameOutput, next x);
-    `state` is updated in place.
+    advances by speed (cm/s, signed) * TICK_MS.  Returns (FrameOutput,
+    next x); `state` is updated in place as TickState describes.
     """
     d_chest, d_knee, d_toe, d_down, frame, flags = sensed
-    disambiguate(state, frame.brzC, d_chest, speed)
+    # The step-back check: arm on a chest dropout while advancing, infer
+    # while stepping back, reset while advancing.
+    if frame.brzC:
+        if speed > 0:
+            state.armed_distance = state.inferred = None
+        elif speed < 0 and state.armed_distance is not None:
+            state.inferred = infer_upper_level(state.armed_distance)
+        state.last_active_distance = d_chest
+    else:
+        if speed > 0 and state.last_active_distance is not None:
+            state.armed_distance = state.last_active_distance
+        state.last_active_distance = None
     if state.inferred is not None:
         flags = _flags(*flags[:4], state.inferred)
-    advisory = _debounced_advisory(state, fuse(frame, flags), debounce_ticks)
+
+    # The candidate commits after debounce_ticks ticks in a row.
+    candidate = fuse(frame, flags)
+    if candidate == state.candidate:
+        state.run += 1
+    else:
+        state.candidate, state.run = candidate, 1
+    if state.run >= debounce_ticks:
+        state.advisory = candidate
     output = FrameOutput(tick_index, tick_index * TICK_MS, x, d_chest, d_knee, d_toe, d_down,
-                         frame, advisory, flags)
+                         frame, state.advisory, flags)
     return output, x + speed * TICK_MS / 1000.0
 
 

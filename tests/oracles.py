@@ -1,13 +1,20 @@
 """Independent oracles: brute-force geometry, and the stateful columns.
 
-`full_scan_cone_min` is the exact cone minimum taken over every face in
-authored order, with no index, early exit or seed: the reference the
-indexed `cone_min_distance` must equal bit for bit.  `scan_elevation`
-is the matching linear lookup of the terrain profile.  Both take the
-terrain from `scene.ground_profile` as given, so they check the cones
-against the profile, not the profile against the authored segments.
+`echoing_faces` states the face model on its own: each obstacle at
+least MIN_OBSTACLE_THICKNESS_CM thick gives its two faces the aim sees,
+and the terrain gives its risers (forward) or its segments (down).  It
+lists them in authored order and reads no face the scene derives, so the
+oracles below also check the scene's face extraction.
 
-`raycast` intersects one ray with the scene's echoing faces, and
+`full_scan_cone_min` is the exact cone minimum taken over every face
+`echoing_faces` lists, with no index, early exit or seed: the reference
+the indexed `cone_min_distance` must equal bit for bit.
+`scan_elevation` is the matching linear lookup of the terrain profile.
+Both take the terrain from `scene.ground_profile` as given, so they
+check the cones and the faces against the profile, not the profile
+against the authored segments.
+
+`raycast` intersects one ray with the `echoing_faces`, and
 `dense_cone_min` sweeps a fan of such rays across the cone: the sampled
 reference for the closed-form `cone_min_distance`.
 
@@ -56,6 +63,26 @@ def ray_direction(aim: Aim, angle: float) -> tuple:
     return math.sin(angle), -math.cos(angle)
 
 
+def echoing_faces(scene: SagittalScene, aim: Aim) -> list:
+    """The faces `aim` can echo off, in authored order.
+
+    Forward: (x, z_lo, z_hi) for each echoing obstacle's front and back,
+    then a riser wherever the profile's elevation changes.  Down:
+    (z, x_lo, x_hi) for each echoing obstacle's top and bottom, then each
+    profile segment.
+    """
+    boxes = [r for r in scene.obstacles if r.x1 - r.x0 >= MIN_OBSTACLE_THICKNESS_CM - _EPS]
+    profile = scene.ground_profile
+    if aim is Aim.FORWARD:
+        faces = [(x, r.z0, r.z1) for r in boxes for x in (r.x0, r.x1)]
+        for left, right in zip(profile, profile[1:]):
+            if left.dz != right.dz:
+                faces.append((left.x1, min(left.dz, right.dz), max(left.dz, right.dz)))
+        return faces
+    faces = [(z, r.x0, r.x1) for r in boxes for z in (r.z1, r.z0)]
+    return faces + [(seg.dz, seg.x0, seg.x1) for seg in profile]
+
+
 def raycast(scene: SagittalScene, ray: Ray, aim: Aim) -> Optional[float]:
     """Distance (cm) to the nearest echoing face along the ray, or None.
 
@@ -70,7 +97,7 @@ def raycast(scene: SagittalScene, ray: Ray, aim: Aim) -> Optional[float]:
     dx, dz = ray_direction(aim, ray.angle)
     best = None
     if aim is Aim.FORWARD:
-        for fx, zlo, zhi in scene.vertical_faces:
+        for fx, zlo, zhi in echoing_faces(scene, aim):
             if abs(dx) < _EPS:
                 continue
             t = (fx - ray.x) / dx
@@ -81,7 +108,7 @@ def raycast(scene: SagittalScene, ray: Ray, aim: Aim) -> Optional[float]:
                 if best is None or t < best:
                     best = t
     else:
-        for fz, xlo, xhi in scene.horizontal_faces:
+        for fz, xlo, xhi in echoing_faces(scene, aim):
             if abs(dz) < _EPS:
                 continue
             t = (fz - ray.z) / dz
@@ -113,12 +140,12 @@ def full_scan_cone_min(
     if oz < scan_elevation(scene, ox) - _EPS:
         raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
     if aim is Aim.FORWARD:
-        along, across, sign, faces = ox, oz, 1.0, scene.vertical_faces
+        along, across, sign = ox, oz, 1.0
     else:
-        along, across, sign, faces = oz, ox, -1.0, scene.horizontal_faces
+        along, across, sign = oz, ox, -1.0
     tan_h = math.tan(math.radians(half_angle))
     best = None
-    for pos, lo, hi in faces:
+    for pos, lo, hi in echoing_faces(scene, aim):
         depth = sign * (pos - along)
         if depth <= _EPS:
             continue
@@ -204,16 +231,10 @@ def dense_cone_min(
     n_rays: int = 1001,
 ):
     """Angularly dense cone minimum, sharing only the per-ray caster."""
-    kept = tuple(
-        r
-        for r in scene.obstacles
-        if (r.x1 - r.x0) >= MIN_OBSTACLE_THICKNESS_CM - 1e-9
-    )
-    visible = SagittalScene(kept, scene.ground)
     ox, oz = origin
     half = math.radians(half_angle)
     hits = [
-        raycast(visible, Ray(ox, oz, -half + 2 * half * i / (n_rays - 1)), aim)
+        raycast(scene, Ray(ox, oz, -half + 2 * half * i / (n_rays - 1)), aim)
         for i in range(n_rays)
     ]
     hits = [h for h in hits if h is not None]

@@ -1,3 +1,4 @@
+import errno
 import io
 import math
 import os
@@ -293,6 +294,21 @@ class TestRunCommand:
     def test_unwritable_out_exit_2(self, tmp_path, capsys, target, named):
         scn = str(SCENARIO_DIR / "flat_walk.scn")
         check_exit_2(["run", scn, "--out", str(tmp_path / target)], named, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", str(SCENARIO_DIR / "flat_walk.scn")], ["verify-tables"], ["--help"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_failed_stdout_write_exit_2(self, monkeypatch, capsys, argv):
+        class FullStdout:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("ultranav: error:")
 
     def test_failed_run_leaves_out_file_untouched(self, tmp_path):
         scn = tmp_path / "bad.scn"

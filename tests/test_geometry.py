@@ -9,6 +9,7 @@ from ultranav.geometry import (
     Aim,
     GeometryError,
     GroundSegment,
+    MIN_OBSTACLE_THICKNESS_CM,
     Rect,
     SagittalScene,
     _cone,
@@ -161,6 +162,9 @@ class TestConeMinDistance:
         scene = SagittalScene((Rect(100, 100.3, 0, 200),), ())
         d = cone_min_distance(scene, (0.0, 50.0), Aim.FORWARD)
         assert d == pytest.approx(100.0)
+        # The floor allows _EPS: a box exactly that much thinner still echoes.
+        edge = SagittalScene((Rect(0.0, MIN_OBSTACLE_THICKNESS_CM - _EPS, 0, 200),), ())
+        assert cone_min_distance(edge, (-100.0, 50.0), Aim.FORWARD) == 100.0
 
     def test_ground_features_have_no_thickness_floor(self):
         scene = SagittalScene((), (GroundSegment(50.0, 50.1, 30.0),))
