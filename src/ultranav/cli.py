@@ -34,6 +34,7 @@ place, no-echo prints as '-'.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from functools import partial
 
@@ -232,9 +233,8 @@ def _sweep(name, bands, classifier, out, lo=0.5, hi=300.0, step=0.5, no_echo=Tru
     return ok
 
 
-def verify_tables(out=None) -> bool:
-    """Exhaustively sweep every channel's bands; True when all conform."""
-    out = out if out is not None else sys.stdout
+def verify_tables(out) -> bool:
+    """Exhaustively sweep every channel's bands, reporting to `out`; True when all conform."""
     ok = True
     ok &= _sweep("chest", CHEST_BANDS, classify_chest, out)
     ok &= _sweep("knee", KNEE_BANDS, classify_knee, out)
@@ -319,8 +319,7 @@ def cmd_run(scenario, calib, out) -> int:
     """Run a scenario file and write its trace to `out` or stdout; the exit code.
 
     The output file is opened only after the run succeeds, so a rejected
-    scenario leaves an existing one untouched.  A failed write raises
-    OSError, which `main` reports.
+    scenario leaves an existing one untouched; `main` reports a failed write.
     """
     try:
         with open(scenario, "r", encoding="utf-8") as fh:
@@ -338,8 +337,7 @@ def cmd_run(scenario, calib, out) -> int:
 
 
 def main(argv=None) -> int:
-    """The CLI's exit code for argv (default sys.argv[1:]); raises nothing for
-    bad argv or a failed write, to stdout or `--out`."""
+    """The exit code for argv (default sys.argv[1:]); bad argv and failed writes raise nothing."""
     try:
         command, scenario, calib, out = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
@@ -352,9 +350,11 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(USAGE)
             code = 0
-        # Flush here, or a write that fails only at exit escapes this handler.
-        sys.stdout.flush()
+        sys.stdout.flush()  # here, or a write that fails only at exit escapes the handler
     except OSError as exc:
+        if out is None and sys.stdout is sys.__stdout__:
+            # Drop the unwritten bytes, or the flush at exit fails on them again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _error(exc)
     return code
 

@@ -220,10 +220,10 @@ def sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
     Returns (d_chest, d_knee, d_toe, d_down, frame, flags), a pure
     function of its arguments: scenes and configs are immutable, and
     `frame` and `flags` (nothing inferred) are shared `_frame` and
-    `_flags` objects.  The terrain
-    under x is looked up once; the mounts are cast in firing order (chest,
-    knee, toe, arch), the first one below ground raising the GeometryError
-    `cone_min_distance` would, so each reading equals `measure`'s.
+    `_flags` objects.  The terrain under x is looked up once; the mounts
+    are cast in firing order (chest, knee, toe, arch), the first one below
+    ground raising the GeometryError `cone_min_distance` would, so each
+    reading equals `measure`'s.
     """
     c_cal, c_actual = config.sound_speeds
     gain, offset = config.calibration

@@ -83,21 +83,24 @@ def echoing_faces(scene: SagittalScene, aim: Aim) -> list:
     return faces + [(seg.dz, seg.x0, seg.x1) for seg in profile]
 
 
-def raycast(scene: SagittalScene, ray: Ray, aim: Aim) -> Optional[float]:
+def raycast(scene: SagittalScene, ray: Ray, aim: Aim, faces=None) -> Optional[float]:
     """Distance (cm) to the nearest echoing face along the ray, or None.
 
     Forward beams echo off vertical faces only, downward beams off
     horizontal faces only; raises GeometryError if the ray starts below
-    the local terrain.
+    the local terrain.  `faces` is `echoing_faces(scene, aim)`, built
+    here when not given.
     """
     if ray.z < scene.elevation(ray.x) - _EPS:
         raise GeometryError(
             f"ray origin ({ray.x}, {ray.z}) is below the ground surface"
         )
+    if faces is None:
+        faces = echoing_faces(scene, aim)
     dx, dz = ray_direction(aim, ray.angle)
     best = None
     if aim is Aim.FORWARD:
-        for fx, zlo, zhi in echoing_faces(scene, aim):
+        for fx, zlo, zhi in faces:
             if abs(dx) < _EPS:
                 continue
             t = (fx - ray.x) / dx
@@ -108,7 +111,7 @@ def raycast(scene: SagittalScene, ray: Ray, aim: Aim) -> Optional[float]:
                 if best is None or t < best:
                     best = t
     else:
-        for fz, xlo, xhi in echoing_faces(scene, aim):
+        for fz, xlo, xhi in faces:
             if abs(dz) < _EPS:
                 continue
             t = (fz - ray.z) / dz
@@ -233,8 +236,9 @@ def dense_cone_min(
     """Angularly dense cone minimum, sharing only the per-ray caster."""
     ox, oz = origin
     half = math.radians(half_angle)
+    faces = echoing_faces(scene, aim)
     hits = [
-        raycast(scene, Ray(ox, oz, -half + 2 * half * i / (n_rays - 1)), aim)
+        raycast(scene, Ray(ox, oz, -half + 2 * half * i / (n_rays - 1)), aim, faces)
         for i in range(n_rays)
     ]
     hits = [h for h in hits if h is not None]

@@ -40,12 +40,16 @@ from ultranav.sensing import (
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 GOLDEN_DIR = SCENARIO_DIR / "golden"
+# The commands that write to stdout.
+STDOUT_COMMANDS = [["run", str(SCENARIO_DIR / "flat_walk.scn")], ["verify-tables"], ["--help"]]
 
 
 def run_cli(argv, prelude=""):
     """Run `main(argv)` in a fresh interpreter; returns the CompletedProcess."""
     code = f"{prelude}\nimport sys\nfrom ultranav.cli import main\nsys.exit(main({argv!r}))"
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    # Block-buffered stdout, as a console script's is when redirected.
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
@@ -295,11 +299,7 @@ class TestRunCommand:
         scn = str(SCENARIO_DIR / "flat_walk.scn")
         check_exit_2(["run", scn, "--out", str(tmp_path / target)], named, capsys)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["run", str(SCENARIO_DIR / "flat_walk.scn")], ["verify-tables"], ["--help"]],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=lambda argv: argv[0])
     def test_failed_stdout_write_exit_2(self, monkeypatch, capsys, argv):
         class FullStdout:
             def write(self, text):
@@ -309,6 +309,16 @@ class TestRunCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("ultranav: error:")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_full_stdout_exit_2_in_fresh_interpreter(self, argv):
+        # The bytes a failed write leaves buffered must not fail again in
+        # the interpreter's flush at exit.
+        proc = run_cli(argv, prelude="import os; os.dup2(os.open('/dev/full', os.O_WRONLY), 1)")
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ultranav: error:")
 
     def test_failed_run_leaves_out_file_untouched(self, tmp_path):
         scn = tmp_path / "bad.scn"
