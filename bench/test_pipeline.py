@@ -14,7 +14,9 @@ round.
 parsed outside the timing.  `test_run_back_and_forth` times
 `run_scenario` on four back-and-forth walks over the course (3,000 ticks
 at 580 distinct positions), and `test_format_trace` times
-`format_trace` on their frames.
+`format_trace` on their frames.  `test_format_trace_distinct` times
+`format_trace` on a one-way walk of 3,000 ticks over the course, every
+tick at a new position, so no row reuses a formatted lead.
 """
 
 from pathlib import Path
@@ -47,6 +49,8 @@ COURSE = SagittalScene(
 
 # 375 ticks out and 375 back, four times: 3,000 rows.
 BACK_AND_FORTH = [TrajectorySegment(21.0, 11.25), TrajectorySegment(-21.0, 11.25)] * 4
+# 3,000 ticks out, 0.21 cm each: from 0 to 630 cm, past the last block.
+ONE_WAY = [TrajectorySegment(7.0, 90.0)]
 
 
 def test_sense(benchmark):
@@ -83,5 +87,12 @@ def test_run_back_and_forth(benchmark):
 def test_format_trace(benchmark):
     frames = run_scenario(COURSE, BACK_AND_FORTH, SimConfig())
     assert len(frames) == 3000
+    trace = benchmark(format_trace, frames)
+    assert trace.count("\n") == 3001
+
+
+def test_format_trace_distinct(benchmark):
+    frames = run_scenario(COURSE, ONE_WAY, SimConfig())
+    assert len({frame.user_x for frame in frames}) == len(frames) == 3000
     trace = benchmark(format_trace, frames)
     assert trace.count("\n") == 3001

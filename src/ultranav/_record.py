@@ -1,6 +1,7 @@
 """Immutable value types without `dataclasses`, whose import costs more than ours."""
 
 import math
+from itertools import repeat
 
 
 class Record:
@@ -26,6 +27,14 @@ class Record:
 def as_record(cls, value):
     """`value` if it is already a `cls`, else `cls(*value)`, which runs its checks."""
     return value if isinstance(value, cls) else cls(*value)
+
+
+def as_records(cls, values) -> tuple:
+    """`values` as a tuple of `cls`, built only if some member is not one (a C-speed test)."""
+    values = tuple(values)
+    if all(map(isinstance, values, repeat(cls))):
+        return values
+    return tuple(as_record(cls, value) for value in values)
 
 
 def check_finite(error, name: str, value) -> None:

@@ -46,7 +46,8 @@ from .classify import (
     detect_upstairs,
 )
 from .geometry import GeometryError, GroundSegment, Rect, SagittalScene, ground_overlap
-from .pipeline import PipelineError, SimConfig, TrajectorySegment, check_setting, run_scenario
+from .pipeline import (_MEMO_SIZE, PipelineError, SimConfig, TrajectorySegment, check_setting,
+                       run_scenario)
 from .sensing import SensingError, SensorName, SensorSpec, default_sensors, load_calibration
 
 TRACE_HEADER = (
@@ -160,26 +161,65 @@ def parse_scenario(text: str, calib=None):
     return SagittalScene(obstacles, ground), walks, config
 
 
-def _fmt_distance(d) -> str:
-    return "-" if d is None else f"{d:.1f}"
+def _format_lead(x, d_chest, d_knee, d_toe, d_down, frame) -> str:
+    """A row's `user_x` to `brzP` columns and the comma after them."""
+    # No echo prints as '-'; inline, as a call per reading costs as much as its format.
+    return (
+        f"{x:.1f},{'-' if d_chest is None else f'{d_chest:.1f}'},"
+        f"{'-' if d_knee is None else f'{d_knee:.1f}'},"
+        f"{'-' if d_toe is None else f'{d_toe:.1f}'},"
+        f"{'-' if d_down is None else f'{d_down:.1f}'},"
+        f"{frame.brzC},{frame.brzK},{frame.brzT},{frame.brzP},"
+    )
+
+
+def _format_tail(flags, advisory) -> str:
+    """A row's `upstairs` to `advisory` columns and its newline."""
+    inferred = "-" if flags.inferred is None else flags.inferred.value
+    # The two flags are bools: int() prints them as 0 or 1, faster than a `:d` spec.
+    return f"{int(flags.upstairs)},{int(flags.downstep)},{inferred},{advisory.value}\n"
 
 
 def format_row(row) -> str:
     """One FrameOutput as a trace row, its newline included."""
     tick, t_ms, x, d_chest, d_knee, d_toe, d_down, frame, advisory, flags = row
-    inferred = "-" if flags.inferred is None else flags.inferred.value
-    # The two flags are bools: int() prints them as 0 or 1, faster than a `:d` spec.
     return (
-        f"{tick},{t_ms},{x:.1f},{_fmt_distance(d_chest)},{_fmt_distance(d_knee)},"
-        f"{_fmt_distance(d_toe)},{_fmt_distance(d_down)},"
-        f"{frame.brzC},{frame.brzK},{frame.brzT},{frame.brzP},"
-        f"{int(flags.upstairs)},{int(flags.downstep)},{inferred},{advisory.value}\n"
+        f"{tick},{t_ms},{_format_lead(x, d_chest, d_knee, d_toe, d_down, frame)}"
+        f"{_format_tail(flags, advisory)}"
     )
 
 
 def format_trace(frames) -> str:
-    """Byte-stable CSV trace: TRACE_HEADER, then the format_row of each frame."""
-    return TRACE_HEADER + "\n" + "".join(map(format_row, frames))
+    """Byte-stable CSV trace: TRACE_HEADER, then the format_row of each frame.
+
+    A repeated lead (`user_x` to `brzP`) or tail (`upstairs` to
+    `advisory`) is formatted once per call.  A lead is reused at a user_x
+    only with the very reading and `frame` objects it came from, as a
+    run's revisits have them: equal values can print apart (1, 1.0, True;
+    0.0 and -0.0, so x = 0 keeps nothing).  Tails are kept per flags value
+    and advisory object.  Entries hold what they name by id, and each
+    cache clears at pipeline._MEMO_SIZE entries, as the run's memo does.
+    """
+    out, leads, tails = [TRACE_HEADER + "\n"], {}, {}
+    for tick, t_ms, x, d_chest, d_knee, d_toe, d_down, frame, advisory, flags in frames:
+        kept = leads.get(x)
+        if (kept is not None and kept[0] is d_chest and kept[1] is d_knee
+                and kept[2] is d_toe and kept[3] is d_down and kept[4] is frame):
+            lead = kept[5]
+        else:
+            lead = _format_lead(x, d_chest, d_knee, d_toe, d_down, frame)
+            if x:
+                if len(leads) >= _MEMO_SIZE:
+                    leads.clear()
+                leads[x] = (d_chest, d_knee, d_toe, d_down, frame, lead)
+        key = (flags, id(advisory))  # an id hashes faster than an Advisory
+        kept = tails.get(key)
+        if kept is None:
+            if len(tails) >= _MEMO_SIZE:
+                tails.clear()
+            kept = tails[key] = (advisory, _format_tail(flags, advisory))
+        out.append(f"{tick},{t_ms},{lead}{kept[1]}")
+    return "".join(out)
 
 
 # Expected band maps, written out literally so the sweep checks the
@@ -342,6 +382,9 @@ def main(argv=None) -> int:
         command, scenario, calib, out = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
         return _error(exc)
+    if out is None and sys.stdout is None:
+        # The interpreter sets sys.stdout to None when it starts with fd 1 closed.
+        return _error("stdout is closed")
     try:
         if command == "run":
             code = cmd_run(scenario, calib, out)
@@ -350,7 +393,8 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(USAGE)
             code = 0
-        sys.stdout.flush()  # here, or a write that fails only at exit escapes the handler
+        if out is None:
+            sys.stdout.flush()  # here, or a write that fails only at exit escapes the handler
     except OSError as exc:
         if out is None and sys.stdout is sys.__stdout__:
             # Drop the unwritten bytes, or the flush at exit fails on them again.

@@ -39,7 +39,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from ._record import Record, as_record
+from ._record import Record, as_records
 
 # Faces thinner than this (forward extent, cm) return no usable echo.
 MIN_OBSTACLE_THICKNESS_CM = 0.3
@@ -129,8 +129,8 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
     """
 
     def __new__(cls, obstacles: tuple = (), ground: tuple = ()):
-        obstacles = tuple(as_record(Rect, o) for o in obstacles)
-        ground = tuple(as_record(GroundSegment, g) for g in ground)
+        obstacles = as_records(Rect, obstacles)
+        ground = as_records(GroundSegment, ground)
         self = super().__new__(cls, obstacles, ground)
         self.ground_profile  # validate terrain eagerly
         return self

@@ -4,11 +4,15 @@ import math
 import os
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ultranav.classify import Advisory, BuzzerFrame, UpperLevel
 from ultranav.cli import (
+    TRACE_HEADER,
     ScenarioError,
     format_row,
     format_trace,
@@ -19,9 +23,12 @@ from ultranav.cli import (
 )
 from ultranav.geometry import GroundSegment, Rect, SagittalScene
 from ultranav.pipeline import (
+    _MEMO_SIZE,
     MAX_TICKS,
+    FrameOutput,
     PipelineError,
     SimConfig,
+    TickFlags,
     TickState,
     TrajectorySegment,
     run_scenario,
@@ -44,14 +51,16 @@ GOLDEN_DIR = SCENARIO_DIR / "golden"
 STDOUT_COMMANDS = [["run", str(SCENARIO_DIR / "flat_walk.scn")], ["verify-tables"], ["--help"]]
 
 
-def run_cli(argv, prelude=""):
-    """Run `main(argv)` in a fresh interpreter; returns the CompletedProcess."""
+def run_cli(argv, prelude="", close_stdout=False):
+    """Run `main(argv)` in a fresh interpreter, which starts with fd 1 closed if
+    close_stdout is set; returns the CompletedProcess."""
     code = f"{prelude}\nimport sys\nfrom ultranav.cli import main\nsys.exit(main({argv!r}))"
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     # Block-buffered stdout, as a console script's is when redirected.
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=(lambda: os.close(1)) if close_stdout else None,
     )
 
 
@@ -181,6 +190,94 @@ class TestParseScenario:
         golden = GOLDEN_DIR / f"{path.stem}.trace.csv"
         frames = run_scenario(*parse_scenario(path.read_text()))
         assert format_trace(frames) == golden.read_text()
+
+
+# Runs that share user_x with other readings: flat_walk and wall_approach
+# walk at the same speed, and waist_probe steps back over its ground.
+_RUNS = [
+    run_scenario(*parse_scenario((SCENARIO_DIR / f"{name}.scn").read_text()))
+    for name in ("flat_walk", "wall_approach", "waist_probe")
+]
+# Hand-built rows draw from these lists, so that rows repeat the very
+# objects a run's rows share, and values that compare equal but print
+# differently meet: 0.0 and -0.0, and levels 1, 1.0 and True.
+_XS = [0.0, -0.0, 1, 1.0, True, 12.3, 12.25, 240.0]
+_READINGS = [None, 0.0, -0.0, 3.0, 45.25, 87.0, 300.0]
+_FRAMES = [
+    BuzzerFrame(*levels)
+    for levels in ((0, 0, 0, 0), (1, 0, 0, 0), (1.0, 0, 0, 0), (True, 0, 0, 0),
+                   (4, 3, 3, 3), (0, 1, 2.0, False))
+]
+_FLAGS = st.builds(TickFlags, st.booleans(), st.integers(0, 1), st.integers(0, 1),
+                   st.booleans(), st.none() | st.sampled_from(UpperLevel))
+
+
+@st.composite
+def _hand_rows(draw):
+    """Rows that repeat a few leads (user_x and four readings drawn from a
+    few values) with other frames, flags and advisories."""
+    reading = st.sampled_from(draw(st.lists(st.sampled_from(_READINGS), min_size=1, max_size=2)))
+    leads = draw(st.lists(st.tuples(st.sampled_from(_XS), reading, reading, reading, reading),
+                          min_size=1, max_size=4))
+    row = st.builds(
+        lambda tick, lead, frame, advisory, flags: FrameOutput(
+            tick, 30 * tick, *lead, frame, advisory, flags),
+        st.integers(0, MAX_TICKS), st.sampled_from(leads), st.sampled_from(_FRAMES),
+        st.sampled_from(Advisory), _FLAGS,
+    )
+    return draw(st.lists(row, max_size=30))
+
+
+# Rows whose user_x, readings or levels compare equal but print apart.
+_LOOKALIKES = [
+    FrameOutput(0, 0, x, d, d, d, d, frame, Advisory.MOVE_FORWARD, TickFlags())
+    for x in (0.0, -0.0, 1, 1.0, True)
+    for d in (0.0, -0.0, 3.0)
+    for frame in _FRAMES[1:4]
+]
+# More distinct leads and tails than format_trace keeps, so both caches
+# clear mid-trace.
+_SPILL = [
+    FrameOutput(i, 30 * i, 0.5 + i / 10, 45.25, None, 3.0, None, _FRAMES[i % 2],
+                Advisory.MOVE_FORWARD, TickFlags(False, i, 0, False, None))
+    for i in range(_MEMO_SIZE + 100)
+]
+
+_ROWS_TEXT = {id(part): "".join(map(format_row, part)) for part in (*_RUNS, _SPILL)}
+
+
+def _rows_text(part):
+    """The format_row of each row in part, joined: worked out once for the shared parts."""
+    text = _ROWS_TEXT.get(id(part))
+    return "".join(map(format_row, part)) if text is None else text
+
+
+class TestFormatTrace:
+    def test_runs_share_user_x_with_other_readings(self):
+        flat, wall, _ = _RUNS
+        assert [row.user_x for row in flat] == [row.user_x for row in wall][:len(flat)]
+        assert any(a.d_chest != b.d_chest for a, b in zip(flat, wall))
+
+    @settings(max_examples=40, deadline=None)
+    @given(parts=st.lists(
+        st.sampled_from(_RUNS) | _hand_rows() | st.permutations(_LOOKALIKES) | st.just(_SPILL),
+        max_size=4,
+    ))
+    @example(parts=[_SPILL, _RUNS[1], _SPILL])
+    @example(parts=[_LOOKALIKES])
+    def test_equals_format_row_of_each_frame(self, parts):
+        frames = list(chain.from_iterable(parts))
+        rows = "".join(map(_rows_text, parts))
+        assert format_trace(frames) == TRACE_HEADER + "\n" + rows
+
+    def test_rows_from_a_generator(self):
+        # Two positions in turn, each with its readings and a new frame that
+        # nothing else keeps alive: a freed frame's id is soon another's.
+        rows = [_RUNS[1][-1], _RUNS[1][-2]] * 30
+        levels = [(i % 5, i % 4, 0, i % 3) for i in range(len(rows))]
+        fresh = [row._replace(frame=BuzzerFrame(*frame)) for row, frame in zip(rows, levels)]
+        made = (row._replace(frame=BuzzerFrame(*frame)) for row, frame in zip(rows, levels))
+        assert format_trace(made) == TRACE_HEADER + "\n" + "".join(map(format_row, fresh))
 
 
 class TestRunCommand:
@@ -319,6 +416,24 @@ class TestRunCommand:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ultranav: error:")
+
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_closed_stdout_exit_2_in_fresh_interpreter(self, monkeypatch, argv):
+        # Started with fd 1 closed, as by `ultranav --help >&-`, the
+        # interpreter sets sys.stdout to None.
+        proc = run_cli(argv, close_stdout=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "ultranav: error: stdout is closed\n"
+
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(argv) == 2
+
+    def test_closed_stdout_run_with_out_file(self, tmp_path):
+        out = tmp_path / "t.csv"
+        proc = run_cli(["run", str(SCENARIO_DIR / "upstairs.scn"), "--out", str(out)],
+                       close_stdout=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert out.read_bytes() == (GOLDEN_DIR / "upstairs.trace.csv").read_bytes()
 
     def test_failed_run_leaves_out_file_untouched(self, tmp_path):
         scn = tmp_path / "bad.scn"
