@@ -13,10 +13,12 @@ round.
 `test_run_scenario` times `run_scenario` on each bundled scenario,
 parsed outside the timing.  `test_run_back_and_forth` times
 `run_scenario` on four back-and-forth walks over the course (3,000 ticks
-at 580 distinct positions), and `test_format_trace` times
-`format_trace` on their frames.  `test_format_trace_distinct` times
-`format_trace` on a one-way walk of 3,000 ticks over the course, every
-tick at a new position, so no row reuses a formatted lead.
+at 376 distinct positions: each tick's x is the exact sum of its steps,
+so the way back lands on the way out's positions), and
+`test_format_trace` times `format_trace` on their frames.
+`test_format_trace_distinct` times `format_trace` on a one-way walk of
+3,000 ticks over the course, every tick at a new position, so no row
+reuses a formatted lead.
 """
 
 from pathlib import Path
@@ -81,7 +83,7 @@ def test_run_back_and_forth(benchmark):
     run_scenario(COURSE, BACK_AND_FORTH, SimConfig())  # build the face indexes
     frames = benchmark(run_scenario, COURSE, BACK_AND_FORTH, SimConfig())
     assert len(frames) == 3000
-    assert len({frame.user_x for frame in frames}) == 580
+    assert len({frame.user_x for frame in frames}) == 376
 
 
 def test_format_trace(benchmark):

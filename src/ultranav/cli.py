@@ -22,7 +22,9 @@ Scenario format: one directive per line, '#' starts a comment.
     GROUND x0 x1 dz         terrain elevation patch (cm; negative = hole)
     WALK speed seconds      constant-speed stretch (cm/s, s)
 
-The walk starts at x = 0 and is cut into ticks of 30 ms (TICK_MS).
+The walk starts at x = 0 and is cut into ticks of 30 ms (TICK_MS).  Each
+tick's user_x is the exact sum of the steps (speed * 30 ms) before it,
+rounded to a float once.
 
 Trace format: CSV with header
     tick,t_ms,user_x,d_chest,d_knee,d_toe,d_down,brzC,brzK,brzT,brzP,

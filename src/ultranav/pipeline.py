@@ -44,7 +44,8 @@ TICK_MS = 30
 MAX_TICKS = 1_000_000
 
 # Most positions a run keeps sensed readings for (about 0.5 MB); a
-# compact course walked back and forth revisits about 1,300.
+# compact course walked back and forth for 3,000 ticks (a perfbench
+# `walk_long` job) visits 650 to 750.
 _MEMO_SIZE = 4096
 
 # The order the sensors fire in within a tick: SensorName is declared in it.
@@ -248,9 +249,11 @@ def tick(state: TickState, sensed: tuple, x: float, speed: float, debounce_ticks
     """The stateful half of a tick: the step-back check, fuse and debounce.
 
     `sensed` is what `sense` returned at position x; its `flags` go on
-    the row unless an upper obstacle is inferred.  The walker then
-    advances by speed (cm/s, signed) * TICK_MS.  Returns (FrameOutput,
-    next x); `state` is updated in place as TickState describes.
+    the row unless an upper obstacle is inferred.  Returns (FrameOutput,
+    next x); `state` is updated in place as TickState describes.  The
+    next x is one plain float step from x, x + speed (cm/s, signed) *
+    TICK_MS / 1000; `run_scenario` does not use it, since it places each
+    tick at the exact sum of the steps before it.
     """
     d_chest, d_knee, d_toe, d_down, frame, flags = sensed
     # The step-back check: arm on a chest dropout while advancing, infer
@@ -303,6 +306,13 @@ def run_scenario(scene: SagittalScene, trajectory, config: SimConfig = None):
     list of FrameOutput, one per tick.  A scene, config or segment that
     is not its record is built as one.
 
+    Each tick's x is the exact sum of the steps taken before it, each
+    speed * TICK_MS, rounded to a float once, so ground the walk revisits
+    gives the very same float.  Every speed, as a float, is a ratio p/q of
+    ints with q a power of two, so the position is kept as an int in units
+    of 1/(Q * 1000) cm, Q the largest q, and int / int true division
+    rounds it correctly.
+
     The scene and config are fixed for the run, so its memo keeps
     `sense`'s result per x, cleared at _MEMO_SIZE positions: a walk that
     steps back over its ground senses each position once.  A position
@@ -315,15 +325,19 @@ def run_scenario(scene: SagittalScene, trajectory, config: SimConfig = None):
 
     frames, state, memo = [], TickState(), {}
     debounce_ticks = config.debounce_ticks
-    x, index = 0.0, 0
-    for segment, count in zip(trajectory, counts):
+    ratios = [float(segment.speed).as_integer_ratio() for segment in trajectory]
+    largest_q = max(q for _, q in ratios)
+    unit, steps, index = largest_q * 1000, 0, 0
+    for (p, q), segment, count in zip(ratios, trajectory, counts):
+        step, speed = p * (largest_q // q) * TICK_MS, segment.speed
         for _ in range(count):
+            x = steps / unit
             sensed = memo.get(x)
             if sensed is None:
                 if len(memo) >= _MEMO_SIZE:
                     memo.clear()
                 sensed = memo[x] = sense(scene, x, config)
-            frame, x = tick(state, sensed, x, segment.speed, debounce_ticks, index)
-            frames.append(frame)
+            frames.append(tick(state, sensed, x, speed, debounce_ticks, index)[0])
+            steps += step
             index += 1
     return frames

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -208,8 +209,7 @@ class TestLeanTick:
         assert str(raised.value) == str(direct.value)
 
 
-# 3 and 15 cm steps (100 and 500 cm/s) are exact in binary, so a step back
-# from a whole-cm x returns to it; 0.63 and 4.2 cm steps may not.
+# Steps of 0.63, 3, 4.2 and 15 cm: only 3 and 15 are exact in binary.
 _SPEEDS = st.sampled_from([21.0, 100.0, 140.0, 500.0])
 
 
@@ -232,12 +232,13 @@ def _revisiting_walks(draw):
 
 
 def _walk_positions(walk):
-    """x at each tick of `walk`, stepped as the tick steps it."""
-    xs = [0.0]
+    """x at each tick of `walk`: the exact sum of the steps before it, rounded once."""
+    xs, exact = [], Fraction(0)
     for segment, count in zip(walk, trajectory_ticks(walk)):
         for _ in range(count):
-            xs.append(xs[-1] + segment.speed * TICK_MS / 1000.0)
-    return xs[:-1]
+            xs.append(float(exact))
+            exact += Fraction(segment.speed) * TICK_MS / 1000
+    return xs
 
 
 def _check_rows(scene, config, rows):
@@ -331,6 +332,56 @@ class TestSensingMemo:
                 misses.append(row.user_x)
         assert calls == misses
         assert len(misses) > len({row.user_x for row in rows})
+
+
+class TestPositions:
+    """Each tick's x is the exact sum of the steps before it, rounded once."""
+
+    def test_retraced_walk_lands_on_the_same_floats(self, monkeypatch):
+        # 4.8387 cm steps, not exact in binary: summed tick by tick in
+        # floats, the way back would miss the way out in the last bits.
+        scene = SagittalScene((Rect(1200, 1202, 0, 200),), (GroundSegment(300, 340, -15.0),))
+        n = 200
+        walk = [TrajectorySegment(speed, n * TICK_MS / 1000) for speed in (161.29, -161.29)]
+        calls = TestSensingMemo.count_sense(monkeypatch)
+        rows = run_scenario(scene, walk, SimConfig())
+        xs = [row.user_x.hex() for row in rows]
+        assert xs[n + 1:] == xs[1:n][::-1]
+        assert len(calls) == len(set(calls)) == n + 1
+        assert [x.hex() for x in _walk_positions(walk)] == xs
+
+    def test_long_segment_does_not_drift(self):
+        walk = [TrajectorySegment(161.29, 10_000 * TICK_MS / 1000)]
+        rows = run_scenario(SagittalScene(), walk, SimConfig())
+        assert len(rows) == 10_000
+        step = Fraction(161.29) * TICK_MS / 1000
+        for k in (1, 999, 5_000, 9_999):
+            assert rows[k].user_x == float(k * step)
+        assert [row.user_x for row in rows] == _walk_positions(walk)
+
+    def test_subnormal_and_full_speeds_mix_exactly(self):
+        # The subnormal speed's denominator is 2**1074, so the position is
+        # an int of about 1,100 bits; every x still comes out finite and exact.
+        walk = [
+            TrajectorySegment(5e-324, 0.09),
+            TrajectorySegment(500.0, 0.09),
+            TrajectorySegment(5e-324, 0.06),
+            TrajectorySegment(-500.0, 0.15),
+            TrajectorySegment(-5e-324, 0.03),
+        ]
+        rows = run_scenario(SagittalScene(), walk, SimConfig())
+        xs = [row.user_x for row in rows]
+        assert all(math.isfinite(x) for x in xs)
+        assert [x.hex() for x in xs] == [x.hex() for x in _walk_positions(walk)]
+        assert xs[3:6] == [0.0, 15.0, 30.0]
+        assert xs[8:13] == [45.0, 30.0, 15.0, 0.0, -15.0]
+
+    def test_speeds_of_other_number_types(self):
+        # numpy's ints have no `as_integer_ratio`; the run takes each speed as a float.
+        np = pytest.importorskip("numpy")
+        walk = [TrajectorySegment(np.int64(100), 0.09), TrajectorySegment(np.float32(-50.5), 0.06)]
+        rows = run_scenario(SagittalScene(), walk, SimConfig())
+        assert [row.user_x for row in rows] == [0.0, 3.0, 6.0, 9.0, 7.485]
 
 
 class TestSharedRows:
