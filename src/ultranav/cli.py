@@ -198,11 +198,14 @@ def format_trace(frames) -> str:
     `advisory`) is formatted once per call.  A lead is reused at a user_x
     only with the very reading and `frame` objects it came from, as a
     run's revisits have them: equal values can print apart (1, 1.0, True;
-    0.0 and -0.0, so x = 0 keeps nothing).  Tails are kept per flags value
-    and advisory object.  Entries hold what they name by id, and each
-    cache clears at pipeline._MEMO_SIZE entries, as the run's memo does.
+    0.0 and -0.0, so x = 0 keeps nothing).  A row reuses the tail of the
+    row before if it has its very flags and advisory, else looks it up per
+    flags value and advisory object.  Entries hold what they name by id,
+    and each cache clears at pipeline._MEMO_SIZE entries, as the run's
+    memo does.
     """
     out, leads, tails = [TRACE_HEADER + "\n"], {}, {}
+    last_flags = last_advisory = object()  # a sentinel: the first row looks its tail up
     for tick, t_ms, x, d_chest, d_knee, d_toe, d_down, frame, advisory, flags in frames:
         kept = leads.get(x)
         if (kept is not None and kept[0] is d_chest and kept[1] is d_knee
@@ -214,13 +217,16 @@ def format_trace(frames) -> str:
                 if len(leads) >= _MEMO_SIZE:
                     leads.clear()
                 leads[x] = (d_chest, d_knee, d_toe, d_down, frame, lead)
-        key = (flags, id(advisory))  # an id hashes faster than an Advisory
-        kept = tails.get(key)
-        if kept is None:
-            if len(tails) >= _MEMO_SIZE:
-                tails.clear()
-            kept = tails[key] = (advisory, _format_tail(flags, advisory))
-        out.append(f"{tick},{t_ms},{lead}{kept[1]}")
+        if flags is not last_flags or advisory is not last_advisory:
+            last_flags, last_advisory = flags, advisory
+            key = (flags, id(advisory))  # an id hashes faster than an Advisory
+            kept = tails.get(key)
+            if kept is None:
+                if len(tails) >= _MEMO_SIZE:
+                    tails.clear()
+                kept = tails[key] = (advisory, _format_tail(flags, advisory))
+            tail = kept[1]
+        out.append(f"{tick},{t_ms},{lead}{tail}")
     return "".join(out)
 
 
@@ -352,8 +358,19 @@ def parse_args(argv):
     return command, scenario, flags["--calib"], flags["--out"]
 
 
+def _drop_unwritten(stream) -> None:
+    """Point a failed standard stream at os.devnull, or the flush at exit fails again."""
+    if stream is sys.__stdout__ or stream is sys.__stderr__:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def _error(message) -> int:
-    print(f"ultranav: error: {message}", file=sys.stderr)
+    """Report `message` on stderr if it takes it; 2, the exit code, in any case."""
+    if sys.stderr is not None:
+        try:
+            print(f"ultranav: error: {message}", file=sys.stderr, flush=True)
+        except OSError:
+            _drop_unwritten(sys.stderr)
     return 2
 
 
@@ -398,9 +415,9 @@ def main(argv=None) -> int:
         if out is None:
             sys.stdout.flush()  # here, or a write that fails only at exit escapes the handler
     except OSError as exc:
-        if out is None and sys.stdout is sys.__stdout__:
-            # Drop the unwritten bytes, or the flush at exit fails on them again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # `_error` raises nothing, so this failure is the output's: stdout or --out.
+        if out is None:
+            _drop_unwritten(sys.stdout)
         return _error(exc)
     return code
 

@@ -195,9 +195,12 @@ class TickState:
         self.advisory, self.run = Advisory.MOVE_FORWARD, 0
 
 
+@cache
 def fuse(frame: BuzzerFrame, flags: TickFlags) -> Advisory:
     """Single verdict for the tick, most urgent finding first; `frame` is
-    four int levels, so `any(frame)` tells whether any channel is active."""
+    four int levels, so `any(frame)` tells whether any channel is active.
+    Cached per pair: it only compares values, so keys that compare equal
+    (level True and 1) share one verdict."""
     if frame.brzP == 3:
         return Advisory.STOP_IMMEDIATELY
     if frame.brzP == 2:
@@ -250,10 +253,11 @@ def tick(state: TickState, sensed: tuple, x: float, speed: float, debounce_ticks
 
     `sensed` is what `sense` returned at position x; its `flags` go on
     the row unless an upper obstacle is inferred.  Returns (FrameOutput,
-    next x); `state` is updated in place as TickState describes.  The
-    next x is one plain float step from x, x + speed (cm/s, signed) *
-    TICK_MS / 1000; `run_scenario` does not use it, since it places each
-    tick at the exact sum of the steps before it.
+    next x), the row built by `tuple.__new__`; `state` is updated in
+    place as TickState describes.  The next x is one plain float step
+    from x, x + speed (cm/s, signed) * TICK_MS / 1000; `run_scenario`
+    does not use it, since it places each tick at the exact sum of the
+    steps before it.
     """
     d_chest, d_knee, d_toe, d_down, frame, flags = sensed
     # The step-back check: arm on a chest dropout while advancing, infer
@@ -279,8 +283,9 @@ def tick(state: TickState, sensed: tuple, x: float, speed: float, debounce_ticks
         state.candidate, state.run = candidate, 1
     if state.run >= debounce_ticks:
         state.advisory = candidate
-    output = FrameOutput(tick_index, tick_index * TICK_MS, x, d_chest, d_knee, d_toe, d_down,
-                         frame, state.advisory, flags)
+    # FrameOutput checks nothing, so the row skips its generated __new__.
+    output = tuple.__new__(FrameOutput, (tick_index, tick_index * TICK_MS, x, d_chest, d_knee,
+                                         d_toe, d_down, frame, state.advisory, flags))
     return output, x + speed * TICK_MS / 1000.0
 
 
@@ -313,10 +318,12 @@ def run_scenario(scene: SagittalScene, trajectory, config: SimConfig = None):
     of 1/(Q * 1000) cm, Q the largest q, and int / int true division
     rounds it correctly.
 
-    The scene and config are fixed for the run, so its memo keeps
-    `sense`'s result per x, cleared at _MEMO_SIZE positions: a walk that
-    steps back over its ground senses each position once.  A position
-    whose sensing raises ends the run.
+    The scene and config are fixed for the run, so its memo keeps x and
+    `sense`'s result per step count, cleared at _MEMO_SIZE entries: a walk
+    that steps back over its ground senses each position once, and a
+    revisit neither divides nor hashes a float.  Step counts that round to
+    one x are each sensed, to the same readings.  A position whose
+    sensing raises ends the run.
     """
     scene = as_record(SagittalScene, scene)
     config = as_record(SimConfig, config) if config is not None else SimConfig()
@@ -331,12 +338,13 @@ def run_scenario(scene: SagittalScene, trajectory, config: SimConfig = None):
     for (p, q), segment, count in zip(ratios, trajectory, counts):
         step, speed = p * (largest_q // q) * TICK_MS, segment.speed
         for _ in range(count):
-            x = steps / unit
-            sensed = memo.get(x)
-            if sensed is None:
+            kept = memo.get(steps)
+            if kept is None:
                 if len(memo) >= _MEMO_SIZE:
                     memo.clear()
-                sensed = memo[x] = sense(scene, x, config)
+                x = steps / unit
+                kept = memo[steps] = (x, sense(scene, x, config))
+            x, sensed = kept
             frames.append(tick(state, sensed, x, speed, debounce_ticks, index)[0])
             steps += step
             index += 1

@@ -49,18 +49,26 @@ SCENARIO_DIR = REPO_ROOT / "scenarios"
 GOLDEN_DIR = SCENARIO_DIR / "golden"
 # The commands that write to stdout.
 STDOUT_COMMANDS = [["run", str(SCENARIO_DIR / "flat_walk.scn")], ["verify-tables"], ["--help"]]
+# Commands that fail with one error line on stderr; `{tmp}` is a fresh directory.
+STDERR_FAILURES = [
+    pytest.param(["run", "{tmp}/no/such.scn"], id="missing-scenario"),
+    pytest.param(["bogus"], id="unknown-command"),
+    pytest.param(["run", str(SCENARIO_DIR / "flat_walk.scn"), "--out", "{tmp}/no/such/dir/t.csv"],
+                 id="unwritable-out"),
+]
 
 
-def run_cli(argv, prelude="", close_stdout=False):
-    """Run `main(argv)` in a fresh interpreter, which starts with fd 1 closed if
-    close_stdout is set; returns the CompletedProcess."""
-    code = f"{prelude}\nimport sys\nfrom ultranav.cli import main\nsys.exit(main({argv!r}))"
+def run_cli(argv, prelude="", close_fd=None, then=""):
+    """Run `main(argv)` in a fresh interpreter, which starts with fd `close_fd`
+    closed if it is given, then the code `then`; returns the CompletedProcess."""
+    code = (f"{prelude}\nimport sys\nfrom ultranav.cli import main\ncode = main({argv!r})\n"
+            f"{then}\nsys.exit(code)")
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     # Block-buffered stdout, as a console script's is when redirected.
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
-        preexec_fn=(lambda: os.close(1)) if close_stdout else None,
+        preexec_fn=None if close_fd is None else lambda: os.close(close_fd),
     )
 
 
@@ -228,6 +236,14 @@ def _hand_rows(draw):
     return draw(st.lists(row, max_size=30))
 
 
+# Flags in pairs of equal values and distinct objects.
+_TWIN_FLAGS = [
+    TickFlags(*values)
+    for values in ((False, 0, 0, False, None), (True, 1, 1, False, None),
+                   (False, 1, 0, True, UpperLevel.WAIST))
+    for _ in range(2)
+]
+
 # Rows whose user_x, readings or levels compare equal but print apart.
 _LOOKALIKES = [
     FrameOutput(0, 0, x, d, d, d, d, frame, Advisory.MOVE_FORWARD, TickFlags())
@@ -269,6 +285,31 @@ class TestFormatTrace:
         frames = list(chain.from_iterable(parts))
         rows = "".join(map(_rows_text, parts))
         assert format_trace(frames) == TRACE_HEADER + "\n" + rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(_TWIN_FLAGS) - 1), st.sampled_from(Advisory)),
+                    max_size=30))
+    @example([(0, Advisory.MOVE_FORWARD), (1, Advisory.MOVE_FORWARD),
+              (1, Advisory.STOP_IMMEDIATELY), (0, Advisory.STOP_IMMEDIATELY),
+              (0, Advisory.MOVE_FORWARD), (2, Advisory.MOVE_FORWARD), (3, Advisory.MOVE_FORWARD)])
+    def test_tails_follow_flags_and_advisory(self, picks):
+        # Equal flags of distinct objects and advisories that change
+        # while the flags object stays.
+        base = _RUNS[2]
+        rows = [base[i % len(base)]._replace(flags=_TWIN_FLAGS[f], advisory=advisory)
+                for i, (f, advisory) in enumerate(picks)]
+        assert format_trace(rows) == TRACE_HEADER + "\n" + "".join(map(format_row, rows))
+
+    def test_fresh_equal_flags_with_alternating_advisories(self):
+        # Every row gets a new flags object, made as the row is read, and
+        # the advisory alternates.
+        values = [tuple(flags) for flags in _TWIN_FLAGS]
+        advisories = (Advisory.MOVE_FORWARD, Advisory.UP_STAIRS_AHEAD)
+        rows = [row._replace(flags=TickFlags(*values[i // 2 % len(values)]),
+                             advisory=advisories[i // 3 % 2])
+                for i, row in enumerate(_RUNS[2])]
+        made = (row._replace(flags=TickFlags(*row.flags)) for row in rows)
+        assert format_trace(made) == TRACE_HEADER + "\n" + "".join(map(format_row, rows))
 
     def test_rows_from_a_generator(self):
         # Two positions in turn, each with its readings and a new frame that
@@ -421,17 +462,51 @@ class TestRunCommand:
     def test_closed_stdout_exit_2_in_fresh_interpreter(self, monkeypatch, argv):
         # Started with fd 1 closed, as by `ultranav --help >&-`, the
         # interpreter sets sys.stdout to None.
-        proc = run_cli(argv, close_stdout=True)
+        proc = run_cli(argv, close_fd=1)
         assert proc.returncode == 2
         assert proc.stderr == "ultranav: error: stdout is closed\n"
 
         monkeypatch.setattr(sys, "stdout", None)
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("argv", STDERR_FAILURES)
+    def test_failed_stderr_write_exit_2(self, monkeypatch, capsys, tmp_path, argv):
+        argv = [word.format(tmp=tmp_path) for word in argv]
+
+        class FullStderr:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stderr", FullStderr())
+        assert main(argv) == 2
+        # A stderr that is None, as the interpreter sets it when it starts
+        # with fd 2 closed, loses the message rather than print it to stdout.
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", STDERR_FAILURES)
+    @pytest.mark.parametrize("how", ["full", "closed-at-start", "closed-later"])
+    def test_failed_stderr_exit_2_in_fresh_interpreter(self, tmp_path, argv, how):
+        # fd 2 on /dev/full, closed before the interpreter starts (sys.stderr
+        # is None), or closed under a sys.stderr already made.  stdout is
+        # not blamed: it still takes a line after `main` returns.
+        argv = [word.format(tmp=tmp_path) for word in argv]
+        prelude = {
+            "full": "import os; os.dup2(os.open('/dev/full', os.O_WRONLY), 2)",
+            "closed-at-start": "",
+            "closed-later": "import os; os.close(2)",
+        }[how]
+        proc = run_cli(argv, prelude=prelude, close_fd=2 if how == "closed-at-start" else None,
+                       then="print('stdout is open')")
+        assert proc.returncode == 2
+        assert proc.stdout == "stdout is open\n"
+
     def test_closed_stdout_run_with_out_file(self, tmp_path):
         out = tmp_path / "t.csv"
         proc = run_cli(["run", str(SCENARIO_DIR / "upstairs.scn"), "--out", str(out)],
-                       close_stdout=True)
+                       close_fd=1)
         assert proc.returncode == 0 and proc.stderr == ""
         assert out.read_bytes() == (GOLDEN_DIR / "upstairs.trace.csv").read_bytes()
 

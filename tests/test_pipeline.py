@@ -31,6 +31,7 @@ from ultranav.pipeline import (
     MAX_TICKS,
     SENSOR_ORDER,
     TICK_MS,
+    FrameOutput,
     PipelineError,
     SimConfig,
     TickFlags,
@@ -231,14 +232,19 @@ def _revisiting_walks(draw):
     return walk
 
 
-def _walk_positions(walk):
-    """x at each tick of `walk`: the exact sum of the steps before it, rounded once."""
-    xs, exact = [], Fraction(0)
+def _exact_positions(walk):
+    """The exact position at each tick of `walk`: the sum of the steps before it."""
+    positions, exact = [], Fraction(0)
     for segment, count in zip(walk, trajectory_ticks(walk)):
         for _ in range(count):
-            xs.append(float(exact))
+            positions.append(exact)
             exact += Fraction(segment.speed) * TICK_MS / 1000
-    return xs
+    return positions
+
+
+def _walk_positions(walk):
+    """x at each tick of `walk`: the exact sum of the steps before it, rounded once."""
+    return [float(exact) for exact in _exact_positions(walk)]
 
 
 def _check_rows(scene, config, rows):
@@ -376,6 +382,33 @@ class TestPositions:
         assert xs[3:6] == [0.0, 15.0, 30.0]
         assert xs[8:13] == [45.0, 30.0, 15.0, 0.0, -15.0]
 
+    def test_subnormal_steps_are_each_sensed_once(self, monkeypatch):
+        # A subnormal step moves the position but not its float: the memo
+        # keeps each step count, so positions that round to one x are each
+        # sensed once, and read alike.  The head-height block arms the
+        # step-back check, the way back infers, and the subnormal advance
+        # clears it.
+        scene = SagittalScene((Rect(180, 190, 170, 200),), (GroundSegment(40, 50, -15.0),))
+        walk = [
+            TrajectorySegment(5e-324, 0.09),
+            TrajectorySegment(500.0, 0.27),
+            TrajectorySegment(-5e-324, 0.06),
+            TrajectorySegment(-500.0, 0.15),
+            TrajectorySegment(5e-324, 0.06),
+            TrajectorySegment(500.0, 0.15),
+        ]
+        positions = _exact_positions(walk)
+        calls = TestSensingMemo.count_sense(monkeypatch)
+        config = SimConfig()
+        rows = run_scenario(scene, walk, config)
+        assert sorted(calls) == sorted(float(exact) for exact in set(positions))
+        assert len(set(calls)) < len(calls)
+        readings = {}
+        for row in rows:
+            assert readings.setdefault(row.user_x, row[3:8]) == row[3:8]
+        assert {row.flags.inferred for row in rows} == {None, UpperLevel.HEAD}
+        check_rows(rows, walk_speeds(walk), config.debounce_ticks)
+
     def test_speeds_of_other_number_types(self):
         # numpy's ints have no `as_integer_ratio`; the run takes each speed as a float.
         np = pytest.importorskip("numpy")
@@ -429,6 +462,18 @@ class TestSharedRows:
             with pytest.raises(ValueError, match="brzP out of range: -1"):
                 _frame(0, 0, 0, -1)
         assert _frame.cache_info().currsize == size
+
+    def test_rows_are_frame_outputs(self):
+        scene = SagittalScene((Rect(100, 102, 0, 200),), (GroundSegment(-10, 10, -25.0),))
+        row, _ = tick_at(scene, 0.0, tick_index=3)
+        for r in [row, *run_scenario(scene, stand(0.09), SimConfig())]:
+            assert type(r) is FrameOutput and r._fields == FrameOutput._fields
+            assert r == FrameOutput(*r)
+            moved = r._replace(advisory=Advisory.STOP_IMMEDIATELY)
+            assert type(moved) is FrameOutput
+            assert moved[:8] == r[:8] and moved.flags is r.flags
+            assert moved.advisory is Advisory.STOP_IMMEDIATELY
+            assert r.readings == dict(zip(SENSOR_ORDER, r[3:7]))
 
     def test_rows_are_immutable(self):
         row, _ = tick_at(SagittalScene(), 0.0)
@@ -485,6 +530,19 @@ class TestFuse:
     def test_knee_beats_toe_when_both_flagged(self):
         flags = TickFlags(knee_bit=1, toe_bit=1, upstairs=False)
         assert fuse(BuzzerFrame(brzK=1, brzT=1), flags) == Advisory.KNEE_OBSTACLE_AHEAD
+
+    def test_cached_verdict_is_the_uncached_one(self):
+        # Every valid pair: 320 levels by 80 flags.
+        frames = [BuzzerFrame(*levels)
+                  for levels in itertools.product(range(5), range(4), range(4), range(4))]
+        flags = [TickFlags(*values) for values in itertools.product(
+            (False, True), (0, 1), (0, 1), (False, True), (None, *UpperLevel))]
+        assert (len(frames), len(flags)) == (320, 80)
+        for frame in frames:
+            for f in flags:
+                assert fuse(frame, f) is fuse.__wrapped__(frame, f)
+        # Keys that compare equal share an entry, and a verdict.
+        assert fuse(BuzzerFrame(True), TickFlags(1)) is fuse.__wrapped__(BuzzerFrame(1), TickFlags(True))
 
 
 class TestDebounce:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ultranav.geometry import Aim, Rect, SagittalScene
 from ultranav.sensing import (
@@ -13,6 +13,7 @@ from ultranav.sensing import (
     SensorSpec,
     correct,
     default_sensors,
+    echo_reading,
     fit_calibration,
     measure,
     parse_calibration_text,
@@ -84,6 +85,50 @@ class TestMeasure:
         for d in (2.0, 50.0, 150.0, 290.0):
             r = measure(wall_scene(d), spec, 0.0, calib=calib)
             assert MIN_RANGE_CM <= r <= MAX_RANGE_CM
+
+
+def _min_max_reading(true, c_cal, c_actual, gain, offset):
+    """`echo_reading` as it clamped with min and max."""
+    if true is None or true > MAX_RANGE_CM:
+        return None
+    return min(max(gain * (true * c_cal / c_actual) + offset, MIN_RANGE_CM), MAX_RANGE_CM)
+
+
+# Each range end and the floats either side of it.
+_EDGE_RAWS = [
+    raw
+    for end in (MIN_RANGE_CM, MAX_RANGE_CM)
+    for raw in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf))
+]
+
+
+class TestEchoReading:
+    @given(
+        st.none() | st.floats(0.0, 2 * MAX_RANGE_CM),
+        st.floats(30_000.0, 37_000.0),
+        st.floats(30_000.0, 37_000.0),
+        st.floats(0.01, 100.0),
+        st.floats(-400.0, 400.0),
+    )
+    @example(MAX_RANGE_CM, 1.0, 1.0, 1.0, 0.0)
+    @example(math.nextafter(MAX_RANGE_CM, math.inf), 1.0, 1.0, 1.0, 0.0)
+    @example(0.0, 1.0, 1.0, 1.0, math.nextafter(MIN_RANGE_CM, -math.inf))
+    @example(0.0, 1.0, 1.0, 1.0, MIN_RANGE_CM)
+    @example(0.0, 1.0, 1.0, 1.0, math.nextafter(MIN_RANGE_CM, math.inf))
+    @example(0.0, 1.0, 1.0, 1.0, math.nextafter(MAX_RANGE_CM, -math.inf))
+    @example(0.0, 1.0, 1.0, 1.0, MAX_RANGE_CM)
+    @example(0.0, 1.0, 1.0, 1.0, math.nextafter(MAX_RANGE_CM, math.inf))
+    def test_equals_the_min_max_clamp(self, true, c_cal, c_actual, gain, offset):
+        got = echo_reading(true, c_cal, c_actual, gain, offset)
+        want = _min_max_reading(true, c_cal, c_actual, gain, offset)
+        assert type(got) is type(want)
+        assert want is None or got.hex() == want.hex()
+
+    def test_edges_keep_or_clamp(self):
+        # With a true distance of 0, unit sound speeds and gain, the raw
+        # reading is the offset itself.
+        readings = [echo_reading(0.0, 1.0, 1.0, 1.0, raw) for raw in _EDGE_RAWS]
+        assert readings == [MIN_RANGE_CM, MIN_RANGE_CM, *_EDGE_RAWS[2:5], MAX_RANGE_CM]
 
 
 class TestCalibration:
