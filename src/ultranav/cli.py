@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .classify import (
     classify_chest,
@@ -175,8 +175,15 @@ def _format_lead(x, d_chest, d_knee, d_toe, d_down, frame) -> str:
     )
 
 
+@cache
 def _format_tail(flags, advisory) -> str:
-    """A row's `upstairs` to `advisory` columns and its newline."""
+    """A row's `upstairs` to `advisory` columns and its newline, cached per pair.
+
+    Each column prints int() of a flag or the `.value` of an enum member, so
+    equal keys (True, 1, 1.0) print alike.  Pipeline rows give at most 80 flags
+    values by 11 advisories; hand-built rows add one entry per distinct pair,
+    as with `pipeline.fuse`.
+    """
     inferred = "-" if flags.inferred is None else flags.inferred.value
     # The two flags are bools: int() prints them as 0 or 1, faster than a `:d` spec.
     return f"{int(flags.upstairs)},{int(flags.downstep)},{inferred},{advisory.value}\n"
@@ -194,38 +201,28 @@ def format_row(row) -> str:
 def format_trace(frames) -> str:
     """Byte-stable CSV trace: TRACE_HEADER, then the format_row of each frame.
 
-    A repeated lead (`user_x` to `brzP`) or tail (`upstairs` to
-    `advisory`) is formatted once per call.  A lead is reused at a user_x
-    only with the very reading and `frame` objects it came from, as a
-    run's revisits have them: equal values can print apart (1, 1.0, True;
-    0.0 and -0.0, so x = 0 keeps nothing).  A row reuses the tail of the
-    row before if it has its very flags and advisory, else looks it up per
-    flags value and advisory object.  Entries hold what they name by id,
-    and each cache clears at pipeline._MEMO_SIZE entries, as the run's
-    memo does.
+    A lead (`user_x` to `brzP`) is reused only with the very x, reading and
+    `frame` objects it came from, as a run's revisits give them, since equal
+    values can print apart (1, 1.0, True; 0.0, -0.0); leads are kept per call
+    and clear at pipeline._MEMO_SIZE entries, as the run's memo does.  A tail
+    (`upstairs` to `advisory`) is the row before's if the row has its very
+    flags and advisory, else the cached `_format_tail`.
     """
-    out, leads, tails = [TRACE_HEADER + "\n"], {}, {}
+    out, leads = [TRACE_HEADER + "\n"], {}
     last_flags = last_advisory = object()  # a sentinel: the first row looks its tail up
     for tick, t_ms, x, d_chest, d_knee, d_toe, d_down, frame, advisory, flags in frames:
         kept = leads.get(x)
-        if (kept is not None and kept[0] is d_chest and kept[1] is d_knee
-                and kept[2] is d_toe and kept[3] is d_down and kept[4] is frame):
-            lead = kept[5]
+        if (kept is not None and kept[0] is x and kept[1] is d_chest and kept[2] is d_knee
+                and kept[3] is d_toe and kept[4] is d_down and kept[5] is frame):
+            lead = kept[6]
         else:
             lead = _format_lead(x, d_chest, d_knee, d_toe, d_down, frame)
-            if x:
-                if len(leads) >= _MEMO_SIZE:
-                    leads.clear()
-                leads[x] = (d_chest, d_knee, d_toe, d_down, frame, lead)
+            if len(leads) >= _MEMO_SIZE:
+                leads.clear()
+            leads[x] = (x, d_chest, d_knee, d_toe, d_down, frame, lead)
         if flags is not last_flags or advisory is not last_advisory:
             last_flags, last_advisory = flags, advisory
-            key = (flags, id(advisory))  # an id hashes faster than an Advisory
-            kept = tails.get(key)
-            if kept is None:
-                if len(tails) >= _MEMO_SIZE:
-                    tails.clear()
-                kept = tails[key] = (advisory, _format_tail(flags, advisory))
-            tail = kept[1]
+            tail = _format_tail(flags, advisory)
         out.append(f"{tick},{t_ms},{lead}{tail}")
     return "".join(out)
 
@@ -359,8 +356,8 @@ def parse_args(argv):
 
 
 def _drop_unwritten(stream) -> None:
-    """Point a failed standard stream at os.devnull, or the flush at exit fails again."""
-    if stream is sys.__stdout__ or stream is sys.__stderr__:
+    """Point a failed standard stream, if open, at os.devnull, or the flush at exit fails again."""
+    if (stream is sys.__stdout__ or stream is sys.__stderr__) and not stream.closed:
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
@@ -369,7 +366,7 @@ def _error(message) -> int:
     if sys.stderr is not None:
         try:
             print(f"ultranav: error: {message}", file=sys.stderr, flush=True)
-        except OSError:
+        except (OSError, ValueError):  # a closed file raises ValueError
             _drop_unwritten(sys.stderr)
     return 2
 
@@ -414,8 +411,9 @@ def main(argv=None) -> int:
             code = 0
         if out is None:
             sys.stdout.flush()  # here, or a write that fails only at exit escapes the handler
-    except OSError as exc:
-        # `_error` raises nothing, so this failure is the output's: stdout or --out.
+    except (OSError, ValueError) as exc:
+        # `_error` raises nothing and `cmd_run` maps its parse and run errors, so this
+        # failure is the output's, stdout or --out (ValueError: closed, or a NUL in the path).
         if out is None:
             _drop_unwritten(sys.stdout)
         return _error(exc)

@@ -4,16 +4,18 @@ import math
 import os
 import subprocess
 import sys
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ultranav import cli
 from ultranav.classify import Advisory, BuzzerFrame, UpperLevel
 from ultranav.cli import (
     TRACE_HEADER,
     ScenarioError,
+    _format_tail,
     format_row,
     format_trace,
     main,
@@ -244,6 +246,9 @@ _TWIN_FLAGS = [
     for _ in range(2)
 ]
 
+# Flag values equal to True or False, of each type.
+_BOOL_LOOKALIKES = st.sampled_from([True, 1, 1.0, False, 0, 0.0, -0.0])
+
 # Rows whose user_x, readings or levels compare equal but print apart.
 _LOOKALIKES = [
     FrameOutput(0, 0, x, d, d, d, d, frame, Advisory.MOVE_FORWARD, TickFlags())
@@ -251,8 +256,8 @@ _LOOKALIKES = [
     for d in (0.0, -0.0, 3.0)
     for frame in _FRAMES[1:4]
 ]
-# More distinct leads and tails than format_trace keeps, so both caches
-# clear mid-trace.
+# More distinct leads than format_trace keeps, so its lead cache clears
+# mid-trace.  Tails are cached per process, so each flags value here adds one.
 _SPILL = [
     FrameOutput(i, 30 * i, 0.5 + i / 10, 45.25, None, 3.0, None, _FRAMES[i % 2],
                 Advisory.MOVE_FORWARD, TickFlags(False, i, 0, False, None))
@@ -310,6 +315,41 @@ class TestFormatTrace:
                 for i, row in enumerate(_RUNS[2])]
         made = (row._replace(flags=TickFlags(*row.flags)) for row in rows)
         assert format_trace(made) == TRACE_HEADER + "\n" + "".join(map(format_row, rows))
+
+    def test_cached_tail_is_the_uncached_one(self):
+        # Every pair a run can give: 80 flags by 11 advisories.
+        flags = [TickFlags(*values) for values in product(
+            (False, True), (0, 1), (0, 1), (False, True), (None, *UpperLevel))]
+        assert (len(flags), len(Advisory)) == (80, 11)
+        for f, advisory in product(flags, Advisory):
+            assert _format_tail(f, advisory) == _format_tail.__wrapped__(f, advisory)
+
+    @given(_BOOL_LOOKALIKES, _BOOL_LOOKALIKES, st.none() | st.sampled_from(UpperLevel),
+           st.sampled_from(Advisory))
+    def test_equal_flags_of_other_types_print_as_bools(self, upstairs, downstep, inferred,
+                                                       advisory):
+        # A value key is exact: a flags value equal to its bool form, which
+        # may have made the cache entry, prints as that form does.
+        bools = TickFlags(bool(upstairs), 0, 0, bool(downstep), inferred)
+        flags = TickFlags(upstairs, 0, 0, downstep, inferred)
+        expected = _format_tail(bools, advisory)
+        assert expected == _format_tail.__wrapped__(bools, advisory)
+        assert _format_tail(flags, advisory) == expected
+        assert _format_tail.__wrapped__(flags, advisory) == expected
+
+    def test_walk_back_to_zero_reuses_its_lead(self, monkeypatch):
+        # Out, back to x = 0 and out again: the run's memo hands the
+        # revisits their position's very x, so each lead is formatted once.
+        walk = [TrajectorySegment(100.0, 0.3), TrajectorySegment(-100.0, 0.3),
+                TrajectorySegment(100.0, 0.3)]
+        rows = run_scenario(SagittalScene([Rect(40.0, 42.0, 0.0, 200.0)]), walk)
+        assert [row.user_x for row in rows].count(0.0) == 2
+        expected = TRACE_HEADER + "\n" + "".join(map(format_row, rows))
+        calls, formatted = [], cli._format_lead
+        monkeypatch.setattr(cli, "_format_lead",
+                            lambda *lead: calls.append(lead) or formatted(*lead))
+        assert format_trace(rows) == expected
+        assert len(calls) == len({id(row.user_x) for row in rows}) < len(rows)
 
     def test_rows_from_a_generator(self):
         # Two positions in turn, each with its readings and a new frame that
@@ -431,6 +471,8 @@ class TestRunCommand:
         [
             pytest.param("no/such/dir/t.csv", "No such file or directory", id="missing-dir"),
             pytest.param(".", "Is a directory", id="directory"),
+            # open() raises ValueError for a path no file can have.
+            pytest.param("t\x00.csv", "embedded null byte", id="null-byte"),
         ],
     )
     def test_unwritable_out_exit_2(self, tmp_path, capsys, target, named):
@@ -447,6 +489,25 @@ class TestRunCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("ultranav: error:")
+
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_closed_stdout_object_exit_2(self, monkeypatch, capsys, argv):
+        # A file object the caller closed raises ValueError, not OSError.
+        closed = io.StringIO()
+        closed.close()
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("ultranav: error:")
+
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_closed_stdout_object_exit_2_in_fresh_interpreter(self, argv):
+        # The interpreter's own sys.stdout, closed by the caller: nothing is
+        # left to flush at exit, and fd 1 stays as it was.
+        proc = run_cli(argv, prelude="import sys; sys.stdout.close()")
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ultranav: error:")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=lambda argv: argv[0])
@@ -485,18 +546,30 @@ class TestRunCommand:
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", STDERR_FAILURES)
+    def test_closed_stderr_object_exit_2(self, monkeypatch, capsys, tmp_path, argv):
+        # A file object the caller closed raises ValueError, not OSError.
+        argv = [word.format(tmp=tmp_path) for word in argv]
+        closed = io.StringIO()
+        closed.close()
+        monkeypatch.setattr(sys, "stderr", closed)
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", STDERR_FAILURES)
-    @pytest.mark.parametrize("how", ["full", "closed-at-start", "closed-later"])
+    @pytest.mark.parametrize("how", ["full", "closed-at-start", "closed-later", "closed-object"])
     def test_failed_stderr_exit_2_in_fresh_interpreter(self, tmp_path, argv, how):
         # fd 2 on /dev/full, closed before the interpreter starts (sys.stderr
-        # is None), or closed under a sys.stderr already made.  stdout is
-        # not blamed: it still takes a line after `main` returns.
+        # is None), closed under a sys.stderr already made, or sys.stderr
+        # closed by the caller.  stdout is not blamed: it still takes a line
+        # after `main` returns.
         argv = [word.format(tmp=tmp_path) for word in argv]
         prelude = {
             "full": "import os; os.dup2(os.open('/dev/full', os.O_WRONLY), 2)",
             "closed-at-start": "",
             "closed-later": "import os; os.close(2)",
+            "closed-object": "import sys; sys.stderr.close()",
         }[how]
         proc = run_cli(argv, prelude=prelude, close_fd=2 if how == "closed-at-start" else None,
                        then="print('stdout is open')")
