@@ -23,7 +23,7 @@ from ultranav.cli import (
     parse_scenario,
     verify_tables,
 )
-from ultranav.geometry import GroundSegment, Rect, SagittalScene
+from ultranav.geometry import GeometryError, GroundSegment, Rect, SagittalScene
 from ultranav.pipeline import (
     _MEMO_SIZE,
     MAX_TICKS,
@@ -200,6 +200,183 @@ class TestParseScenario:
         golden = GOLDEN_DIR / f"{path.stem}.trace.csv"
         frames = run_scenario(*parse_scenario(path.read_text()))
         assert format_trace(frames) == golden.read_text()
+
+
+# Bad OBSTACLE lines and the exact error each gives.
+_BAD_OBSTACLES = [
+    pytest.param("OBSTACLE 1 2 3", "OBSTACLE takes 4 values, got 3", id="three-values"),
+    pytest.param("OBSTACLE 1 2 3 4 5", "OBSTACLE takes 4 values, got 5", id="five-values"),
+    pytest.param("OBSTACLE", "OBSTACLE takes 4 values, got 0", id="no-values"),
+    pytest.param("OBSTACLE a b c", "OBSTACLE takes 4 values, got 3", id="count-before-numbers"),
+    pytest.param("OBSTACLE 1 2 x 4", "non-numeric value in OBSTACLE directive", id="non-numeric"),
+    pytest.param("OBSTACLE 0x10 20 0 1", "non-numeric value in OBSTACLE directive", id="hex"),
+    pytest.param("OBSTACLE nan 2 x 4", "non-numeric value in OBSTACLE directive",
+                 id="non-numeric-before-non-finite"),
+    pytest.param("OBSTACLE nan 2 0 4", "non-finite value in OBSTACLE", id="nan"),
+    pytest.param("OBSTACLE 1 2 0 nan", "non-finite value in OBSTACLE", id="nan-last"),
+    pytest.param("OBSTACLE 0 inf 0 4", "non-finite value in OBSTACLE", id="inf"),
+    pytest.param("OBSTACLE -inf 2 0 4", "non-finite value in OBSTACLE", id="minus-inf"),
+    pytest.param("OBSTACLE 1 1e400 0 4", "non-finite value in OBSTACLE", id="1e400"),
+    pytest.param("OBSTACLE 5 1 inf 0", "non-finite value in OBSTACLE",
+                 id="non-finite-before-inverted"),
+    pytest.param("OBSTACLE 10 5 0 10", "rect needs x0 < x1, got [10.0, 5.0]", id="x-inverted"),
+    pytest.param("OBSTACLE 5 5 0 10", "rect needs x0 < x1, got [5.0, 5.0]", id="x-equal"),
+    pytest.param("OBSTACLE 0 1 7 -7", "rect needs z0 < z1, got [7.0, -7.0]", id="z-inverted"),
+    pytest.param("OBSTACLE 0 1 7 7", "rect needs z0 < z1, got [7.0, 7.0]", id="z-equal"),
+    pytest.param("OBSTACLE 1 0 1 0", "rect needs x0 < x1, got [1.0, 0.0]", id="x-before-z"),
+    pytest.param("obstacle 1 2 3", "OBSTACLE takes 4 values, got 3", id="lowercase"),
+    pytest.param("OBSTACLE 1 2 3 # 4", "OBSTACLE takes 4 values, got 3", id="commented-out"),
+]
+
+# OBSTACLE values that are accepted, each as float() reads it.
+_GOOD_OBSTACLES = [
+    pytest.param("OBSTACLE 1e308 1.7e308 0 1", id="bounds-sum-overflows"),
+    pytest.param("OBSTACLE -1.7e308 -1e308 -1e308 1e308", id="bounds-sum-overflows-negative"),
+    pytest.param("OBSTACLE -0 +5 -0.0 +1", id="signs"),
+    pytest.param("OBSTACLE .5 5. 0 1", id="bare-points"),
+    pytest.param("OBSTACLE 1_0 2_0 0 1", id="underscores"),
+    pytest.param("OBSTACLE\t1\t2\t0\t1", id="tabs"),
+    pytest.param("obstacle 1 2 0 1", id="lowercase"),
+    pytest.param("  OBSTACLE 1 2 0 1  # a box", id="comment"),
+    pytest.param("OBSTACLE 1e-320 2e-320 0 5e-324", id="subnormals"),
+]
+
+
+_NUMBER_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-500, 500).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "x", "0x10", "1_0",
+                     "1__0", "_1", "-0", "+5", ".5", "5.", "1e308", "1.7e308", "-1.7e308"]),
+)
+
+
+@st.composite
+def _box_fields(draw):
+    """Four values that mostly make a valid box, printed in a few spellings."""
+    x0 = draw(st.floats(-1e4, 1e4))
+    z0 = draw(st.floats(-1e3, 1e3))
+    widths = st.floats(1.0, 1e3)
+    values = [x0, x0 + draw(widths), z0, z0 + draw(widths)]
+    if draw(st.integers(0, 15)) == 0:  # one pair of bounds the wrong way round
+        i = draw(st.sampled_from([0, 2]))
+        values[i], values[i + 1] = values[i + 1], values[i]
+    spell = draw(st.sampled_from([repr, "{:.3f}".format, "{:g}".format]))
+    return tuple(map(spell, values))
+
+
+# Lines of the other directives, as (line, None), and bad ones, as (line, error),
+# where `{n}` stands for the line number.
+_OTHER_LINES = [
+    ("CONFIG temp 25", None),
+    ("SENSOR knee 53.5 60", None),
+    ("WALK 100 1", None),
+    ("# a comment", None),
+    ("", None),
+    ("  \t", None),
+]
+_BAD_OTHER_LINES = [
+    ("WALK 600 1", "line {n}: |speed| must be <= 500.0 cm/s"),
+    ("JUMP 3", "line {n}: unknown directive 'JUMP'"),
+    ("CONFIG warp 9", "line {n}: unknown CONFIG key 'warp'"),
+    ("GROUND 0 1 nan", "line {n}: non-finite value in GROUND"),
+]
+
+
+@st.composite
+def _loader_lines(draw):
+    """Scenario lines as (text, expected): for an OBSTACLE line its fields,
+    else None or the error the line gives."""
+    lines = []
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["box"] * 12 + ["wild", "ground", "other", "bad"]))
+        if kind == "ground":  # apart from every other GROUND line
+            lines.append((f"GROUND {-1000 - 10 * i} {-995 - 10 * i} -3", None))
+            continue
+        if kind in ("other", "bad"):
+            lines.append(draw(st.sampled_from(_OTHER_LINES if kind == "other" else _BAD_OTHER_LINES)))
+            continue
+        count = st.sampled_from([3, 4, 4, 4, 4, 5])
+        fields = draw(_box_fields() if kind == "box" else count.flatmap(
+            lambda n: st.lists(_NUMBER_TEXTS, min_size=n, max_size=n).map(tuple)))
+        sep = st.sampled_from([" ", "\t", "  ", " \t "])
+        text = draw(st.sampled_from(["OBSTACLE", "obstacle", "Obstacle"]))
+        for field in fields:
+            text += draw(sep) + field
+        text += draw(st.sampled_from(["", " ", " # 1 2", "#"]))
+        lines.append((draw(st.sampled_from(["", " "])) + text, fields))
+    return lines
+
+
+def _reference_obstacles(lines):
+    """(obstacles, None), or (None, the first error), for `_loader_lines` lines, one at a time."""
+    obstacles = []
+    for lineno, (_, expected) in enumerate(lines, start=1):
+        if isinstance(expected, str):
+            return None, expected.format(n=lineno)
+        if expected is None:
+            continue
+        if len(expected) != 4:
+            return None, f"line {lineno}: OBSTACLE takes 4 values, got {len(expected)}"
+        try:
+            values = [float(f) for f in expected]
+        except ValueError:
+            return None, f"line {lineno}: non-numeric value in OBSTACLE directive"
+        if not all(map(math.isfinite, values)):
+            return None, f"line {lineno}: non-finite value in OBSTACLE"
+        try:
+            obstacles.append(Rect(*values))
+        except GeometryError as exc:
+            return None, f"line {lineno}: {exc}"
+    return tuple(obstacles), None
+
+
+class TestObstacleLoader:
+    @pytest.mark.parametrize("line,message", _BAD_OBSTACLES)
+    def test_error_names_its_line(self, line, message):
+        with pytest.raises(ScenarioError) as raised:
+            parse_scenario(f"# header\nWALK 100 1\n{line}\nOBSTACLE 1 2 0 1\n")
+        assert str(raised.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize("line", _GOOD_OBSTACLES)
+    def test_accepted_values(self, line):
+        fields = line.split("#")[0].split()[1:]
+        scene, _, _ = parse_scenario(f"{line}\nWALK 100 1\n")
+        (rect,) = scene.obstacles
+        assert type(rect) is Rect
+        assert list(map(repr, rect)) == list(map(repr, Rect(*map(float, fields))))
+
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("WALK 100 1\nOBSTACLE 5 1 0 1\nOBSTACLE 1 2 0 1\nWALK 600 1\n",
+                     "line 2: rect needs x0 < x1, got [5.0, 1.0]", id="obstacle-first"),
+        pytest.param("WALK 100 1\nWALK 600 1\nOBSTACLE 1 2 0 1\nOBSTACLE 5 1 0 1\n",
+                     "line 2: |speed| must be <= 500.0 cm/s", id="walk-first"),
+        pytest.param("OBSTACLE 1 2 0\nCONFIG warp 9\nWALK 100 1\n",
+                     "line 1: OBSTACLE takes 4 values, got 3", id="obstacle-before-config"),
+        pytest.param("GROUND 0 1 x\nOBSTACLE nan 2 0 1\nWALK 100 1\n",
+                     "line 1: non-numeric value in GROUND directive", id="ground-first"),
+        pytest.param("OBSTACLE 1 2 0 1\nGROUND 0 50 -10\nGROUND 40 90 -20\nOBSTACLE 2 1 0 1\n"
+                     "WALK 100 1\n",
+                     "line 4: rect needs x0 < x1, got [2.0, 1.0]", id="obstacle-before-overlap"),
+    ])
+    def test_first_error_wins(self, text, message):
+        with pytest.raises(ScenarioError) as raised:
+            parse_scenario(text)
+        assert str(raised.value) == message
+
+    @settings(max_examples=150, deadline=None)
+    @given(_loader_lines())
+    def test_equals_per_line_reference(self, lines):
+        text = "".join(line + "\n" for line, _ in lines) + "WALK 100 1\n"
+        expected, message = _reference_obstacles(lines)
+        if message is None:
+            scene, _, _ = parse_scenario(text)
+            assert all(type(rect) is Rect for rect in scene.obstacles)
+            assert [list(map(repr, r)) for r in scene.obstacles] == [
+                list(map(repr, r)) for r in expected]
+        else:
+            with pytest.raises(ScenarioError) as raised:
+                parse_scenario(text)
+            assert str(raised.value) == message
 
 
 # Runs that share user_x with other readings: flat_walk and wall_approach
