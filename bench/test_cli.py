@@ -16,9 +16,14 @@ out])` in an already warm interpreter, on an 8-tick scenario with CONFIG,
 SENSOR and calibration lines like a perfbench `scene_churn` job: reading
 the command line, parsing both files, the run, formatting and rewriting
 the output file.
+
+`test_parse_clutter` times `parse_scenario` alone on a dense scene like a
+perfbench `clutter_dense` job: 300 OBSTACLE and 40 GROUND lines drawn
+from a fixed seed, plus a walk there and back.
 """
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +51,23 @@ WALK -250 0.12
 CHURN_CALIBRATION = "20 20.9\n60 62.1\n120 123.4\n200 205.2\n280 286.7\n"
 
 
+def _clutter_text(seed=26):
+    """A 300-box, 40-hole scenario: holes 2 cm wide every 4 cm under the walk,
+    boxes of every width (every tenth a slat under 0.3 cm) beyond its end."""
+    rng = random.Random(seed)
+    lines = [f"GROUND {4 * i} {4 * i + 2} {-rng.uniform(1.0, 60.0):.2f}" for i in range(40)]
+    for k in range(300):
+        x0 = rng.uniform(165.0, 665.0)
+        width = rng.uniform(0.05, 0.28) if k % 10 == 0 else rng.uniform(0.5, 40.0)
+        z0 = rng.choice((0.0, rng.uniform(0.0, 190.0)))
+        lines.append(f"OBSTACLE {x0:.2f} {x0 + width:.2f} {z0:.2f} {z0 + rng.uniform(2.0, 80.0):.2f}")
+    lines += ["WALK 150 0.9", "WALK -150 0.9"]
+    return "\n".join(lines) + "\n"
+
+
+CLUTTER_SCENARIO = _clutter_text()
+
+
 def test_cli_run(benchmark, tmp_path):
     out = tmp_path / "wall_approach.csv"
     command = [sys.executable, "-m", "ultranav.cli", "run", str(SCENARIO), "--out", str(out)]
@@ -70,3 +92,8 @@ def test_main_in_process(benchmark, tmp_path):
     code = benchmark(main, ["run", str(scn), "--calib", str(cal), "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == expected.encode()
+
+
+def test_parse_clutter(benchmark):
+    scene, walks, _ = benchmark(parse_scenario, CLUTTER_SCENARIO)
+    assert (len(scene.obstacles), len(scene.ground), len(walks)) == (300, 40, 2)

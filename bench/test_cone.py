@@ -7,8 +7,8 @@ on the ground, over a profile of potholes, drawn from a fixed seed.
 `test_cone` builds its scene once per case, so it times steady-state
 casts with the scene's face indexes already in place.  `test_first_cast`
 builds a fresh scene before each round, outside the timing, and times
-one forward and one down cast on it: the first cones of a run, which
-also build both face indexes.
+one forward and one down cast on it: the first cones of a run, the
+first of which builds both face indexes, in one pass.
 """
 
 import random

@@ -5,7 +5,8 @@
 Each profile holds n potholes 20 cm wide, one every 40 cm, with depths
 drawn from a fixed seed, under ten boxes.  `test_build` times
 `SagittalScene(obstacles, ground)`, which sorts the authored segments into
-the terrain profile (the face lists are built later, by the first cone).
+the terrain profile (both face lists are built later, in one pass, by the
+first cone).
 `test_elevation` times one `scene.elevation(x)` lookup inside the middle
 pothole of an already built scene.
 """

@@ -7,11 +7,13 @@ from itertools import repeat
 class Record:
     """Mixin for a namedtuple subclass whose `__new__` checks its values.
 
-    Every build path runs that `__new__`: `_make` here calls the class,
-    the namedtuple's own `_replace` builds through `_make`, and copy and
-    pickle rebuild through `__new__` from the fields.  A subclass that
-    declares no `__slots__` keeps an instance dict for `cached_property`
-    values; assigning any attribute still raises.
+    That `__new__` builds the tuple with `tuple.__new__(cls, values)`,
+    which skips the namedtuple's generated one.  Every build path runs
+    it: `_make` here calls the class, the namedtuple's own `_replace`
+    builds through `_make`, and copy and pickle rebuild through
+    `__new__` from the fields.  A subclass that declares no `__slots__`
+    keeps an instance dict for `cached_property` values; assigning any
+    attribute still raises.
     """
 
     __slots__ = ()

@@ -56,7 +56,7 @@ class BuzzerFrame(Record, namedtuple("BuzzerFrame", "brzC brzK brzT brzP")):
         for label, level in (("brzK", brzK), ("brzT", brzT), ("brzP", brzP)):
             if not 0 <= level <= 3:
                 raise ValueError(f"{label} out of range: {level}")
-        return super().__new__(cls, brzC, brzK, brzT, brzP)
+        return tuple.__new__(cls, (brzC, brzK, brzT, brzP))
 
 
 def classify_chest(r: Reading) -> int:

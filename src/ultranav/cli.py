@@ -65,6 +65,10 @@ _CONFIG_KEYS = {
 }
 
 
+# Each parse starts from a copy of these mounts, built once per process.
+_DEFAULT_SENSORS = {spec.name: spec for spec in default_sensors()}
+
+
 class ScenarioError(ValueError):
     """Scenario file syntax or semantic error, with line number."""
 
@@ -75,7 +79,7 @@ def _numbers(fields, n, lineno, directive):
             f"line {lineno}: {directive} takes {n} values, got {len(fields)}"
         )
     try:
-        values = [float(f) for f in fields]
+        values = list(map(float, fields))
     except ValueError:
         raise ScenarioError(
             f"line {lineno}: non-numeric value in {directive} directive"
@@ -104,15 +108,26 @@ def parse_scenario(text: str, calib=None):
     `default_sensors` mounts.  Raises ScenarioError.
     """
     settings = {}
-    sensors = {spec.name: spec for spec in default_sensors()}
+    sensors = dict(_DEFAULT_SENSORS)
     obstacles, ground, ground_lines, walks = [], [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        directive, *fields = body.split()
-        directive = directive.upper()
-        if directive == "CONFIG":
+        directive = fields.pop(0).upper()
+        if directive == "OBSTACLE":
+            # Rect reads each value with float(), as _numbers does.  A line Rect
+            # rejects, or whose bounds do not sum to a finite value (one is not
+            # finite, or the sum overflows), goes through _build, which names
+            # its fault or builds it.
+            try:
+                rect = Rect(*fields)
+            except (TypeError, ValueError):
+                rect = None
+            if rect is None or not math.isfinite(sum(rect)):
+                rect = _build(Rect, 4, fields, lineno, directive)
+            obstacles.append(rect)
+        elif directive == "CONFIG":
             if len(fields) != 2:
                 raise ScenarioError(f"line {lineno}: CONFIG takes 'key value'")
             key, value = fields
@@ -140,8 +155,6 @@ def parse_scenario(text: str, calib=None):
                     f"line {lineno}: unknown sensor name {fields[0]!r}"
                 ) from None
             sensors[name] = _build(partial(SensorSpec, name), 2, fields[1:], lineno, directive)
-        elif directive == "OBSTACLE":
-            obstacles.append(_build(Rect, 4, fields, lineno, directive))
         elif directive == "GROUND":
             ground.append(_build(GroundSegment, 3, fields, lineno, directive))
             ground_lines.append(lineno)

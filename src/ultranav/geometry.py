@@ -17,11 +17,11 @@ Obstacles thinner than MIN_OBSTACLE_THICKNESS_CM along x have no faces.
 Every cone is the modules' one fixed beam, BEAM_HALF_ANGLE_DEG either
 side of its aim.
 
-Each scene keeps two lazy face indexes, each building its own faces on
-the first cone that needs it.  A forward cone scans the vertical faces
-in order of x from the origin outward and stops at the first face whose
-depth already reaches the best echo found, since no face can echo nearer
-than its own depth.  A downward cone starts from the echo of the terrain
+Each scene builds its two face indexes together, in one pass over its
+obstacles, on the first cone cast at it.  A forward cone scans the
+vertical faces in order of x from the origin outward and stops at the
+first face whose depth already reaches the best echo found, since no
+face can echo nearer than its own depth.  A downward cone starts from the echo of the terrain
 face under the walker, which is always in reach straight down.  Any face
 that can beat that echo lies less deep, so its span meets the cone's
 window at the seed depth: the horizontal faces are sorted by their left
@@ -37,6 +37,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from ._record import Record, as_records
@@ -83,7 +84,7 @@ class Rect(Record, namedtuple("Rect", "x0 x1 z0 z1")):
             raise GeometryError(f"rect needs x0 < x1, got [{x0}, {x1}]")
         if not z0 < z1:
             raise GeometryError(f"rect needs z0 < z1, got [{z0}, {z1}]")
-        return super().__new__(cls, x0, x1, z0, z1)
+        return tuple.__new__(cls, (x0, x1, z0, z1))
 
 
 class GroundSegment(Record, namedtuple("GroundSegment", "x0 x1 dz")):
@@ -105,7 +106,7 @@ class GroundSegment(Record, namedtuple("GroundSegment", "x0 x1 dz")):
             raise GeometryError(f"ground segment needs x0 < x1, got [{x0}, {x1}]")
         if not math.isfinite(dz):
             raise GeometryError(f"ground segment needs a finite dz, got {dz}")
-        return super().__new__(cls, x0, x1, dz)
+        return tuple.__new__(cls, (x0, x1, dz))
 
 
 def ground_overlap(ground) -> Optional[int]:
@@ -131,7 +132,7 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
     def __new__(cls, obstacles: tuple = (), ground: tuple = ()):
         obstacles = as_records(Rect, obstacles)
         ground = as_records(GroundSegment, ground)
-        self = super().__new__(cls, obstacles, ground)
+        self = tuple.__new__(cls, (obstacles, ground))
         self.ground_profile  # validate terrain eagerly
         return self
 
@@ -172,46 +173,38 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
         return self.ground_profile[bisect_right(self._profile_starts, x) - 1].dz
 
     @cached_property
-    def _echoing_obstacles(self) -> tuple:
-        return tuple(
-            (x0, x1, z0, z1)
-            for x0, x1, z0, z1 in self.obstacles
-            if (x1 - x0) >= MIN_OBSTACLE_THICKNESS_CM - _EPS
-        )
+    def _face_index(self) -> tuple:
+        """Both face indexes, built in one pass over the obstacles thick enough
+        to echo: ((faces, keys), (faces, keys, tops)).
 
-    @cached_property
-    def _forward_index(self) -> tuple:
-        """Faces visible to forward beams, (x, z_lo, z_hi) sorted by x, and their x keys."""
-        faces = []
-        for x0, x1, z0, z1 in self._echoing_obstacles:
-            faces.append((x0, z0, z1))
-            faces.append((x1, z0, z1))
-        # Riser faces wherever the elevation profile jumps.
+        Forward beams see the vertical faces (x, z_lo, z_hi), sorted by x,
+        whose x are the keys.  Downward beams see the horizontal faces
+        (z, x_lo, x_hi), sorted by x_lo, whose x_lo are the keys; tops is
+        the running max of x_hi.
+        """
+        vertical, horizontal = [], []
+        for x0, x1, z0, z1 in self.obstacles:
+            if (x1 - x0) >= MIN_OBSTACLE_THICKNESS_CM - _EPS:
+                vertical.append((x0, z0, z1))
+                vertical.append((x1, z0, z1))
+                horizontal.append((z1, x0, x1))
+                horizontal.append((z0, x0, x1))
+        # Riser faces wherever the elevation profile jumps, and every terrain span.
         profile = self.ground_profile
         for (_, x, dz_left), (_, _, dz_right) in zip(profile, profile[1:]):
             if dz_left != dz_right:
-                faces.append((x, min(dz_left, dz_right), max(dz_left, dz_right)))
-        faces.sort(key=lambda f: f[0])
-        return faces, [f[0] for f in faces]
-
-    @cached_property
-    def _down_index(self) -> tuple:
-        """Faces visible to downward beams, (z, x_lo, x_hi) sorted by x_lo, their
-        x_lo keys, and the running max of x_hi."""
-        faces = []
-        for x0, x1, z0, z1 in self._echoing_obstacles:
-            faces.append((z1, x0, x1))
-            faces.append((z0, x0, x1))
-        for x0, x1, dz in self.ground_profile:
-            faces.append((dz, x0, x1))
-        faces.sort(key=lambda f: f[1])
+                vertical.append((x, min(dz_left, dz_right), max(dz_left, dz_right)))
+        for x0, x1, dz in profile:
+            horizontal.append((dz, x0, x1))
+        vertical.sort(key=itemgetter(0))
+        horizontal.sort(key=itemgetter(1))
         keys, tops, top = [], [], -math.inf
-        for _, lo, hi in faces:
+        for _, lo, hi in horizontal:
             keys.append(lo)
             if hi > top:
                 top = hi
             tops.append(top)
-        return faces, keys, tops
+        return (vertical, list(map(itemgetter(0), vertical))), (horizontal, keys, tops)
 
 
 def cone_min_distance(scene: SagittalScene, origin: tuple, aim: Aim) -> Optional[float]:
@@ -262,7 +255,7 @@ def _cone(
         raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
     best = None
     if aim is Aim.FORWARD:
-        faces, keys = scene._forward_index
+        faces, keys = scene._face_index[0]
         for i in range(bisect_left(keys, ox), len(faces)):
             x, lo, hi = faces[i]
             depth = x - ox
@@ -279,7 +272,7 @@ def _cone(
                 best = d
         return best
 
-    faces, keys, tops = scene._down_index
+    faces, keys, tops = scene._face_index[1]
     end, left = len(faces), -math.inf
     if oz - ground_z > _EPS:
         best = oz - ground_z

@@ -67,7 +67,7 @@ class TrajectorySegment(Record, namedtuple("TrajectorySegment", "speed duration_
         check_finite(PipelineError, "trajectory segment duration", duration_s)
         if not abs(speed) <= MAX_USER_SPEED_CM_S:
             raise PipelineError(f"|speed| must be <= {MAX_USER_SPEED_CM_S} cm/s")
-        return super().__new__(cls, speed, duration_s)
+        return tuple.__new__(cls, (speed, duration_s))
 
 
 def check_setting(name: str, value) -> None:
@@ -115,7 +115,7 @@ class SimConfig(
         if tuple(s.name for s in sensors) != SENSOR_ORDER:
             raise PipelineError("config needs exactly one sensor per name")
         calibration = as_record(Calibration, calibration)
-        return super().__new__(cls, sensors, temp_actual, temp_cal, calibration, debounce_ticks)
+        return tuple.__new__(cls, (sensors, temp_actual, temp_cal, calibration, debounce_ticks))
 
     @cached_property
     def sound_speeds(self) -> tuple:

@@ -46,7 +46,7 @@ class Calibration(Record, namedtuple("Calibration", "gain offset")):
             raise SensingError(f"calibration gain must be > 0, got {gain}")
         check_finite(SensingError, "calibration gain", gain)
         check_finite(SensingError, "calibration offset", offset)
-        return super().__new__(cls, gain, offset)
+        return tuple.__new__(cls, (gain, offset))
 
 
 IDENTITY_CALIBRATION = Calibration()
@@ -82,7 +82,7 @@ class SensorSpec(Record, namedtuple("SensorSpec", "name mount_height sarl")):
             raise SensingError(f"{name.value}: need {MIN_RANGE_CM:g} < sarl <= {MAX_RANGE_CM:g}")
         if name is SensorName.ARCH and not sarl > 0.0:
             raise SensingError(f"{name.value}: sarl must be > 0")
-        return super().__new__(cls, name, mount_height, sarl)
+        return tuple.__new__(cls, (name, mount_height, sarl))
 
     @property
     def aim(self) -> Aim:

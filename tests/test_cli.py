@@ -201,6 +201,25 @@ class TestParseScenario:
         frames = run_scenario(*parse_scenario(path.read_text()))
         assert format_trace(frames) == golden.read_text()
 
+    @pytest.mark.parametrize("text,built", [
+        ("OBSTACLE 100 102 0 200\nCONFIG temp 25\nWALK 100 1\n", 0),
+        ("SENSOR knee 53.5 60\nWALK 100 1\n", 1),
+        ("SENSOR knee 53.5 60\nSENSOR arch 9 10\nSENSOR knee 52 60\nWALK 100 1\n", 3),
+    ])
+    def test_builds_one_sensor_spec_per_sensor_line(self, monkeypatch, text, built):
+        parse_scenario(text)  # builds whatever the loader keeps per process
+        calls = []
+        new = SensorSpec.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(SensorSpec, "__new__", staticmethod(counting))
+        for _ in range(2):
+            parse_scenario(text)
+        assert len(calls) == 2 * built
+
 
 # Bad OBSTACLE lines and the exact error each gives.
 _BAD_OBSTACLES = [
