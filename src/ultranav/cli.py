@@ -116,17 +116,7 @@ def parse_scenario(text: str, calib=None):
             continue
         directive = fields.pop(0).upper()
         if directive == "OBSTACLE":
-            # Rect reads each value with float(), as _numbers does.  A line Rect
-            # rejects, or whose bounds do not sum to a finite value (one is not
-            # finite, or the sum overflows), goes through _build, which names
-            # its fault or builds it.
-            try:
-                rect = Rect(*fields)
-            except (TypeError, ValueError):
-                rect = None
-            if rect is None or not math.isfinite(sum(rect)):
-                rect = _build(Rect, 4, fields, lineno, directive)
-            obstacles.append(rect)
+            obstacles.append(_build(Rect, 4, fields, lineno, directive))
         elif directive == "CONFIG":
             if len(fields) != 2:
                 raise ScenarioError(f"line {lineno}: CONFIG takes 'key value'")

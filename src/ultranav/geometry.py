@@ -21,13 +21,13 @@ Each scene builds its two face indexes together, in one pass over its
 obstacles, on the first cone cast at it.  A forward cone scans the
 vertical faces in order of x from the origin outward and stops at the
 first face whose depth already reaches the best echo found, since no
-face can echo nearer than its own depth.  A downward cone starts from the echo of the terrain
-face under the walker, which is always in reach straight down.  Any face
-that can beat that echo lies less deep, so its span meets the cone's
-window at the seed depth: the horizontal faces are sorted by their left
-end, the scan starts at the last face that begins left of the window's
-right edge, and walks left until the running maximum of the right ends
-falls short of the window's left edge.
+face can echo nearer than its own depth.  A downward cone starts from
+the echo of the terrain face under the walker, which is always in reach
+straight down.  Any face that can beat that echo lies less deep, so its
+span meets the cone's window at the seed depth: the horizontal faces are
+sorted by their left end, the scan starts at the last face that begins
+left of the window's right edge, and walks left until the running
+maximum of the right ends falls short of the window's left edge.
 """
 
 from __future__ import annotations
