@@ -9,7 +9,10 @@ block, a wall and one block out of reach.  `test_sense` times one
 `sense` over the middle hole, with the scene's face indexes and the
 config's sound speeds already built, and `test_tick` times `tick`, the
 stateful half, on what `sense` gave there, with a fresh `TickState` each
-round.
+round.  `test_sense_dense` times one `sense` on `test_cli.py`'s dense
+scene (300 boxes over 40 holes, the shape of a perfbench
+`clutter_dense` job), standing over a hole, its indexes built first;
+every channel echoes there.
 `test_run_scenario` times `run_scenario` on each bundled scenario,
 parsed outside the timing.  `test_run_back_and_forth` times
 `run_scenario` on four back-and-forth walks over the course (3,000 ticks
@@ -28,6 +31,8 @@ import pytest
 from ultranav.cli import format_trace, parse_scenario
 from ultranav.geometry import GroundSegment, Rect, SagittalScene
 from ultranav.pipeline import SimConfig, TickState, TrajectorySegment, run_scenario, sense, tick
+
+from test_cli import CLUTTER_SCENARIO
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.scn"))
 
@@ -60,6 +65,13 @@ def test_sense(benchmark):
     sense(COURSE, 130.0, config)  # build the face indexes
     sensed = benchmark(sense, COURSE, 130.0, config)
     assert sensed[4].brzP == 2
+
+
+def test_sense_dense(benchmark):
+    scene, _, config = parse_scenario(CLUTTER_SCENARIO)
+    sense(scene, 81.0, config)  # build the face indexes
+    sensed = benchmark(sense, scene, 81.0, config)
+    assert None not in sensed[:4]
 
 
 def test_tick(benchmark):

@@ -18,16 +18,20 @@ Every cone is the modules' one fixed beam, BEAM_HALF_ANGLE_DEG either
 side of its aim.
 
 Each scene builds its two face indexes together, in one pass over its
-obstacles, on the first cone cast at it.  A forward cone scans the
-vertical faces in order of x from the origin outward and stops at the
-first face whose depth already reaches the best echo found, since no
-face can echo nearer than its own depth.  A downward cone starts from
-the echo of the terrain face under the walker, which is always in reach
-straight down.  Any face that can beat that echo lies less deep, so its
-span meets the cone's window at the seed depth: the horizontal faces are
-sorted by their left end, the scan starts at the last face that begins
-left of the window's right edge, and walks left until the running
-maximum of the right ends falls short of the window's left edge.
+obstacles, on the first cone cast at it.  There is one kernel per aim.
+The forward kernel `_forward` scans the vertical faces in order of x
+from a given start, the first face at or past the origin, and stops at
+the first face whose depth already reaches the best echo found, since no
+face can echo nearer than its own depth; forward cones from one x share
+that start.  The down kernel `_down` starts from the echo of the terrain
+face under the walker, which is always in reach straight down.  Any face
+that can beat that echo lies less deep, so its span meets the cone's
+window at the seed depth: the horizontal faces are sorted by their left
+end, the scan starts at the last face that begins left of the window's
+right edge, and walks left until the running maximum of the right ends
+falls short of the window's left edge.  Neither kernel checks its
+origin: `check_origins` rejects an origin below the ground, for
+`cone_min_distance` and for the tick alike.
 """
 
 from __future__ import annotations
@@ -218,61 +222,74 @@ def cone_min_distance(scene: SagittalScene, origin: tuple, aim: Aim) -> Optional
     the span (0 when the span holds c).  The result is the minimum of
     that over all faces.
 
-    A forward cone visits the vertical faces in order of x from the first
-    one at or past the origin, and stops at the first face with L >= the
-    best echo so far: hypot(L, off) >= L, so no later face can be
-    strictly nearer.  A downward cone starts with the terrain face under
-    the origin, which always exists and echoes at its depth (off = 0),
-    whenever it lies more than _EPS below.  Every face that can beat that
-    seed is less deep, so its span meets the window W = seed * tan h
-    around c.  The horizontal faces are sorted by lo; the scan starts at
-    the last face with lo <= c + W + _EPS and walks back while the
-    largest hi of the faces up to the current one in that order reaches
-    c - W - _EPS, skipping faces no shallower than the best echo.  Only
-    an origin within _EPS of the ground has no seed; its window is
-    unbounded and every face is visited.  The window bounds use
-    the same float expressions as the per-face test, so the cull drops
-    only faces that test would reject.
+    A forward cone (the kernel `_forward`) visits the vertical faces in
+    order of x from the first one at or past the origin, and stops at the
+    first face with L >= the best echo so far: hypot(L, off) >= L, so no
+    later face can be strictly nearer.  A downward cone (the kernel
+    `_down`) starts with the terrain face under the origin, which always
+    exists and echoes at its depth (off = 0), whenever it lies more than
+    _EPS below.  Every face that can beat that seed is less deep, so its
+    span meets the window W = seed * tan h around c.  The horizontal
+    faces are sorted by lo; the scan starts at the last face with
+    lo <= c + W + _EPS and walks back while the largest hi of the faces
+    up to the current one in that order reaches c - W - _EPS, skipping
+    faces no shallower than the best echo.  Only an origin within _EPS of
+    the ground has no seed; its window is unbounded and every face is
+    visited.  The window bounds use the same float expressions as the
+    per-face test, so the cull drops only faces that test would reject.
 
-    Raises GeometryError if the origin is more than _EPS below the
-    terrain.  This looks up the terrain under the origin and calls the
-    kernel `_cone`; a caller that has already looked it up (the tick
-    loop) calls the kernel directly.
+    Raises GeometryError, through `check_origins`, if the origin is more
+    than _EPS below the terrain.  The tick's `sense` looks the terrain
+    and the faces up once per position and calls the helper and the
+    kernels itself.
     """
     ox, oz = origin
-    return _cone(scene, ox, oz, scene.elevation(ox), aim)
-
-
-def _cone(
-    scene: SagittalScene, ox: float, oz: float, ground_z: float, aim: Aim
-) -> Optional[float]:
-    """Cone kernel: nearest echo from (ox, oz), ground_z = scene.elevation(ox).
-
-    Raises GeometryError if the origin is more than _EPS below ground_z.
-    The window's half-width per cm of depth is _TAN_BEAM.
-    """
-    if oz < ground_z - _EPS:
-        raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
-    best = None
+    ground_z = scene.elevation(ox)
+    check_origins(ox, (oz,), ground_z)
     if aim is Aim.FORWARD:
         faces, keys = scene._face_index[0]
-        for i in range(bisect_left(keys, ox), len(faces)):
-            x, lo, hi = faces[i]
-            depth = x - ox
-            if depth <= _EPS:
-                continue
-            if best is not None and depth >= best:
-                break
-            reach = depth * _TAN_BEAM
-            if lo > oz + reach + _EPS or oz - reach > hi + _EPS:
-                continue
-            off = lo - oz if lo > oz else (oz - hi if hi < oz else 0.0)
-            d = math.hypot(depth, off)
-            if best is None or d < best:
-                best = d
-        return best
+        return _forward(faces, bisect_left(keys, ox), ox, oz)
+    return _down(scene._face_index[1], ox, oz, ground_z)
 
-    faces, keys, tops = scene._face_index[1]
+
+def check_origins(ox: float, heights, ground_z: float) -> None:
+    """Raise GeometryError for the first of `heights`, origins at ox in
+    firing order, more than _EPS below ground_z = scene.elevation(ox)."""
+    floor = ground_z - _EPS
+    for oz in heights:
+        if oz < floor:
+            raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
+
+
+def _forward(faces: list, start: int, ox: float, oz: float) -> Optional[float]:
+    """Forward kernel: nearest echo from (ox, oz) among the vertical faces,
+    scanned from faces[start], the first with x >= ox.
+
+    The window's half-width per cm of depth is _TAN_BEAM.
+    """
+    best = None
+    for i in range(start, len(faces)):
+        x, lo, hi = faces[i]
+        depth = x - ox
+        if depth <= _EPS:
+            continue
+        if best is not None and depth >= best:
+            break
+        reach = depth * _TAN_BEAM
+        if lo > oz + reach + _EPS or oz - reach > hi + _EPS:
+            continue
+        off = lo - oz if lo > oz else (oz - hi if hi < oz else 0.0)
+        d = math.hypot(depth, off)
+        if best is None or d < best:
+            best = d
+    return best
+
+
+def _down(index: tuple, ox: float, oz: float, ground_z: float) -> Optional[float]:
+    """Down kernel: nearest echo from (ox, oz) in the horizontal index
+    (faces, keys, tops), ground_z = scene.elevation(ox)."""
+    faces, keys, tops = index
+    best = None
     end, left = len(faces), -math.inf
     if oz - ground_z > _EPS:
         best = oz - ground_z

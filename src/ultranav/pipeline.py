@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from functools import cache, cached_property
 from typing import NamedTuple, Optional
@@ -21,7 +22,7 @@ from .classify import (
     infer_upper_level,
     is_downstep,
 )
-from .geometry import SagittalScene, _cone
+from .geometry import SagittalScene, _down, _forward, check_origins
 from .sensing import (
     AIR_TEMP_RANGE_C,
     Calibration,
@@ -99,9 +100,9 @@ class SimConfig(
     A sensor or calibration that is not its record is built as one.
     The tick period (TICK_MS) and the start at x = 0 are fixed, and the
     readings carry no noise.  Declares no `__slots__`: the sound speeds
-    and the mounts are resolved on first use and cached in the instance
-    dict (`sound_speeds`, `mounts`); `_replace` builds a new instance,
-    which resolves its own.
+    and the mount heights are resolved on first use and cached in the
+    instance dict (`sound_speeds`, `mounts`); `_replace` builds a new
+    instance, which resolves its own.
     """
 
     def __new__(cls, sensors: tuple = default_sensors(), temp_actual: float = 20.0,
@@ -124,8 +125,8 @@ class SimConfig(
 
     @cached_property
     def mounts(self) -> tuple:
-        """(mount_height, aim) per sensor: the tick unpacks these faster than it reads fields."""
-        return tuple((spec.mount_height, spec.aim) for spec in self.sensors)
+        """The four mount heights in SENSOR_ORDER; each sensor's aim follows from its place."""
+        return tuple(spec.mount_height for spec in self.sensors)
 
 
 class TickFlags(NamedTuple):
@@ -224,23 +225,29 @@ def sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
     Returns (d_chest, d_knee, d_toe, d_down, frame, flags), a pure
     function of its arguments: scenes and configs are immutable, and
     `frame` and `flags` (nothing inferred) are shared `_frame` and
-    `_flags` objects.  The terrain under x is looked up once; the mounts
-    are cast in firing order (chest, knee, toe, arch), the first one below
-    ground raising the GeometryError `cone_min_distance` would, so each
-    reading equals `measure`'s.
+    `_flags` objects.  The terrain and the scene's face indexes are
+    looked up once per position.  `check_origins` takes the mount heights
+    (`config.mounts`) in firing order (chest, knee, toe, arch), the first
+    one below ground raising the GeometryError `cone_min_distance` would;
+    the three forward cones scan from one bisect of the vertical faces,
+    and the arch cone is cast down, so each reading equals `measure`'s.
     """
     c_cal, c_actual = config.sound_speeds
     gain, offset = config.calibration
+    mounts = config.mounts
     ground_z = scene.elevation(x)
-    readings = []
-    for oz, aim in config.mounts:
-        true = _cone(scene, x, oz, ground_z, aim)
-        readings.append(echo_reading(true, c_cal, c_actual, gain, offset))
-    d_chest, d_knee, d_toe, d_down = readings
+    check_origins(x, mounts, ground_z)
+    (faces, keys), down_index = scene._face_index
+    start = bisect_left(keys, x)
+    chest_z, knee_z, toe_z, arch_z = mounts
+    d_chest = echo_reading(_forward(faces, start, x, chest_z), c_cal, c_actual, gain, offset)
+    d_knee = echo_reading(_forward(faces, start, x, knee_z), c_cal, c_actual, gain, offset)
+    d_toe = echo_reading(_forward(faces, start, x, toe_z), c_cal, c_actual, gain, offset)
+    d_down = echo_reading(_down(down_index, x, arch_z, ground_z), c_cal, c_actual, gain, offset)
 
     # No downward echo means the drop exceeds the sensor's reach: treat as
     # an unbounded hazard depth.
-    depth = math.inf if d_down is None else d_down - config.sensors[3].mount_height
+    depth = math.inf if d_down is None else d_down - arch_z
     frame = _frame(classify_chest(d_chest), classify_knee(d_knee), classify_toe(d_toe),
                    classify_depth(depth))
     flags = _flags(*detect_upstairs(d_knee, d_toe), is_downstep(depth), None)

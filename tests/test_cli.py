@@ -650,7 +650,8 @@ class TestRunCommand:
         scn.write_text(scenario_text)
         check_exit_2(["run", str(scn), *flags], named, capsys)
 
-    @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect", "argparse", "gettext"])
+    @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect", "argparse", "gettext",
+                                        "ultranav.tables"])
     def test_runs_without(self, tmp_path, module):
         # Blocking a module makes any import of it raise ImportError.
         calib = tmp_path / "cal.txt"
@@ -990,10 +991,21 @@ class TestVerifyTables:
     def test_passes_with_default_config(self):
         out = io.StringIO()
         assert verify_tables(out) is True
-        report = out.getvalue()
-        assert "chest: 150.0 -> level 1, 150.5 -> level 0" in report
-        assert "depth: 40.0 -> level 2, 40.5 -> level 3" in report
-        assert "verify-tables: PASS" in report
+        assert out.getvalue() == (REPO_ROOT / "tests" / "verify_tables.txt").read_text()
+
+    def test_tables_module_is_imported_only_on_use(self):
+        code = (
+            "import sys, ultranav.cli\n"
+            "assert 'ultranav.tables' not in sys.modules, 'imported with ultranav.cli'\n"
+            "from ultranav.cli import CHEST_BANDS, STAIR_TRUTH_TABLE, verify_tables\n"
+            "assert verify_tables is sys.modules['ultranav.tables'].verify_tables\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            cli.no_such_name
 
     def test_cli_exit_code(self, capsys):
         assert main(["verify-tables"]) == 0

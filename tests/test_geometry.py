@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,7 +13,9 @@ from ultranav.geometry import (
     MIN_OBSTACLE_THICKNESS_CM,
     Rect,
     SagittalScene,
-    _cone,
+    _down,
+    _forward,
+    check_origins,
     cone_min_distance,
     overlap_distance,
 )
@@ -147,12 +150,18 @@ class TestConeMinDistance:
         for aim in Aim:
             with pytest.raises(GeometryError, match="below the ground") as direct:
                 cone_min_distance(scene, (0.0, 5.0), aim)
-            # The kernel checks its own origin, with the same message.
-            with pytest.raises(GeometryError) as kernel:
-                _cone(scene, 0.0, 5.0, scene.elevation(0.0), aim)
-            assert str(kernel.value) == str(direct.value)
-            # Within _EPS of the ground is on it.
-            _cone(scene, 0.0, 20.0 - _EPS / 2, 20.0, aim)
+            # The helper raises the same message, for the first origin below ground.
+            with pytest.raises(GeometryError) as helper:
+                check_origins(0.0, (30.0, 5.0, 1.0), scene.elevation(0.0))
+            assert str(helper.value) == str(direct.value)
+        # Within _EPS of the ground is on it, and the kernels cast from there.
+        oz = 20.0 - _EPS / 2
+        check_origins(0.0, (oz,), 20.0)
+        (faces, keys), down_index = scene._face_index
+        forward = _forward(faces, bisect_left(keys, 0.0), 0.0, oz)
+        assert forward == cone_min_distance(scene, (0.0, oz), Aim.FORWARD) == 10.0
+        assert _down(down_index, 0.0, oz, 20.0) is None
+        assert cone_min_distance(scene, (0.0, oz), Aim.DOWN) is None
 
     def test_thin_obstacle_is_invisible(self):
         scene = SagittalScene((Rect(100, 100.2, 0, 200),), ())
