@@ -69,6 +69,11 @@ class Aim(Enum):
     DOWN = "down"
 
 
+# A member looked up through its Enum class costs several times a global
+# read on Python 3.11, and every cone_min_distance call tests its aim.
+_FORWARD = Aim.FORWARD
+
+
 class Rect(Record, namedtuple("Rect", "x0 x1 z0 z1")):
     """Axis-aligned obstacle body in the forward x height plane (cm).
 
@@ -246,7 +251,7 @@ def cone_min_distance(scene: SagittalScene, origin: tuple, aim: Aim) -> Optional
     ox, oz = origin
     ground_z = scene.elevation(ox)
     check_origins(ox, (oz,), ground_z)
-    if aim is Aim.FORWARD:
+    if aim is _FORWARD:
         faces, keys = scene._face_index[0]
         return _forward(faces, bisect_left(keys, ox), ox, oz)
     return _down(scene._face_index[1], ox, oz, ground_z)

@@ -991,7 +991,7 @@ class TestVerifyTables:
     def test_passes_with_default_config(self):
         out = io.StringIO()
         assert verify_tables(out) is True
-        assert out.getvalue() == (REPO_ROOT / "tests" / "verify_tables.txt").read_text()
+        assert out.getvalue().encode() == (REPO_ROOT / "tests" / "verify_tables.txt").read_bytes()
 
     def test_tables_module_is_imported_only_on_use(self):
         code = (
