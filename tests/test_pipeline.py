@@ -187,9 +187,31 @@ class TestLeanTick:
         assert warm.d_chest == measure(scene, chest, 0.0, temp_actual=40.0) < 100.0
         assert warm_config.sound_speeds == (sound_speed(20.0), sound_speed(40.0))
 
+    @pytest.mark.parametrize(
+        "step,toe_height,origin_z,aim",
+        [
+            (60.0, 5.0, 50.0, Aim.FORWARD),
+            (12.0, 5.0, 5.0, Aim.FORWARD),
+            (12.0, 20.0, 10.0, Aim.DOWN),
+        ],
+        ids=["knee-first", "toe-before-arch", "arch-only"],
+    )
+    def test_first_mount_below_ground_raises(self, step, toe_height, origin_z, aim):
+        # Mounts are checked in firing order: chest, knee, toe, arch.
+        scene = SagittalScene((), (GroundSegment(-10, 10, step),))
+        sensors = tuple(
+            s._replace(mount_height=toe_height) if s.name is SensorName.TOE else s
+            for s in default_sensors()
+        )
+        with pytest.raises(GeometryError) as direct:
+            cone_min_distance(scene, (0.0, origin_z), aim)
+        with pytest.raises(GeometryError) as raised:
+            sense(scene, 0.0, SimConfig(sensors=sensors))
+        assert str(raised.value) == str(direct.value)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.floats(-60.0, 200.0))
-    def test_first_mount_below_ground_raises(self, data, step):
+    def test_first_mount_below_ground_raises_anywhere(self, data, step):
         # Mounts are checked in firing order: chest, knee, toe, arch.  The
         # heights cluster around the step, within and past _EPS of it.
         scene = SagittalScene((), (GroundSegment(-10, 10, step),))
