@@ -25,17 +25,18 @@ neighbouring points.  Forward beams accept vertical faces, downward beams
 horizontal ones, mirroring the echo-incidence rule.
 
 `reference_stateful` gives a run's `inferred` and `advisory` columns
-from each tick's stateless inputs, and `debounce_trace_problems` checks
-a trace's advisory column against `debounce_ticks` alone.  Both are
-written from the README and PAPER.md's rules, not from
-`ultranav.pipeline`, which this module does not import.
+from each tick's stateless inputs, a fold of `reference_step` over them,
+and `debounce_trace_problems` checks a trace's advisory column against
+`debounce_ticks` alone.  Both are written from the README and PAPER.md's
+rules, not from `ultranav.pipeline`, which this module does not import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cache
+from typing import NamedTuple, Optional
 
 from ultranav.geometry import (
     Aim,
@@ -262,11 +263,13 @@ def reference_upper_level(distance) -> str:
     return "Unknown"
 
 
+@cache
 def reference_candidate(levels, upstairs, knee_bit, toe_bit, downstep, inferred) -> str:
     """The one advisory a tick's findings call for, the most urgent first.
 
     `levels` is (brzC, brzK, brzT, brzP); `inferred` is the trace's
-    `inferred` cell ("-" when nothing is inferred).
+    `inferred` cell ("-" when nothing is inferred).  Cached, since the
+    exhaustive walk asks it about each of its few inputs many times.
     """
     brzC, brzK, brzT, brzP = levels
     rules = (
@@ -281,12 +284,28 @@ def reference_candidate(levels, upstairs, knee_bit, toe_bit, downstep, inferred)
     return next((advisory for fired, advisory in rules if fired), "MoveForward")
 
 
-def reference_stateful(ticks, debounce_ticks) -> list:
-    """(inferred, advisory) per tick, as the trace prints them.
+class ReferenceState(NamedTuple):
+    """What the reference keeps between ticks.
 
-    `ticks` holds one (levels, upstairs, knee_bit, toe_bit, downstep,
-    chest reading, speed) per tick; the chest reading is the one that set
-    brzC, and speed is signed (cm/s).  The rules:
+    `armed` and `last_active` are chest readings (cm) or None; `inferred`
+    and `advisory` are the cells of the row last printed; `run_length`
+    counts the ticks in a row `run_of` has been the candidate.
+    """
+
+    armed: Optional[float] = None
+    last_active: Optional[float] = None
+    inferred: str = "-"
+    advisory: str = "MoveForward"
+    run_of: Optional[str] = None
+    run_length: int = 0
+
+
+def reference_step(state: ReferenceState, tick, debounce_ticks) -> ReferenceState:
+    """The state after one tick; its `inferred` and `advisory` are that tick's cells.
+
+    `tick` is (levels, upstairs, knee_bit, toe_bit, downstep, chest
+    reading, speed); the chest reading is the one that set brzC, and speed
+    is signed (cm/s).  The rules:
 
     - the step-back check: a chest dropout (active on the tick before,
       quiet now) while advancing arms the last active distance; while the
@@ -298,25 +317,31 @@ def reference_stateful(ticks, debounce_ticks) -> list:
       that candidate has been the candidate on `debounce_ticks`
       consecutive ticks.
     """
-    rows = []
-    armed, inferred, last_active = None, "-", None
-    advisory, run_of, run_length = "MoveForward", None, 0
-    for levels, upstairs, knee_bit, toe_bit, downstep, chest, speed in ticks:
-        active = levels[0] > 0
-        if active and speed > 0:
-            armed, inferred = None, "-"
-        elif active and speed < 0 and armed is not None:
-            inferred = reference_upper_level(armed)
-        elif not active and speed > 0 and last_active is not None:
-            armed = last_active
-        last_active = chest if active else None
+    armed, last_active, inferred, advisory, run_of, run_length = state
+    levels, upstairs, knee_bit, toe_bit, downstep, chest, speed = tick
+    active = levels[0] > 0
+    if active and speed > 0:
+        armed, inferred = None, "-"
+    elif active and speed < 0 and armed is not None:
+        inferred = reference_upper_level(armed)
+    elif not active and speed > 0 and last_active is not None:
+        armed = last_active
 
-        candidate = reference_candidate(levels, upstairs, knee_bit, toe_bit, downstep, inferred)
-        run_length = run_length + 1 if candidate == run_of else 1
-        run_of = candidate
-        if run_length >= debounce_ticks:
-            advisory = candidate
-        rows.append((inferred, advisory))
+    candidate = reference_candidate(levels, upstairs, knee_bit, toe_bit, downstep, inferred)
+    run_length = run_length + 1 if candidate == run_of else 1
+    if run_length >= debounce_ticks:
+        advisory = candidate
+    return ReferenceState(armed, chest if active else None, inferred, advisory, candidate,
+                          run_length)
+
+
+def reference_stateful(ticks, debounce_ticks) -> list:
+    """(inferred, advisory) per tick, as the trace prints them: `reference_step`
+    folded over `ticks` from `ReferenceState()`."""
+    rows, state = [], ReferenceState()
+    for tick in ticks:
+        state = reference_step(state, tick, debounce_ticks)
+        rows.append((state.inferred, state.advisory))
     return rows
 
 
