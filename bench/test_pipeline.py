@@ -81,8 +81,8 @@ def test_tick(benchmark):
     def fresh_state():
         return (TickState(), sensed, 130.0, 140.0, config.debounce_ticks), {}
 
-    frame, _ = benchmark.pedantic(tick, setup=fresh_state, rounds=2000)
-    assert frame.frame.brzP == 2
+    (row,) = benchmark.pedantic(tick, setup=fresh_state, rounds=2000)
+    assert row.frame.brzP == 2
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)

@@ -129,13 +129,13 @@ def is_downstep(depth: float) -> bool:
     return 15.0 <= depth <= 30.0
 
 
-def infer_upper_level(last_active_distance: Reading) -> UpperLevel:
-    """Height band of an upper obstacle from the chest channel's dropout distance.
+def infer_upper_level(level: int) -> UpperLevel:
+    """Height band of an upper obstacle from the chest level on its last active tick.
 
     When the chest buzzer goes quiet while advancing and reactivates while
-    stepping back, the chest level at the distance where it was last
-    active places the obstacle at waist (1), head (2) or chest (3)
-    height; any other level, None's included, gives UNKNOWN.
+    stepping back, the chest level on the last tick it was active places
+    the obstacle at waist (1), head (2) or chest (3) height; any other
+    level gives UNKNOWN.
     """
     levels = {1: UpperLevel.WAIST, 2: UpperLevel.HEAD, 3: UpperLevel.CHEST}
-    return levels.get(classify_chest(last_active_distance), UpperLevel.UNKNOWN)
+    return levels.get(level, UpperLevel.UNKNOWN)

@@ -179,21 +179,21 @@ class FrameOutput(NamedTuple):
 class TickState:
     """Mutable loop state: the step-back check and the debounce.
 
-    `last_active_distance` is the previous tick's chest reading, None if
-    the chest was quiet then.  A chest dropout while advancing arms it as
-    `armed_distance`; the chest active while stepping back infers the
+    `last_level` is the previous tick's chest level, 0 if the chest was
+    quiet then.  A chest dropout while advancing arms it as `armed_level`
+    (0: nothing armed); the chest active while stepping back infers the
     obstacle's height band from that, `inferred`, and while advancing
     clears both.  `candidate` is the previous tick's fused advisory (None
     before the first tick), `run` counts the ticks in a row it has been
     the candidate, and `advisory` takes it once `run` reaches debounce_ticks.
     """
 
-    __slots__ = ("last_active_distance", "armed_distance", "inferred", "advisory", "candidate",
-                 "run")
+    __slots__ = ("last_level", "armed_level", "inferred", "advisory", "candidate", "run")
 
     def __init__(self):
-        self.last_active_distance = self.armed_distance = self.inferred = self.candidate = None
-        self.advisory, self.run = Advisory.MOVE_FORWARD, 0
+        self.last_level = self.armed_level = self.run = 0
+        self.inferred = self.candidate = None
+        self.advisory = Advisory.MOVE_FORWARD
 
 
 @cache
@@ -255,30 +255,25 @@ def sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
 
 
 def tick(state: TickState, sensed: tuple, x: float, speed: float, debounce_ticks: int,
-         tick_index: int = 0):
+         tick_index: int = 0) -> tuple:
     """The stateful half of a tick: the step-back check, fuse and debounce.
 
     `sensed` is what `sense` returned at position x; its `flags` go on
-    the row unless an upper obstacle is inferred.  Returns (FrameOutput,
-    next x), the row built by `tuple.__new__`; `state` is updated in
-    place as TickState describes.  The next x is one plain float step
-    from x, x + speed (cm/s, signed) * TICK_MS / 1000; `run_scenario`
-    does not use it, since it places each tick at the exact sum of the
-    steps before it.
+    the row unless an upper obstacle is inferred.  Returns (FrameOutput,),
+    the row built by `tuple.__new__`; `state` is updated in place as
+    TickState describes.
     """
     d_chest, d_knee, d_toe, d_down, frame, flags = sensed
     # The step-back check: arm on a chest dropout while advancing, infer
     # while stepping back, reset while advancing.
     if frame.brzC:
         if speed > 0:
-            state.armed_distance = state.inferred = None
-        elif speed < 0 and state.armed_distance is not None:
-            state.inferred = infer_upper_level(state.armed_distance)
-        state.last_active_distance = d_chest
-    else:
-        if speed > 0 and state.last_active_distance is not None:
-            state.armed_distance = state.last_active_distance
-        state.last_active_distance = None
+            state.armed_level, state.inferred = 0, None
+        elif speed < 0 and state.armed_level:
+            state.inferred = infer_upper_level(state.armed_level)
+    elif speed > 0 and state.last_level:
+        state.armed_level = state.last_level
+    state.last_level = frame.brzC
     if state.inferred is not None:
         flags = _flags(*flags[:4], state.inferred)
 
@@ -291,9 +286,9 @@ def tick(state: TickState, sensed: tuple, x: float, speed: float, debounce_ticks
     if state.run >= debounce_ticks:
         state.advisory = candidate
     # FrameOutput checks nothing, so the row skips its generated __new__.
-    output = tuple.__new__(FrameOutput, (tick_index, tick_index * TICK_MS, x, d_chest, d_knee,
-                                         d_toe, d_down, frame, state.advisory, flags))
-    return output, x + speed * TICK_MS / 1000.0
+    row = tuple.__new__(FrameOutput, (tick_index, tick_index * TICK_MS, x, d_chest, d_knee,
+                                      d_toe, d_down, frame, state.advisory, flags))
+    return (row,)
 
 
 def trajectory_ticks(trajectory) -> list:

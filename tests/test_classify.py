@@ -142,22 +142,23 @@ class TestDepth:
 
 class TestInferUpperLevel:
     @pytest.mark.parametrize(
-        "distance,expected",
+        "level,expected",
         [
-            (100.0, UpperLevel.WAIST),
-            (70.0, UpperLevel.HEAD),
-            (50.0, UpperLevel.CHEST),
-            (30.0, UpperLevel.UNKNOWN),
-            (200.0, UpperLevel.UNKNOWN),
+            (0, UpperLevel.UNKNOWN),
+            (1, UpperLevel.WAIST),
+            (2, UpperLevel.HEAD),
+            (3, UpperLevel.CHEST),
+            (4, UpperLevel.UNKNOWN),
         ],
     )
-    def test_bands(self, distance, expected):
-        assert infer_upper_level(distance) == expected
+    def test_bands(self, level, expected):
+        assert infer_upper_level(level) == expected
 
     def test_agrees_with_chest_banding(self):
-        # verify-tables' literal chest bands, mapped to the upper level,
-        # on a 0.5 cm sweep, one ulp either side of each edge, and at
-        # the values no band holds.
+        # The chest level of a reading, mapped to the upper level, is
+        # verify-tables' literal chest band mapped to it, on a 0.5 cm
+        # sweep, one ulp either side of each edge, and at the values no
+        # band holds.
         mapping = {1: UpperLevel.WAIST, 2: UpperLevel.HEAD, 3: UpperLevel.CHEST}
 
         def expected(d):
@@ -173,7 +174,7 @@ class TestInferUpperLevel:
         ]
         distances += [None, math.nan, math.inf, -math.inf]
         for d in distances:
-            assert infer_upper_level(d) == expected(d), d
+            assert infer_upper_level(classify_chest(d)) == expected(d), d
 
 
 class TestBuzzerFrame:

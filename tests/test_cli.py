@@ -573,7 +573,7 @@ class TestRunCommand:
         # Past tick 33,333 a float t_ms printed with `:g` took exponent
         # form, and past 333,333 it rounded.
         sensed = sense(SagittalScene(), 0.0, SimConfig())
-        row, _ = tick(TickState(), sensed, 0.0, 0.0, 2, tick_index=index)
+        (row,) = tick(TickState(), sensed, 0.0, 0.0, 2, tick_index=index)
         assert row.t_ms == index * 30
         assert format_row(row).split(",")[:2] == [str(index), str(index * 30)]
 

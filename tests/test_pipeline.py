@@ -68,13 +68,14 @@ def stand(seconds=0.15):
 
 
 def tick_at(scene, x, config=SimConfig(), speed=0.0, tick_index=0):
-    """One tick at x from a fresh state: `sense`, then `tick` on what it sensed."""
-    return tick(TickState(), sense(scene, x, config), x, speed, config.debounce_ticks, tick_index)
+    """The row of one tick at x from a fresh state: `sense`, then `tick` on what it sensed."""
+    return tick(TickState(), sense(scene, x, config), x, speed, config.debounce_ticks,
+                tick_index)[0]
 
 
 class TestTick:
     def test_empty_scene_is_all_quiet(self):
-        frame, _ = tick_at(SagittalScene(), 0.0)
+        frame = tick_at(SagittalScene(), 0.0)
         assert frame.frame == BuzzerFrame()
         assert frame.advisory == Advisory.MOVE_FORWARD
         assert not frame.flags.upstairs and not frame.flags.downstep
@@ -102,7 +103,7 @@ class TestTick:
 
     def test_downward_no_echo_reads_as_unbounded_hazard(self):
         scene = SagittalScene((), (GroundSegment(-100, 100, -400.0),))
-        frame, _ = tick_at(scene, 0.0)
+        frame = tick_at(scene, 0.0)
         assert frame.readings[SensorName.ARCH] is None
         assert frame.frame.brzP == 3
 
@@ -110,7 +111,7 @@ class TestTick:
     def test_far_start_stands_on_flat_ground(self, x):
         # Terrain outside the authored segments is flat ground without end,
         # however far from the origin the walker stands.
-        frame, _ = tick_at(SagittalScene(), x, speed=140.0)
+        frame = tick_at(SagittalScene(), x, speed=140.0)
         assert (frame.d_down, frame.frame.brzP, frame.advisory) == (10.0, 0, Advisory.MOVE_FORWARD)
 
 
@@ -172,16 +173,16 @@ class TestLeanTick:
                 raw += calib.offset
                 assert reading == min(max(raw, MIN_RANGE_CM), MAX_RANGE_CM)
             expected.append(reading)
-        frame, _ = tick_at(scene, x, config)
+        frame = tick_at(scene, x, config)
         assert [frame.d_chest, frame.d_knee, frame.d_toe, frame.d_down] == expected
         assert frame.readings == dict(zip(_ORDER, expected))
 
     def test_replace_resolves_its_own_sound_speeds(self):
         scene = SagittalScene((Rect(100, 102, 0, 200),), ())
         base = SimConfig()
-        cold, _ = tick_at(scene, 0.0, base)
+        cold = tick_at(scene, 0.0, base)
         warm_config = base._replace(temp_actual=40.0)
-        warm, _ = tick_at(scene, 0.0, warm_config)
+        warm = tick_at(scene, 0.0, warm_config)
         chest = base.sensors[0]
         assert cold.d_chest == measure(scene, chest, 0.0) == 100.0
         assert warm.d_chest == measure(scene, chest, 0.0, temp_actual=40.0) < 100.0
@@ -488,7 +489,7 @@ class TestSharedRows:
 
     def test_rows_are_frame_outputs(self):
         scene = SagittalScene((Rect(100, 102, 0, 200),), (GroundSegment(-10, 10, -25.0),))
-        row, _ = tick_at(scene, 0.0, tick_index=3)
+        row = tick_at(scene, 0.0, tick_index=3)
         for r in [row, *run_scenario(scene, stand(0.09), SimConfig())]:
             assert type(r) is FrameOutput and r._fields == FrameOutput._fields
             assert r == FrameOutput(*r)
@@ -499,7 +500,7 @@ class TestSharedRows:
             assert r.readings == dict(zip(SENSOR_ORDER, r[3:7]))
 
     def test_rows_are_immutable(self):
-        row, _ = tick_at(SagittalScene(), 0.0)
+        row = tick_at(SagittalScene(), 0.0)
         with pytest.raises(AttributeError):
             row.advisory = Advisory.STOP_IMMEDIATELY
         with pytest.raises(AttributeError):
@@ -511,7 +512,7 @@ class TestSharedRows:
 
     def test_fields_and_readings(self):
         scene = SagittalScene((Rect(100, 102, 0, 200),), (GroundSegment(-10, 10, -25.0),))
-        row, _ = tick_at(scene, 0.0, tick_index=3)
+        row = tick_at(scene, 0.0, tick_index=3)
         assert row._fields == (
             "tick", "t_ms", "user_x", "d_chest", "d_knee", "d_toe", "d_down",
             "frame", "advisory", "flags",
