@@ -151,8 +151,22 @@ class TestInferUpperLevel:
             (4, UpperLevel.UNKNOWN),
         ],
     )
-    def test_bands(self, level, expected):
+    def test_levels(self, level, expected):
         assert infer_upper_level(level) == expected
+
+    @pytest.mark.parametrize(
+        "distance,expected",
+        [
+            (100.0, UpperLevel.WAIST),
+            (70.0, UpperLevel.HEAD),
+            (50.0, UpperLevel.CHEST),
+            (30.0, UpperLevel.UNKNOWN),
+            (200.0, UpperLevel.UNKNOWN),
+        ],
+    )
+    def test_bands(self, distance, expected):
+        # The band of an armed chest reading, through its chest level.
+        assert infer_upper_level(classify_chest(distance)) == expected
 
     def test_agrees_with_chest_banding(self):
         # The chest level of a reading, mapped to the upper level, is
