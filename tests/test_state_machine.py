@@ -113,5 +113,6 @@ def test_every_reachable_state_matches_the_reference(debounce_ticks, states):
 
 
 def test_inputs_fall_into_93_classes():
-    # fuse agrees with the reference on every input, or the classes split.
+    # A `fuse` that told apart inputs the reference treats alike would
+    # split a class.
     assert len(input_classes()) == 93
