@@ -19,19 +19,19 @@ side of its aim.
 
 Each scene builds its two face indexes together, in one pass over its
 obstacles, on the first cone cast at it.  There is one kernel per aim.
-The forward kernel `_forward` scans the vertical faces in order of x
-from a given start, the first face at or past the origin, and stops at
-the first face whose depth already reaches the best echo found, since no
-face can echo nearer than its own depth; forward cones from one x share
-that start.  The down kernel `_down` starts from the echo of the terrain
-face under the walker, which is always in reach straight down.  Any face
-that can beat that echo lies less deep, so its span meets the cone's
-window at the seed depth: the horizontal faces are sorted by their left
-end, the scan starts at the last face that begins left of the window's
-right edge, and walks left until the running maximum of the right ends
-falls short of the window's left edge.  Neither kernel checks its
-origin: `check_origins` rejects an origin below the ground, for
-`cone_min_distance` and for the tick alike.
+The forward kernel `_forward` casts three heights from one x in one scan
+of the vertical faces in order of x, from the first face at or past the
+origin.  A height takes no face whose depth already reaches its best
+echo, since no face can echo nearer than its own depth, and the scan
+stops once every height has one.  The down kernel `_down` starts from
+the echo of the terrain face under the walker, which is always in reach
+straight down.  Any face that can beat that echo lies less deep, so its
+span meets the cone's window at the seed depth: the horizontal faces are
+sorted by their left end, the scan starts at the last face that begins
+left of the window's right edge, and walks left until the running
+maximum of the right ends falls short of the window's left edge.
+Neither kernel checks its origin: `check_origins` rejects an origin
+below the ground, for `cone_min_distance` and for the tick alike.
 """
 
 from __future__ import annotations
@@ -227,10 +227,11 @@ def cone_min_distance(scene: SagittalScene, origin: tuple, aim: Aim) -> Optional
     the span (0 when the span holds c).  The result is the minimum of
     that over all faces.
 
-    A forward cone (the kernel `_forward`) visits the vertical faces in
-    order of x from the first one at or past the origin, and stops at the
-    first face with L >= the best echo so far: hypot(L, off) >= L, so no
-    later face can be strictly nearer.  A downward cone (the kernel
+    A forward cone (the kernel `_forward`, given this one height in all
+    three of its slots) visits the vertical faces in order of x from the
+    first one at or past the origin, and stops at the first face with
+    L >= the best echo so far: hypot(L, off) >= L, so no later face can
+    be strictly nearer.  A downward cone (the kernel
     `_down`) starts with the terrain face under the origin, which always
     exists and echoes at its depth (off = 0), whenever it lies more than
     _EPS below.  Every face that can beat that seed is less deep, so its
@@ -253,7 +254,7 @@ def cone_min_distance(scene: SagittalScene, origin: tuple, aim: Aim) -> Optional
     check_origins(ox, (oz,), ground_z)
     if aim is _FORWARD:
         faces, keys = scene._face_index[0]
-        return _forward(faces, bisect_left(keys, ox), ox, oz)
+        return _forward(faces, bisect_left(keys, ox), ox, oz, oz, oz)[0]
     return _down(scene._face_index[1], ox, oz, ground_z)
 
 
@@ -266,28 +267,40 @@ def check_origins(ox: float, heights, ground_z: float) -> None:
             raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
 
 
-def _forward(faces: list, start: int, ox: float, oz: float) -> Optional[float]:
-    """Forward kernel: nearest echo from (ox, oz) among the vertical faces,
-    scanned from faces[start], the first with x >= ox.
+def _forward(faces: list, start: int, ox: float, za: float, zb: float, zc: float) -> tuple:
+    """Forward kernel: the nearest echoes (best_a, best_b, best_c) from
+    (ox, za), (ox, zb) and (ox, zc) among the vertical faces, scanned
+    once from faces[start], the first with x >= ox.
 
-    The window's half-width per cm of depth is _TAN_BEAM.
+    Each height takes no face at or past its best; the scan stops once
+    every height has one.  The window's half-width per cm of depth is
+    _TAN_BEAM.
     """
-    best = None
+    ba = bb = bc = None
+    last = math.nan  # the largest best once all three are found; no depth reaches NaN
     for i in range(start, len(faces)):
         x, lo, hi = faces[i]
         depth = x - ox
         if depth <= _EPS:
             continue
-        if best is not None and depth >= best:
+        if depth >= last:
             break
         reach = depth * _TAN_BEAM
-        if lo > oz + reach + _EPS or oz - reach > hi + _EPS:
-            continue
-        off = lo - oz if lo > oz else (oz - hi if hi < oz else 0.0)
-        d = math.hypot(depth, off)
-        if best is None or d < best:
-            best = d
-    return best
+        if (ba is None or depth < ba) and not (lo > za + reach + _EPS or za - reach > hi + _EPS):
+            d = math.hypot(depth, lo - za if lo > za else (za - hi if hi < za else 0.0))
+            if ba is None or d < ba:
+                ba = d
+        if (bb is None or depth < bb) and not (lo > zb + reach + _EPS or zb - reach > hi + _EPS):
+            d = math.hypot(depth, lo - zb if lo > zb else (zb - hi if hi < zb else 0.0))
+            if bb is None or d < bb:
+                bb = d
+        if (bc is None or depth < bc) and not (lo > zc + reach + _EPS or zc - reach > hi + _EPS):
+            d = math.hypot(depth, lo - zc if lo > zc else (zc - hi if hi < zc else 0.0))
+            if bc is None or d < bc:
+                bc = d
+        if ba is not None and bb is not None and bc is not None:
+            last = max(ba, bb, bc)
+    return ba, bb, bc
 
 
 def _down(index: tuple, ox: float, oz: float, ground_z: float) -> Optional[float]:

@@ -229,8 +229,9 @@ def sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
     looked up once per position.  `check_origins` takes the mount heights
     (`config.mounts`) in firing order (chest, knee, toe, arch), the first
     one below ground raising the GeometryError `cone_min_distance` would;
-    the three forward cones scan from one bisect of the vertical faces,
-    and the arch cone is cast down, so each reading equals `measure`'s.
+    the three forward cones are cast in one scan of the vertical faces
+    from one bisect, and the arch cone is cast down, so each reading
+    equals `measure`'s.
     """
     c_cal, c_actual = config.sound_speeds
     gain, offset = config.calibration
@@ -238,11 +239,11 @@ def sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
     ground_z = scene.elevation(x)
     check_origins(x, mounts, ground_z)
     (faces, keys), down_index = scene._face_index
-    start = bisect_left(keys, x)
     chest_z, knee_z, toe_z, arch_z = mounts
-    d_chest = echo_reading(_forward(faces, start, x, chest_z), c_cal, c_actual, gain, offset)
-    d_knee = echo_reading(_forward(faces, start, x, knee_z), c_cal, c_actual, gain, offset)
-    d_toe = echo_reading(_forward(faces, start, x, toe_z), c_cal, c_actual, gain, offset)
+    e_chest, e_knee, e_toe = _forward(faces, bisect_left(keys, x), x, chest_z, knee_z, toe_z)
+    d_chest = echo_reading(e_chest, c_cal, c_actual, gain, offset)
+    d_knee = echo_reading(e_knee, c_cal, c_actual, gain, offset)
+    d_toe = echo_reading(e_toe, c_cal, c_actual, gain, offset)
     d_down = echo_reading(_down(down_index, x, arch_z, ground_z), c_cal, c_actual, gain, offset)
 
     # No downward echo means the drop exceeds the sensor's reach: treat as

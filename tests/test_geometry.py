@@ -1,3 +1,4 @@
+import itertools
 import math
 from bisect import bisect_left
 
@@ -158,8 +159,8 @@ class TestConeMinDistance:
         oz = 20.0 - _EPS / 2
         check_origins(0.0, (oz,), 20.0)
         (faces, keys), down_index = scene._face_index
-        forward = _forward(faces, bisect_left(keys, 0.0), 0.0, oz)
-        assert forward == cone_min_distance(scene, (0.0, oz), Aim.FORWARD) == 10.0
+        assert _forward(faces, bisect_left(keys, 0.0), 0.0, oz, 30.0, oz) == (10.0, None, 10.0)
+        assert cone_min_distance(scene, (0.0, oz), Aim.FORWARD) == 10.0
         assert _down(down_index, 0.0, oz, 20.0) is None
         assert cone_min_distance(scene, (0.0, oz), Aim.DOWN) is None
 
@@ -259,6 +260,13 @@ class TestIndexedCone:
     @settings(max_examples=400, deadline=None)
     @given(st.data(), _profiles(), _obstacles())
     def test_equals_full_scan(self, data, ground, obstacles):
+        if obstacles and data.draw(st.booleans()):
+            # A twin of a box on the same x, taller: a height just above
+            # the box echoes off its axis, then nearer from the twin's face
+            # at the same depth.
+            box = data.draw(st.sampled_from(obstacles))
+            lift = data.draw(st.sampled_from([1.0, 45.0]))
+            obstacles = [*obstacles, box._replace(z1=box.z1 + lift)]
         scene = _scene(ground, obstacles)
         xs, zs = _positions(ground, obstacles)
         ox = data.draw(st.sampled_from(xs)) + data.draw(_NUDGE)
@@ -271,6 +279,18 @@ class TestIndexedCone:
                     cone_min_distance(scene, (ox, oz), aim)
                 continue
             assert cone_min_distance(scene, (ox, oz), aim) == expected
+        # The forward kernel casts three heights in one scan, each equal to
+        # its own full scan, in every order and repeat of oz and two more.
+        heights = [oz] + [data.draw(st.sampled_from([oz, *zs])) + data.draw(_NUDGE)
+                          for _ in range(2)]
+        floor = scene.elevation(ox) - _EPS
+        full = {z: full_scan_cone_min(scene, (ox, z), Aim.FORWARD) for z in heights if z >= floor}
+        faces, keys = scene._face_index[0]
+        start = bisect_left(keys, ox)
+        for slots in itertools.product(heights, repeat=3):
+            for z, best in zip(slots, _forward(faces, start, ox, *slots)):
+                if z in full:
+                    assert best == full[z]
 
     @settings(max_examples=400, deadline=None)
     @given(st.data(), _profiles(), _obstacles())
