@@ -910,6 +910,12 @@ class TestInputBounds:
                 "the walk lasts 0.3333 ticks of 30 ms; it must last 1 to 1000000 ticks",
                 id="ticks-below-one",
             ),
+            pytest.param(
+                "WALK 100 0.012\nWALK 100 0.012\nWALK 100 0.012\n",
+                "the walk rounds to 0 whole ticks of 30 ms, segment by segment;"
+                " it must last 1 to 1000000 ticks",
+                id="whole-ticks-zero",
+            ),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capsys, scenario_text, message):
