@@ -293,11 +293,7 @@ def tick(state: TickState, sensed: tuple, x: float, speed: float, debounce_ticks
 
 
 def trajectory_ticks(trajectory) -> list:
-    """Whole ticks of each segment; raises PipelineError unless they total 1 to MAX_TICKS.
-
-    The message names the float total of ticks unless only the rounding
-    of each segment takes the walk out of that range.
-    """
+    """Whole ticks of each segment; raises PipelineError unless they total 1 to MAX_TICKS."""
     total = sum(segment.duration_s for segment in trajectory) * 1000.0 / TICK_MS
     # Bound the float total before rounding: rounding an infinite ratio
     # raises, and a huge finite one gives a loop that never ends.
@@ -306,11 +302,9 @@ def trajectory_ticks(trajectory) -> list:
         whole = sum(counts)
         if 1 <= whole <= MAX_TICKS:
             return counts
-        if total >= 1:
-            raise PipelineError(
-                f"the walk rounds to {whole} whole ticks of {TICK_MS} ms, segment by"
-                f" segment; it must last 1 to {MAX_TICKS} ticks"
-            )
+        if total >= 1:  # only the rounding takes the walk out of range
+            raise PipelineError(f"the walk rounds to {whole} whole ticks of {TICK_MS} ms,"
+                                f" segment by segment; it must last 1 to {MAX_TICKS} ticks")
     raise PipelineError(
         f"the walk lasts {total:.4g} ticks of {TICK_MS} ms;"
         f" it must last 1 to {MAX_TICKS} ticks"

@@ -701,7 +701,7 @@ class TestConfigValidation:
             with pytest.raises(PipelineError):
                 TrajectorySegment(speed, 1.0)
 
-    def test_total_ticks_bounds(self):
+    def test_total_ticks_bounds(self, monkeypatch):
         at_cap = [TrajectorySegment(100.0, 10000.0), TrajectorySegment(-100.0, 20000.0)]
         counts = trajectory_ticks(at_cap)
         assert counts == [333333, 666667] and sum(counts) == MAX_TICKS
@@ -709,22 +709,15 @@ class TestConfigValidation:
             trajectory_ticks([TrajectorySegment(100.0, 30000.03)])
         # Each segment rounds to 0 ticks although together they last 1.2.
         short = [TrajectorySegment(100.0, 0.012)] * 3
-        with pytest.raises(PipelineError, match="must last 1 to"):
+        message = ("the walk rounds to 0 whole ticks of 30 ms, segment by segment;"
+                   " it must last 1 to 1000000 ticks")
+        with pytest.raises(PipelineError, match=re.escape(message)):
             trajectory_ticks(short)
-
-    def test_whole_ticks_bounds(self, monkeypatch):
-        # The float totals lie in range; the whole ticks, rounded per
-        # segment, do not: 1.2 ticks round to 0, and 19 segments of 0.503
-        # ticks (9.57 in all) round to 19, past a cap of 10.
-        short = [TrajectorySegment(100.0, 0.012)] * 3
-        message = "the walk rounds to 0 whole ticks of 30 ms, segment by segment;"
-        with pytest.raises(PipelineError, match=re.escape(message + " it must last 1 to")):
-            trajectory_ticks(short)
+        # 19 segments of 0.503 ticks, 9.57 in all, round to 19 whole ticks,
+        # past a cap of 10.
         monkeypatch.setattr(pipeline, "MAX_TICKS", 10)
         assert trajectory_ticks([TrajectorySegment(1.0, 0.0151)] * 10) == [1] * 10
-        message = ("the walk rounds to 19 whole ticks of 30 ms, segment by segment;"
-                   " it must last 1 to 10 ticks")
-        with pytest.raises(PipelineError, match=re.escape(message)):
+        with pytest.raises(PipelineError, match="rounds to 19 whole ticks .* 1 to 10 ticks$"):
             trajectory_ticks([TrajectorySegment(1.0, 0.0151)] * 19)
 
     @pytest.mark.parametrize("name", ["tick_ms", "start_x", "jitter_cm", "seed"])
