@@ -261,9 +261,10 @@ class TestIndexedCone:
     @given(st.data(), _profiles(), _obstacles())
     def test_equals_full_scan(self, data, ground, obstacles):
         if obstacles and data.draw(st.booleans()):
-            # A twin of a box on the same x, taller: a height just above
-            # the box echoes off its axis, then nearer from the twin's face
-            # at the same depth.
+            # A taller twin of a box on the same x: a height just above the
+            # box echoes off its axis, then nearer from the twin's face at
+            # the same depth, which a scan stopped at another height's best
+            # would miss.
             box = data.draw(st.sampled_from(obstacles))
             lift = data.draw(st.sampled_from([1.0, 45.0]))
             obstacles = [*obstacles, box._replace(z1=box.z1 + lift)]
