@@ -223,19 +223,6 @@ def format_trace(frames) -> str:
     return "".join(out)
 
 
-# The verify-tables names, importable from here but compiled only when used.
-_TABLE_NAMES = frozenset({"CHEST_BANDS", "KNEE_BANDS", "TOE_BANDS", "DEPTH_BANDS",
-                          "STAIR_TRUTH_TABLE", "_band_level", "_sweep", "verify_tables"})
-
-
-def __getattr__(name):
-    """A name of `ultranav.tables`, imported on first use (PEP 562)."""
-    if name in _TABLE_NAMES:
-        from . import tables
-        return getattr(tables, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 USAGE = """\
 usage: ultranav run SCENARIO [--calib FILE] [--out FILE]
        ultranav verify-tables

@@ -14,8 +14,18 @@ forward-aimed beam sees vertical faces (obstacle fronts/backs, risers),
 a downward-aimed beam sees horizontal faces (ground, obstacle tops).
 Grazing hits on the other orientation scatter away and produce no echo.
 Obstacles thinner than MIN_OBSTACLE_THICKNESS_CM along x have no faces.
-Every cone is the modules' one fixed beam, BEAM_HALF_ANGLE_DEG either
-side of its aim.
+Every cone is the modules' one fixed beam, h = BEAM_HALF_ANGLE_DEG either
+side of its aim.  A face the aim can see lies at depth L along that axis,
+and the cone covers the cross-axis window [c - L tan h, c + L tan h]
+around the origin's cross-axis coordinate c.  A face whose span meets
+that window echoes at hypot(L, off), off being the gap from c to the
+span (0 when the span holds c); a cone's echo is the least of these.
+
+`SagittalScene.echoes` casts the four cones of one walker position: it
+looks the terrain and the face indexes up once, rejects an origin more
+than _EPS below the ground, and calls the two kernels, which check no
+origin.  The tick's `sense` casts through it, and so does
+`cone_min_distance`, which keeps one of the four.
 
 Each scene builds its two face indexes together, in one pass over its
 obstacles, on the first cone cast at it.  There is one kernel per aim.
@@ -29,9 +39,9 @@ straight down.  Any face that can beat that echo lies less deep, so its
 span meets the cone's window at the seed depth: the horizontal faces are
 sorted by their left end, the scan starts at the last face that begins
 left of the window's right edge, and walks left until the running
-maximum of the right ends falls short of the window's left edge.
-Neither kernel checks its origin: `check_origins` rejects an origin
-below the ground, for `cone_min_distance` and for the tick alike.
+maximum of the right ends falls short of the window's left edge.  Both
+kernels' culls use the per-face test's own float expressions, so they
+drop only faces that test would reject.
 """
 
 from __future__ import annotations
@@ -67,11 +77,6 @@ class Aim(Enum):
 
     FORWARD = "forward"
     DOWN = "down"
-
-
-# A member looked up through its Enum class costs several times a global
-# read on Python 3.11, and every cone_min_distance call tests its aim.
-_FORWARD = Aim.FORWARD
 
 
 class Rect(Record, namedtuple("Rect", "x0 x1 z0 z1")):
@@ -215,56 +220,33 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
             tops.append(top)
         return (vertical, list(map(itemgetter(0), vertical))), (horizontal, keys, tops)
 
+    def echoes(self, x: float, heights) -> tuple:
+        """The true echoes (cm, None for no echo) at x: (chest, knee, toe, down).
+
+        Forward cones are cast from heights[0:3], in one scan, and a down
+        cone from heights[3].  Raises GeometryError for the first of the
+        heights, in that order, more than _EPS below the terrain at x.
+        """
+        ground_z = self.elevation(x)
+        floor = ground_z - _EPS
+        for z in heights:
+            if z < floor:
+                raise GeometryError(f"sensor origin ({x}, {z}) is below the ground surface")
+        (faces, keys), down_index = self._face_index
+        chest_z, knee_z, toe_z, arch_z = heights
+        chest, knee, toe = _forward(faces, bisect_left(keys, x), x, chest_z, knee_z, toe_z)
+        return chest, knee, toe, _down(down_index, x, arch_z, ground_z)
+
 
 def cone_min_distance(scene: SagittalScene, origin: tuple, aim: Aim) -> Optional[float]:
-    """Nearest echo (cm) inside the sensor's beam, or None.
+    """Nearest echo (cm) inside the beam cast from origin = (x, z) along
+    aim, or None: the one of `scene.echoes` that aim picks.
 
-    The beam spans h = BEAM_HALF_ANGLE_DEG either side of the aim axis.
-    Each face the aim can see lies at depth L along that axis; the cone
-    covers the cross-axis window [c - L tan h, c + L tan h] around the
-    origin's cross-axis coordinate c.  A face whose span [lo, hi] meets
-    that window echoes at hypot(L, off), where off is the gap from c to
-    the span (0 when the span holds c).  The result is the minimum of
-    that over all faces.
-
-    A forward cone (the kernel `_forward`, given this one height in all
-    three of its slots) visits the vertical faces in order of x from the
-    first one at or past the origin, and stops at the first face with
-    L >= the best echo so far: hypot(L, off) >= L, so no later face can
-    be strictly nearer.  A downward cone (the kernel
-    `_down`) starts with the terrain face under the origin, which always
-    exists and echoes at its depth (off = 0), whenever it lies more than
-    _EPS below.  Every face that can beat that seed is less deep, so its
-    span meets the window W = seed * tan h around c.  The horizontal
-    faces are sorted by lo; the scan starts at the last face with
-    lo <= c + W + _EPS and walks back while the largest hi of the faces
-    up to the current one in that order reaches c - W - _EPS, skipping
-    faces no shallower than the best echo.  Only an origin within _EPS of
-    the ground has no seed; its window is unbounded and every face is
-    visited.  The window bounds use the same float expressions as the
-    per-face test, so the cull drops only faces that test would reject.
-
-    Raises GeometryError, through `check_origins`, if the origin is more
-    than _EPS below the terrain.  The tick's `sense` looks the terrain
-    and the faces up once per position and calls the helper and the
-    kernels itself.
+    Raises GeometryError if the origin is more than _EPS below the terrain.
     """
     ox, oz = origin
-    ground_z = scene.elevation(ox)
-    check_origins(ox, (oz,), ground_z)
-    if aim is _FORWARD:
-        faces, keys = scene._face_index[0]
-        return _forward(faces, bisect_left(keys, ox), ox, oz, oz, oz)[0]
-    return _down(scene._face_index[1], ox, oz, ground_z)
-
-
-def check_origins(ox: float, heights, ground_z: float) -> None:
-    """Raise GeometryError for the first of `heights`, origins at ox in
-    firing order, more than _EPS below ground_z = scene.elevation(ox)."""
-    floor = ground_z - _EPS
-    for oz in heights:
-        if oz < floor:
-            raise GeometryError(f"sensor origin ({ox}, {oz}) is below the ground surface")
+    echoes = scene.echoes(ox, (oz,) * 4)
+    return echoes[0] if aim is Aim.FORWARD else echoes[3]
 
 
 def _forward(faces: list, start: int, ox: float, za: float, zb: float, zc: float) -> tuple:
@@ -305,7 +287,11 @@ def _forward(faces: list, start: int, ox: float, za: float, zb: float, zc: float
 
 def _down(index: tuple, ox: float, oz: float, ground_z: float) -> Optional[float]:
     """Down kernel: nearest echo from (ox, oz) in the horizontal index
-    (faces, keys, tops), ground_z = scene.elevation(ox)."""
+    (faces, keys, tops), ground_z = scene.elevation(ox).
+
+    An origin within _EPS of the ground has no seed: its window is
+    unbounded and every face is visited.
+    """
     faces, keys, tops = index
     best = None
     end, left = len(faces), -math.inf

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import namedtuple
 from functools import cache, cached_property
 from typing import NamedTuple, Optional
@@ -22,7 +21,7 @@ from .classify import (
     infer_upper_level,
     is_downstep,
 )
-from .geometry import SagittalScene, _down, _forward, check_origins
+from .geometry import SagittalScene
 from .sensing import (
     AIR_TEMP_RANGE_C,
     Calibration,
@@ -225,30 +224,23 @@ def sense(scene: SagittalScene, x: float, config: SimConfig) -> tuple:
     Returns (d_chest, d_knee, d_toe, d_down, frame, flags), a pure
     function of its arguments: scenes and configs are immutable, and
     `frame` and `flags` (nothing inferred) are shared `_frame` and
-    `_flags` objects.  The terrain and the scene's face indexes are
-    looked up once per position.  `check_origins` takes the mount heights
-    (`config.mounts`) in firing order (chest, knee, toe, arch), the first
-    one below ground raising the GeometryError `cone_min_distance` would;
-    the three forward cones are cast in one scan of the vertical faces
-    from one bisect, and the arch cone is cast down, so each reading
-    equals `measure`'s.
+    `_flags` objects.  `scene.echoes` casts the four cones from the mount
+    heights (`config.mounts`) in firing order (chest, knee, toe, arch),
+    the first one below ground raising the GeometryError
+    `cone_min_distance` would, so each reading equals `measure`'s.
     """
     c_cal, c_actual = config.sound_speeds
     gain, offset = config.calibration
     mounts = config.mounts
-    ground_z = scene.elevation(x)
-    check_origins(x, mounts, ground_z)
-    (faces, keys), down_index = scene._face_index
-    chest_z, knee_z, toe_z, arch_z = mounts
-    e_chest, e_knee, e_toe = _forward(faces, bisect_left(keys, x), x, chest_z, knee_z, toe_z)
+    e_chest, e_knee, e_toe, e_down = scene.echoes(x, mounts)
     d_chest = echo_reading(e_chest, c_cal, c_actual, gain, offset)
     d_knee = echo_reading(e_knee, c_cal, c_actual, gain, offset)
     d_toe = echo_reading(e_toe, c_cal, c_actual, gain, offset)
-    d_down = echo_reading(_down(down_index, x, arch_z, ground_z), c_cal, c_actual, gain, offset)
+    d_down = echo_reading(e_down, c_cal, c_actual, gain, offset)
 
     # No downward echo means the drop exceeds the sensor's reach: treat as
     # an unbounded hazard depth.
-    depth = math.inf if d_down is None else d_down - arch_z
+    depth = math.inf if d_down is None else d_down - mounts[3]
     frame = _frame(classify_chest(d_chest), classify_knee(d_knee), classify_toe(d_toe),
                    classify_depth(depth))
     flags = _flags(*detect_upstairs(d_knee, d_toe), is_downstep(depth), None)

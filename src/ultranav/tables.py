@@ -2,7 +2,7 @@
 against an independent statement of the paper's tables.
 
 Only `verify-tables` imports this module, so a `run` does not compile
-it; `ultranav.cli` still exposes its names (see `cli.__getattr__`).
+it.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ultranav.classify import Advisory, classify_depth, is_downstep
-from ultranav.cli import main, verify_tables
+from ultranav.cli import main
 from ultranav.geometry import (
     Aim,
     GroundSegment,
@@ -23,6 +23,7 @@ from ultranav.geometry import (
 from ultranav.classify import BuzzerFrame
 from ultranav.pipeline import SimConfig, TickFlags, TrajectorySegment, fuse, run_scenario
 from ultranav.sensing import SensorName, default_sensors, measure, sound_speed
+from ultranav.tables import verify_tables
 
 from oracles import dense_cone_min
 

@@ -14,8 +14,8 @@ from ultranav.classify import (
     infer_upper_level,
     is_downstep,
 )
-from ultranav.cli import CHEST_BANDS, STAIR_TRUTH_TABLE
 from ultranav.pipeline import TickFlags, fuse
+from ultranav.tables import CHEST_BANDS, STAIR_TRUTH_TABLE
 
 
 class TestChestBands:

@@ -21,7 +21,6 @@ from ultranav.cli import (
     main,
     parse_args,
     parse_scenario,
-    verify_tables,
 )
 from ultranav.geometry import GeometryError, GroundSegment, Rect, SagittalScene
 from ultranav.pipeline import (
@@ -45,6 +44,7 @@ from ultranav.sensing import (
     default_sensors,
     sound_speed,
 )
+from ultranav.tables import verify_tables
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -1003,8 +1003,8 @@ class TestVerifyTables:
         code = (
             "import sys, ultranav.cli\n"
             "assert 'ultranav.tables' not in sys.modules, 'imported with ultranav.cli'\n"
-            "from ultranav.cli import CHEST_BANDS, STAIR_TRUTH_TABLE, verify_tables\n"
-            "assert verify_tables is sys.modules['ultranav.tables'].verify_tables\n"
+            "assert ultranav.cli.main(['verify-tables']) == 0\n"
+            "assert 'ultranav.tables' in sys.modules, 'not imported by verify-tables'\n"
         )
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -16,7 +16,6 @@ from ultranav.geometry import (
     SagittalScene,
     _down,
     _forward,
-    check_origins,
     cone_min_distance,
     overlap_distance,
 )
@@ -151,13 +150,15 @@ class TestConeMinDistance:
         for aim in Aim:
             with pytest.raises(GeometryError, match="below the ground") as direct:
                 cone_min_distance(scene, (0.0, 5.0), aim)
-            # The helper raises the same message, for the first origin below ground.
-            with pytest.raises(GeometryError) as helper:
-                check_origins(0.0, (30.0, 5.0, 1.0), scene.elevation(0.0))
-            assert str(helper.value) == str(direct.value)
+            # `echoes` raises the same message, for the first origin below
+            # ground in firing order, whichever slot holds it.
+            for heights in [(30.0, 5.0, 1.0, 30.0), (30.0, 30.0, 30.0, 5.0), (5.0, 1.0, 1.0, 1.0)]:
+                with pytest.raises(GeometryError) as position:
+                    scene.echoes(0.0, heights)
+                assert str(position.value) == str(direct.value)
         # Within _EPS of the ground is on it, and the kernels cast from there.
         oz = 20.0 - _EPS / 2
-        check_origins(0.0, (oz,), 20.0)
+        assert scene.echoes(0.0, (oz, 30.0, oz, oz)) == (10.0, None, 10.0, None)
         (faces, keys), down_index = scene._face_index
         assert _forward(faces, bisect_left(keys, 0.0), 0.0, oz, 30.0, oz) == (10.0, None, 10.0)
         assert cone_min_distance(scene, (0.0, oz), Aim.FORWARD) == 10.0
@@ -283,15 +284,28 @@ class TestIndexedCone:
         # The forward kernel casts three heights in one scan, each equal to
         # its own full scan, in every order and repeat of oz and two more.
         heights = [oz] + [data.draw(st.sampled_from([oz, *zs])) + data.draw(_NUDGE)
-                          for _ in range(2)]
+                          for _ in range(3)]
+        forward = heights[:3]
         floor = scene.elevation(ox) - _EPS
-        full = {z: full_scan_cone_min(scene, (ox, z), Aim.FORWARD) for z in heights if z >= floor}
+        full = {z: full_scan_cone_min(scene, (ox, z), Aim.FORWARD) for z in forward if z >= floor}
         faces, keys = scene._face_index[0]
         start = bisect_left(keys, ox)
-        for slots in itertools.product(heights, repeat=3):
+        for slots in itertools.product(forward, repeat=3):
             for z, best in zip(slots, _forward(faces, start, ox, *slots)):
                 if z in full:
                     assert best == full[z]
+        # `echoes` casts those three forward and a fourth height down, or
+        # raises for the first height below the floor.
+        below = [z for z in heights if z < floor]
+        if below:
+            with pytest.raises(GeometryError) as expected:
+                full_scan_cone_min(scene, (ox, below[0]), Aim.FORWARD)
+            with pytest.raises(GeometryError) as position:
+                scene.echoes(ox, heights)
+            assert str(position.value) == str(expected.value)
+        else:
+            down = full_scan_cone_min(scene, (ox, heights[3]), Aim.DOWN)
+            assert scene.echoes(ox, heights) == (*map(full.get, forward), down)
 
     @settings(max_examples=400, deadline=None)
     @given(st.data(), _profiles(), _obstacles())

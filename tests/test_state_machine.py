@@ -19,7 +19,7 @@ path is replayed.
 `debounce_ticks` 1 commits each candidate at once and 2 holds it; a
 longer debounce only holds it longer.  At 3 the walk reaches 10,926
 state pairs and costs more than twice as much as at 2, so it is left
-out.
+out of the tests here; CI runs `walk(3)` as a step of its own.
 """
 
 from functools import cache
