@@ -40,7 +40,8 @@ import os
 import sys
 from functools import cache, partial
 
-from .geometry import GeometryError, GroundSegment, Rect, SagittalScene, ground_overlap
+from .geometry import (GeometryError, GroundSegment, Rect, SagittalScene, buried_obstacle,
+                       ground_overlap)
 from .pipeline import (_MEMO_SIZE, PipelineError, SimConfig, TrajectorySegment, check_setting,
                        run_scenario)
 from .sensing import SensingError, SensorName, SensorSpec, default_sensors, load_calibration
@@ -102,7 +103,7 @@ def parse_scenario(text: str, calib=None):
     """
     settings = {}
     sensors = dict(_DEFAULT_SENSORS)
-    obstacles, ground, ground_lines, walks = [], [], [], []
+    obstacles, obstacle_lines, ground, ground_lines, walks = [], [], [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split("#", 1)[0].split()
         if not fields:
@@ -110,6 +111,7 @@ def parse_scenario(text: str, calib=None):
         directive = fields.pop(0).upper()
         if directive == "OBSTACLE":
             obstacles.append(_build(Rect, 4, fields, lineno, directive))
+            obstacle_lines.append(lineno)
         elif directive == "CONFIG":
             if len(fields) != 2:
                 raise ScenarioError(f"line {lineno}: CONFIG takes 'key value'")
@@ -156,7 +158,12 @@ def parse_scenario(text: str, calib=None):
     config = SimConfig(sensors=tuple(sensors.values()), **settings)
     if not walks:
         raise ScenarioError("scenario has no WALK directive")
-    return SagittalScene(obstacles, ground), walks, config
+    try:
+        scene = SagittalScene(obstacles, ground)
+    except GeometryError as exc:  # the ground was checked above: a buried obstacle
+        buried = buried_obstacle(obstacles, SagittalScene((), ground).ground_profile)
+        raise ScenarioError(f"line {obstacle_lines[buried]}: {exc}") from None
+    return scene, walks, config
 
 
 def _format_lead(x, d_chest, d_knee, d_toe, d_down, frame) -> str:

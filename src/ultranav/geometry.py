@@ -9,11 +9,14 @@ segments is flat at elevation 0 without end, and two authored boundaries
 within _EPS (1e-9 cm) of each other are snapped to the earlier segment's
 end, so every x lies in exactly one profile segment.
 
-Echoes are only returned from faces hit near-perpendicularly: a
-forward-aimed beam sees vertical faces (obstacle fronts/backs, risers),
-a downward-aimed beam sees horizontal faces (ground, obstacle tops).
-Grazing hits on the other orientation scatter away and produce no echo.
-Obstacles thinner than MIN_OBSTACLE_THICKNESS_CM along x have no faces.
+Echoes are only returned from faces hit near-perpendicularly, and a
+face echoes only if it faces the module: obstacle fronts and step-up
+risers forward, obstacle tops and terrain down.  An obstacle's far side,
+a step down and an obstacle's bottom point away from every cone of
+their aim and are not indexed.  Grazing hits on the other orientation
+scatter away and produce no echo.  Obstacles thinner than
+MIN_OBSTACLE_THICKNESS_CM along x have no faces, and a scene rejects an
+obstacle that lies wholly below the terrain (`buried_obstacle`).
 Every cone is the modules' one fixed beam, h = BEAM_HALF_ANGLE_DEG either
 side of its aim.  A face the aim can see lies at depth L along that axis,
 and the cone covers the cross-axis window [c - L tan h, c + L tan h]
@@ -135,11 +138,31 @@ def ground_overlap(ground) -> Optional[int]:
     return None
 
 
+def buried_obstacle(obstacles, profile) -> Optional[int]:
+    """Index of the first obstacle whose top z1 is at or below the terrain
+    at every x of its span [x0, x1], or None.
+
+    `profile` is a scene's `ground_profile`.  Only an obstacle whose top
+    is at or below the highest terrain is looked up in it.
+    """
+    high = max(map(itemgetter(2), profile))
+    if not obstacles or min(map(itemgetter(3), obstacles)) > high:
+        return None
+    starts = [seg.x0 for seg in profile]
+    for i, (x0, x1, _, z1) in enumerate(obstacles):
+        if z1 <= high:
+            span = profile[bisect_right(starts, x0) - 1:bisect_right(starts, x1)]
+            if all(z1 <= dz for _, _, dz in span):
+                return i
+    return None
+
+
 class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
     """Immutable obstacle + terrain description of the vertical slice.
 
     A member that is not a Rect or GroundSegment is built as one, so its
-    checks run.  Declares no `__slots__`: the face indexes below are
+    checks run.  An obstacle wholly below the terrain (`buried_obstacle`)
+    is rejected.  Declares no `__slots__`: the face indexes below are
     cached in the instance dict.
     """
 
@@ -147,7 +170,12 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
         obstacles = as_records(Rect, obstacles)
         ground = as_records(GroundSegment, ground)
         self = tuple.__new__(cls, (obstacles, ground))
-        self.ground_profile  # validate terrain eagerly
+        buried = buried_obstacle(obstacles, self.ground_profile)  # validates terrain too
+        if buried is not None:
+            x0, x1, _, z1 = obstacles[buried]
+            raise GeometryError(
+                f"obstacle [{x0}, {x1}] lies wholly below the terrain (top z1={z1})"
+            )
         return self
 
     @cached_property
@@ -191,8 +219,10 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
         """Both face indexes, built in one pass over the obstacles thick enough
         to echo: ((faces, keys), (faces, keys, tops)).
 
-        Forward beams see the vertical faces (x, z_lo, z_hi), sorted by x,
-        whose x are the keys.  Downward beams see the horizontal faces
+        A face echoes only if it faces the module: obstacle fronts and
+        step-up risers forward, obstacle tops and terrain down.  Forward
+        beams see those vertical faces (x, z_lo, z_hi), sorted by x, whose
+        x are the keys.  Downward beams see those horizontal faces
         (z, x_lo, x_hi), sorted by x_lo, whose x_lo are the keys; tops is
         the running max of x_hi.
         """
@@ -200,14 +230,12 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
         for x0, x1, z0, z1 in self.obstacles:
             if (x1 - x0) >= MIN_OBSTACLE_THICKNESS_CM - _EPS:
                 vertical.append((x0, z0, z1))
-                vertical.append((x1, z0, z1))
                 horizontal.append((z1, x0, x1))
-                horizontal.append((z0, x0, x1))
-        # Riser faces wherever the elevation profile jumps, and every terrain span.
+        # A riser wherever the profile steps up, and every terrain span.
         profile = self.ground_profile
         for (_, x, dz_left), (_, _, dz_right) in zip(profile, profile[1:]):
-            if dz_left != dz_right:
-                vertical.append((x, min(dz_left, dz_right), max(dz_left, dz_right)))
+            if dz_left < dz_right:
+                vertical.append((x, dz_left, dz_right))
         for x0, x1, dz in profile:
             horizontal.append((dz, x0, x1))
         vertical.sort(key=itemgetter(0))

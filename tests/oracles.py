@@ -1,10 +1,12 @@
 """Independent oracles: brute-force geometry, and the stateful columns.
 
-`echoing_faces` states the face model on its own: each obstacle at
-least MIN_OBSTACLE_THICKNESS_CM thick gives its two faces the aim sees,
-and the terrain gives its risers (forward) or its segments (down).  It
-lists them in authored order and reads no face the scene derives, so the
-oracles below also check the scene's face extraction.
+`echoing_faces` states the face model on its own: a face echoes only
+if it faces the module, so each obstacle at least
+MIN_OBSTACLE_THICKNESS_CM thick gives its front (forward) or its top
+(down), and the terrain gives its step-up risers (forward) or its
+segments (down).  It lists them in authored order and reads no face the
+scene derives, so the oracles below also check the scene's face
+extraction.
 
 `full_scan_cone_min` is the exact cone minimum taken over every face
 `echoing_faces` lists, with no index, early exit or seed: the reference
@@ -67,20 +69,21 @@ def ray_direction(aim: Aim, angle: float) -> tuple:
 def echoing_faces(scene: SagittalScene, aim: Aim) -> list:
     """The faces `aim` can echo off, in authored order.
 
-    Forward: (x, z_lo, z_hi) for each echoing obstacle's front and back,
-    then a riser wherever the profile's elevation changes.  Down:
-    (z, x_lo, x_hi) for each echoing obstacle's top and bottom, then each
-    profile segment.
+    A face echoes only if it faces the module: obstacle fronts and
+    step-up risers forward, obstacle tops and terrain down.  Forward:
+    (x, z_lo, z_hi) for each echoing obstacle's front, then a riser
+    wherever the profile's elevation steps up.  Down: (z, x_lo, x_hi)
+    for each echoing obstacle's top, then each profile segment.
     """
     boxes = [r for r in scene.obstacles if r.x1 - r.x0 >= MIN_OBSTACLE_THICKNESS_CM - _EPS]
     profile = scene.ground_profile
     if aim is Aim.FORWARD:
-        faces = [(x, r.z0, r.z1) for r in boxes for x in (r.x0, r.x1)]
+        faces = [(r.x0, r.z0, r.z1) for r in boxes]
         for left, right in zip(profile, profile[1:]):
-            if left.dz != right.dz:
-                faces.append((left.x1, min(left.dz, right.dz), max(left.dz, right.dz)))
+            if left.dz < right.dz:
+                faces.append((left.x1, left.dz, right.dz))
         return faces
-    faces = [(z, r.x0, r.x1) for r in boxes for z in (r.z1, r.z0)]
+    faces = [(r.z1, r.x0, r.x1) for r in boxes]
     return faces + [(seg.dz, seg.x0, seg.x1) for seg in profile]
 
 

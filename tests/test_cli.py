@@ -327,12 +327,19 @@ def _loader_lines(draw):
 
 
 def _reference_obstacles(lines):
-    """(obstacles, None), or (None, the first error), for `_loader_lines` lines, one at a time."""
-    obstacles = []
-    for lineno, (_, expected) in enumerate(lines, start=1):
+    """(obstacles, None), or (None, the first error), for `_loader_lines` lines, one at a time.
+
+    Once every line is read, an obstacle whose top is at or below the
+    terrain at every x of [x0, x1] is an error at its line.  The GROUND
+    lines lie apart, so a span inside none of them also meets flat ground.
+    """
+    obstacles, obstacle_lines, holes = [], [], []
+    for lineno, (text, expected) in enumerate(lines, start=1):
         if isinstance(expected, str):
             return None, expected.format(n=lineno)
         if expected is None:
+            if text.startswith("GROUND"):
+                holes.append(tuple(map(float, text.split()[1:])))
             continue
         if len(expected) != 4:
             return None, f"line {lineno}: OBSTACLE takes 4 values, got {len(expected)}"
@@ -346,6 +353,14 @@ def _reference_obstacles(lines):
             obstacles.append(Rect(*values))
         except GeometryError as exc:
             return None, f"line {lineno}: {exc}"
+        obstacle_lines.append(lineno)
+    for lineno, (x0, x1, _, z1) in zip(obstacle_lines, obstacles):
+        levels = [dz for a, b, dz in holes if a <= x1 and x0 < b]
+        if not any(a <= x0 and x1 < b for a, b, _ in holes):
+            levels.append(0.0)
+        if all(z1 <= dz for dz in levels):
+            return None, (f"line {lineno}: obstacle [{x0}, {x1}] lies wholly below the terrain"
+                          f" (top z1={z1})")
     return tuple(obstacles), None
 
 
@@ -909,6 +924,18 @@ class TestInputBounds:
                 "WALK 140 0.01\n",
                 "the walk lasts 0.3333 ticks of 30 ms; it must last 1 to 1000000 ticks",
                 id="ticks-below-one",
+            ),
+            pytest.param(
+                # Wholly below flat ground: it would echo through the ground.
+                "OBSTACLE 150 160 -40 -20\nWALK 100 1\n",
+                "line 1: obstacle [150.0, 160.0] lies wholly below the terrain (top z1=-20.0)",
+                id="obstacle-buried",
+            ),
+            pytest.param(
+                # Named by its own line, after the ground it lies under.
+                "GROUND 100 200 -30\nOBSTACLE 1 2 0 5\nOBSTACLE 120 130 -50 -30\nWALK 100 1\n",
+                "line 3: obstacle [120.0, 130.0] lies wholly below the terrain (top z1=-30.0)",
+                id="obstacle-buried-in-hole",
             ),
             pytest.param(
                 "WALK 100 0.012\nWALK 100 0.012\nWALK 100 0.012\n",

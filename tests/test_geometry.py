@@ -16,6 +16,7 @@ from ultranav.geometry import (
     SagittalScene,
     _down,
     _forward,
+    buried_obstacle,
     cone_min_distance,
     overlap_distance,
 )
@@ -146,7 +147,9 @@ class TestConeMinDistance:
         assert d == pytest.approx(100.0)
 
     def test_origin_below_ground_raises(self):
-        scene = SagittalScene((), (GroundSegment(-10, 10, 20.0),))
+        # A plateau at 20 cm with a step up to 25 cm at x = 10, whose riser
+        # faces an origin on the plateau.
+        scene = SagittalScene((), (GroundSegment(-10, 10, 20.0), GroundSegment(10, 20, 25.0)))
         for aim in Aim:
             with pytest.raises(GeometryError, match="below the ground") as direct:
                 cone_min_distance(scene, (0.0, 5.0), aim)
@@ -158,12 +161,47 @@ class TestConeMinDistance:
                 assert str(position.value) == str(direct.value)
         # Within _EPS of the ground is on it, and the kernels cast from there.
         oz = 20.0 - _EPS / 2
-        assert scene.echoes(0.0, (oz, 30.0, oz, oz)) == (10.0, None, 10.0, None)
+        heights = (oz, 30.0, oz, oz)
+        aims = (Aim.FORWARD,) * 3 + (Aim.DOWN,)
+        expected = tuple(full_scan_cone_min(scene, (0.0, z), aim) for z, aim in zip(heights, aims))
+        assert scene.echoes(0.0, heights) == expected == (10.0, None, 10.0, None)
         (faces, keys), down_index = scene._face_index
         assert _forward(faces, bisect_left(keys, 0.0), 0.0, oz, 30.0, oz) == (10.0, None, 10.0)
         assert cone_min_distance(scene, (0.0, oz), Aim.FORWARD) == 10.0
         assert _down(down_index, 0.0, oz, 20.0) is None
         assert cone_min_distance(scene, (0.0, oz), Aim.DOWN) is None
+
+    # waist_probe's block and pothole_grades' holes.
+    _BLOCK = ((Rect(200, 210, 0, 120),), ())
+    _HOLES = ((), tuple(GroundSegment(100 * k, 100 * k + 100, dz)
+                        for k, dz in enumerate((-5.0, -15.0, -30.0, -50.0), start=1)))
+
+    @pytest.mark.parametrize(
+        "scene,origin,aim,expected",
+        [
+            # Past the block's top, the chest's cone would reach its far side
+            # at hypot(120, 30) = 123.7 cm; that face points away.
+            pytest.param(_BLOCK, (90.0, 150.0), Aim.FORWARD, None, id="no-far-face"),
+            pytest.param(_BLOCK, (0.0, 50.0), Aim.FORWARD, 200.0, id="near-face"),
+            # A hole's near wall is a step down, facing away from the toe,
+            # which would read it at hypot(100, 5) = 100.1 cm.  The first
+            # riser it sees steps back up to grade at x = 500.
+            pytest.param(_HOLES, (0.0, 5.0), Aim.FORWARD, math.hypot(500.0, 5.0),
+                         id="no-step-down-riser"),
+            # From the deepest hole's floor, its far wall steps up to grade.
+            pytest.param(_HOLES, (450.0, -10.0), Aim.FORWARD, 50.0, id="step-up-riser"),
+            # A table's underside points away from a down cone above it; the
+            # cone reaches it at hypot(90, 20) but echoes off the ground.
+            pytest.param(((Rect(20, 30, 10, 90),), ()), (0.0, 100.0), Aim.DOWN, 100.0,
+                         id="no-bottom-face"),
+            pytest.param(((Rect(-5, 5, 10, 90),), ()), (0.0, 100.0), Aim.DOWN, 10.0,
+                         id="top-face"),
+        ],
+    )
+    def test_only_faces_facing_the_module_echo(self, scene, origin, aim, expected):
+        scene = SagittalScene(*scene)
+        assert cone_min_distance(scene, origin, aim) == expected
+        assert full_scan_cone_min(scene, origin, aim) == expected
 
     def test_thin_obstacle_is_invisible(self):
         scene = SagittalScene((Rect(100, 100.2, 0, 200),), ())
@@ -458,3 +496,56 @@ class TestSceneValidation:
         assert scene.elevation(5.0) == -5.0
         assert scene.elevation(25.0) == -8.0
         assert scene.elevation(100.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "ground,box,buried",
+        [
+            pytest.param((), Rect(150, 160, -40, -20), True, id="under-flat-ground"),
+            pytest.param((), Rect(0, 10, -5, 0), True, id="top-on-flat-ground"),
+            pytest.param((), Rect(0, 10, -5, 1e-9), False, id="top-above-flat-ground"),
+            pytest.param(((0, 100, -30),), Rect(10, 20, -40, -20), False, id="in-a-hole"),
+            pytest.param(((0, 100, -30),), Rect(10, 20, -50, -30), True, id="under-a-hole"),
+            pytest.param(((0, 100, -30),), Rect(90, 110, -50, -10), False, id="across-a-hole-edge"),
+            pytest.param(((0, 100, 20),), Rect(10, 20, 0, 15), True, id="under-a-plateau"),
+            # The span is closed: an end on the plateau's edge meets the flat
+            # ground past it, whose elevation the profile gives at that x.
+            pytest.param(((0, 100, 20),), Rect(50, 100, 0, 15), False, id="ends-at-plateau-edge"),
+            pytest.param(((0, 100, 20),), Rect(-10, 0, 0, 15), False, id="ends-at-plateau-start"),
+            pytest.param(((0, 100, 20),), Rect(-10, -1e-9, -5, 0), True, id="ends-short-of-plateau"),
+        ],
+    )
+    def test_obstacle_wholly_below_terrain_rejected(self, ground, box, buried):
+        obstacles = (Rect(300, 310, 0, 50), box)
+        if not buried:
+            assert SagittalScene(obstacles, ground).obstacles == obstacles
+            return
+        with pytest.raises(GeometryError) as raised:
+            SagittalScene(obstacles, ground)
+        assert str(raised.value) == (
+            f"obstacle [{box.x0}, {box.x1}] lies wholly below the terrain (top z1={box.z1})"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_profiles(), _obstacles(), st.data())
+    def test_buried_obstacle_equals_sampled_terrain(self, ground, obstacles, data):
+        # The terrain is constant between profile boundaries, so its lowest
+        # point on [x0, x1] lies at an end or at a boundary inside.
+        obstacles += data.draw(st.lists(st.builds(
+            lambda x0, w, z1: Rect(x0, x0 + w, z1 - 30.0, z1),
+            _GRID, st.sampled_from([1e-9, 1.0, 20.0, 60.0]),
+            st.sampled_from([-40.0, -20.0, -5.0 - 1e-9, -5.0, 0.0, 5.0, 10.0]),
+        ), max_size=4))
+        terrain = _scene(ground, ())
+        starts = [seg.x0 for seg in terrain.ground_profile]
+
+        def buried(r):
+            xs = [r.x0, r.x1] + [x for x in starts if r.x0 < x < r.x1]
+            return all(r.z1 <= scan_elevation(terrain, x) for x in xs)
+
+        first = next((i for i, r in enumerate(obstacles) if buried(r)), None)
+        assert buried_obstacle(obstacles, terrain.ground_profile) == first
+        if first is None:
+            SagittalScene(tuple(obstacles), tuple(ground))
+        else:
+            with pytest.raises(GeometryError, match="wholly below the terrain"):
+                SagittalScene(tuple(obstacles), tuple(ground))
