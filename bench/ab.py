@@ -18,7 +18,10 @@ shows here.  Then each round runs every job on both sides, the side that
 goes first alternating from job to job and round to round, and sums each
 side's time.  For each workload it prints the median of the rounds'
 head/base time ratios, their quartiles, and the number of rounds the
-head was faster.  A ratio below 1 means the head is faster.
+head was faster.  A ratio below 1 means the head is faster.  A second
+line gives the same figures for `parse_scenario` alone, timed inside
+those very calls of `main`: each side's `cli.parse_scenario` is wrapped
+to sum the time of its calls, so a loader change shows where its gain is.
 
 This does not replace perfbench or a BENCH pair: it gives the in-process
 ratio beside them.
@@ -84,8 +87,36 @@ def timed(main, argv) -> float:
     return elapsed
 
 
-def compare(workload, jobs, mains, work: Path, rounds: int) -> None:
-    """Print the trace check and the timing summary of one workload."""
+def clock(module, name: str) -> list:
+    """Replace `module.<name>` by a wrapper that adds each call's time to the returned cell."""
+    func, spent = getattr(module, name), [0.0]
+
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        result = func(*args, **kwargs)
+        spent[0] += time.perf_counter() - start
+        return result
+
+    setattr(module, name, wrapper)
+    return spent
+
+
+def summary(label, totals) -> str:
+    """The median head/base ratio of per-round totals, its quartiles, wins and per-job times."""
+    ratios = [head / base for base, head in zip(totals["base"], totals["head"])]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    wins = sum(ratio < 1.0 for ratio in ratios)
+    base_ms, head_ms = (statistics.median(totals[side]) * 1e3 for side in ("base", "head"))
+    return (f"{label} head/base time ratio {median:.3f} (quartiles {q1:.3f} to {q3:.3f}), "
+            f"head faster in {wins} of {len(ratios)} rounds; per job {base_ms:.3f} ms base, "
+            f"{head_ms:.3f} ms head")
+
+
+def compare(workload, jobs, mains, parses, work: Path, rounds: int) -> None:
+    """Print the trace check and the timing summaries of one workload.
+
+    `parses` holds each side's `clock` cell on `cli.parse_scenario`.
+    """
     outs = {side: [work / f"{job['name']}.{side}.csv" for job in jobs] for side in mains}
     runs = {side: list(map(job_argv, jobs, outs[side])) for side in mains}
     differ = []
@@ -100,23 +131,22 @@ def compare(workload, jobs, mains, work: Path, rounds: int) -> None:
     else:
         print(f"{workload}: traces equal in all {len(jobs)} jobs")
 
-    ratios, totals = [], {side: [] for side in mains}
+    totals = {side: [] for side in mains}
+    parse_totals = {side: [] for side in mains}
     for r in range(rounds):
         spent = dict.fromkeys(mains, 0.0)
+        for side in mains:
+            parses[side][0] = 0.0
         gc.collect()
         for i in range(len(jobs)):
             order = list(mains) if (r + i) % 2 == 0 else list(mains)[::-1]
             for side in order:
                 spent[side] += timed(mains[side], runs[side][i])
-        ratios.append(spent["head"] / spent["base"])
         for side in mains:
             totals[side].append(spent[side] / len(jobs))
-    q1, median, q3 = statistics.quantiles(ratios, n=4)
-    wins = sum(ratio < 1.0 for ratio in ratios)
-    base_ms, head_ms = (statistics.median(totals[side]) * 1e3 for side in ("base", "head"))
-    print(f"{workload}: head/base time ratio {median:.3f} (quartiles {q1:.3f} to {q3:.3f}), "
-          f"head faster in {wins} of {rounds} rounds; per job {base_ms:.3f} ms base, "
-          f"{head_ms:.3f} ms head")
+            parse_totals[side].append(parses[side][0] / len(jobs))
+    print(summary(f"{workload}:", totals))
+    print(summary(f"{workload}: parse_scenario", parse_totals))
 
 
 def main(argv=None) -> int:
@@ -135,14 +165,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ultranav-ab-") as tmp:
         tmp = Path(tmp)
         head = extract(args.head, tmp / "head") if args.head else ROOT / "src" / "ultranav"
-        mains = {"base": load(extract(args.base, tmp / "base"), "_ab_base").main,
-                 "head": load(head, "_ab_head").main}
+        clis = {"base": load(extract(args.base, tmp / "base"), "_ab_base"),
+                "head": load(head, "_ab_head")}
+        mains = {side: cli.main for side, cli in clis.items()}
+        parses = {side: clock(cli, "parse_scenario") for side, cli in clis.items()}
         print(f"base {args.base}, head {args.head or 'working tree'}, seed {args.seed}, "
               f"{args.rounds} rounds")
         for workload in args.workload or sorted(GENERATORS):
             work = tmp / workload
             jobs = generate(workload, args.seed, str(work))["jobs"][:args.jobs]
-            compare(workload, jobs, mains, work, args.rounds)
+            compare(workload, jobs, mains, parses, work, args.rounds)
     return 0
 
 

@@ -12,7 +12,9 @@ file, give one 'ultranav: error:' line and exit 2.
 `parse_scenario` reads a scenario file, plus the calibration file, in one
 pass into `run_scenario`'s arguments (scene, trajectory, config).  Each
 value is built at the line that sets it, and a rejected one is reported
-with that line.
+with that line.  OBSTACLE and GROUND fields go to `Rect` or `GroundSegment`,
+which reads each with float() once.  A rejected line names the first check
+it fails: value count, non-numeric, non-finite, then the record's own rule.
 
 Scenario format: one directive per line, '#' starts a comment.
 
@@ -35,10 +37,10 @@ place, no-echo prints as '-'.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from functools import cache, partial
+from math import isfinite
 
 from .geometry import (GeometryError, GroundSegment, Rect, SagittalScene, buried_obstacle,
                        ground_overlap)
@@ -67,29 +69,32 @@ class ScenarioError(ValueError):
     """Scenario file syntax or semantic error, with line number."""
 
 
-def _numbers(fields, n, lineno, directive):
+def _build(kind, n, fields, lineno, directive):
+    """kind(*values) from a directive's n numbers; a rejected line names its first fault."""
     if len(fields) != n:
-        raise ScenarioError(
-            f"line {lineno}: {directive} takes {n} values, got {len(fields)}"
-        )
+        raise ScenarioError(f"line {lineno}: {directive} takes {n} values, got {len(fields)}")
     try:
         values = list(map(float, fields))
     except ValueError:
-        raise ScenarioError(
-            f"line {lineno}: non-numeric value in {directive} directive"
-        ) from None
-    if not all(map(math.isfinite, values)):
+        raise ScenarioError(f"line {lineno}: non-numeric value in {directive} directive") from None
+    if not all(map(isfinite, values)):
         raise ScenarioError(f"line {lineno}: non-finite value in {directive}")
-    return values
-
-
-def _build(kind, n, fields, lineno, directive):
-    """kind(*values) from a directive's n numbers; a rejected value names its line."""
-    values = _numbers(fields, n, lineno, directive)
     try:
         return kind(*values)
     except (GeometryError, PipelineError, SensingError) as exc:
         raise ScenarioError(f"line {lineno}: {exc}") from None
+
+
+def _record(kind, n, fields, lineno, directive):
+    """kind(*fields), whose record reads each field with float(), if it builds with a
+    finite sum; else `_build`, which names the first fault or builds if the sum overflowed."""
+    if len(fields) == n:
+        try:
+            if isfinite(sum(record := kind(*fields))):
+                return record
+        except ValueError:
+            pass
+    return _build(kind, n, fields, lineno, directive)
 
 
 def parse_scenario(text: str, calib=None):
@@ -97,20 +102,24 @@ def parse_scenario(text: str, calib=None):
 
     Returns (scene, trajectory, config).  Each directive's value is built
     or checked at its line, and a value it rejects is reported with that
-    line, even if a later line sets it again.  Settings the scenario leaves out
-    keep their SimConfig defaults, and sensors it leaves out their
-    `default_sensors` mounts.  Raises ScenarioError.
+    line, even if a later line sets it again.  OBSTACLE and GROUND fields go
+    to the record, which reads each with float(); a rejected line names its
+    first fault: count, non-numeric, non-finite, the record's rule.  Settings
+    the scenario leaves out keep their SimConfig defaults, and sensors it
+    leaves out their `default_sensors` mounts.  Raises ScenarioError.
     """
     settings = {}
     sensors = dict(_DEFAULT_SENSORS)
     obstacles, obstacle_lines, ground, ground_lines, walks = [], [], [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split("#", 1)[0].split()
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not fields:
             continue
-        directive = fields.pop(0).upper()
+        directive = fields.pop(0)
+        if directive != "OBSTACLE":
+            directive = directive.upper()
         if directive == "OBSTACLE":
-            obstacles.append(_build(Rect, 4, fields, lineno, directive))
+            obstacles.append(_record(Rect, 4, fields, lineno, directive))
             obstacle_lines.append(lineno)
         elif directive == "CONFIG":
             if len(fields) != 2:
@@ -141,7 +150,7 @@ def parse_scenario(text: str, calib=None):
                 ) from None
             sensors[name] = _build(partial(SensorSpec, name), 2, fields[1:], lineno, directive)
         elif directive == "GROUND":
-            ground.append(_build(GroundSegment, 3, fields, lineno, directive))
+            ground.append(_record(GroundSegment, 3, fields, lineno, directive))
             ground_lines.append(lineno)
         elif directive == "WALK":
             walks.append(_build(TrajectorySegment, 2, fields, lineno, directive))

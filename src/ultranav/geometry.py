@@ -186,7 +186,8 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
         ends: a gap or overlap of at most _EPS moves the later start to the
         earlier end, so the earlier segment wins an overlap, and a segment
         the move leaves empty is dropped.  Wider gaps and both ends are
-        filled with dz=0.
+        filled with dz=0.  Segments made here skip the record's checks
+        (`tuple.__new__`): their bounds are checked values, start below end.
         """
         overlap = ground_overlap(self.ground)
         if overlap is not None:
@@ -197,13 +198,14 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
         cursor = -math.inf
         for seg in sorted(self.ground, key=lambda s: (s.x0, s.x1)):
             if seg.x0 > cursor + _EPS:
-                out.append(GroundSegment(cursor, seg.x0, 0.0))
+                out.append(tuple.__new__(GroundSegment, (cursor, seg.x0, 0.0)))
                 cursor = seg.x0
             if cursor < seg.x1:
-                out.append(seg if seg.x0 == cursor else GroundSegment(cursor, seg.x1, seg.dz))
+                out.append(seg if seg.x0 == cursor
+                           else tuple.__new__(GroundSegment, (cursor, seg.x1, seg.dz)))
                 cursor = seg.x1
         if cursor < math.inf:  # unless an authored segment runs to +inf
-            out.append(GroundSegment(cursor, math.inf, 0.0))
+            out.append(tuple.__new__(GroundSegment, (cursor, math.inf, 0.0)))
         return tuple(out)
 
     @cached_property

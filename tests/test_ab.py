@@ -21,12 +21,13 @@ def test_head_against_itself():
         cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    header, traces, timing = proc.stdout.splitlines()
+    header, traces, timing, parse = proc.stdout.splitlines()
     assert header == "base HEAD, head HEAD, seed 4, 3 rounds"
     assert traces == "scene_churn: traces equal in all 1 jobs"
     ratio = r"\d+\.\d{3}"
-    assert re.fullmatch(
-        rf"scene_churn: head/base time ratio {ratio} \(quartiles {ratio} to {ratio}\), "
-        rf"head faster in [0-3] of 3 rounds; per job {ratio} ms base, {ratio} ms head",
-        timing,
-    )
+    for line, label in ((timing, "scene_churn:"), (parse, "scene_churn: parse_scenario")):
+        assert re.fullmatch(
+            rf"{label} head/base time ratio {ratio} \(quartiles {ratio} to {ratio}\), "
+            rf"head faster in [0-3] of 3 rounds; per job {ratio} ms base, {ratio} ms head",
+            line,
+        )

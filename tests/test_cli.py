@@ -260,6 +260,38 @@ _GOOD_OBSTACLES = [
     pytest.param("OBSTACLE 1e-320 2e-320 0 5e-324", id="subnormals"),
 ]
 
+# Bad GROUND lines and the exact error each gives.
+_BAD_GROUNDS = [
+    pytest.param("GROUND 1 2", "GROUND takes 3 values, got 2", id="two-values"),
+    pytest.param("GROUND 1 2 -3 4", "GROUND takes 3 values, got 4", id="four-values"),
+    pytest.param("GROUND", "GROUND takes 3 values, got 0", id="no-values"),
+    pytest.param("GROUND a b", "GROUND takes 3 values, got 2", id="count-before-numbers"),
+    pytest.param("GROUND 1 2 x", "non-numeric value in GROUND directive", id="non-numeric"),
+    pytest.param("GROUND 0x10 20 -3", "non-numeric value in GROUND directive", id="hex"),
+    pytest.param("GROUND nan 2 x", "non-numeric value in GROUND directive",
+                 id="non-numeric-before-non-finite"),
+    *(pytest.param(" ".join(value if i == place else field
+                            for i, field in enumerate(("GROUND", "1", "2", "-3"))),
+                   "non-finite value in GROUND", id=f"{value}-at-{place}")
+      for value, place in product(("nan", "inf", "-inf", "1e400"), range(1, 4))),
+    pytest.param("GROUND inf 0 -5", "non-finite value in GROUND", id="non-finite-before-inverted"),
+    pytest.param("GROUND 10 5 -5", "ground segment needs x0 < x1, got [10.0, 5.0]",
+                 id="x-inverted"),
+    pytest.param("GROUND 5 5 -5", "ground segment needs x0 < x1, got [5.0, 5.0]", id="x-equal"),
+    pytest.param("ground 1 2", "GROUND takes 3 values, got 2", id="lowercase"),
+    pytest.param("GROUND 1 2 # -3", "GROUND takes 3 values, got 2", id="commented-out"),
+]
+
+# GROUND values that are accepted, each as float() reads it.
+_GOOD_GROUNDS = [
+    pytest.param("GROUND 1e308 1.7e308 -5", id="values-sum-overflows"),
+    pytest.param("GROUND -0 5 -0", id="minus-zero"),
+    pytest.param("GROUND 1_0 2_0 -1_0", id="underscores"),
+    pytest.param("GROUND\t1\t2\t-3", id="tabs"),
+    pytest.param("Ground 1 2 -3", id="mixed-case"),
+    pytest.param("  GROUND 1 2 -3  # a hole", id="comment"),
+]
+
 
 _NUMBER_TEXTS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -283,6 +315,27 @@ def _box_fields(draw):
     return tuple(map(spell, values))
 
 
+# Texts that are not a finite float.
+_BAD_NUMBER_TEXTS = ["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "x", "0x10", "1__0", "_1"]
+
+
+@st.composite
+def _ground_fields(draw, i):
+    """The values of a GROUND line in slot [-1000 - 10 i, -995 - 10 i), in a few
+    spellings; sometimes with a bad count, a bad text or x0 >= x1.  A line the
+    loader accepts stays in its slot, apart from every other GROUND line."""
+    values = [-1000.0 - 10 * i, -995.0 - 10 * i, draw(st.floats(-100.0, 100.0))]
+    if draw(st.integers(0, 7)) == 0:  # an empty or inverted span
+        values[1] = draw(st.sampled_from([values[0], values[0] - 5.0]))
+    spell = draw(st.sampled_from([repr, "{:g}".format, "{:_}".format]))
+    fields = list(map(spell, values))
+    for place in range(3):
+        if draw(st.integers(0, 9)) == 0:  # any text for dz, only a bad one for x0 or x1
+            fields[place] = draw(_NUMBER_TEXTS if place == 2 else st.sampled_from(_BAD_NUMBER_TEXTS))
+    count = draw(st.sampled_from([2, 3, 3, 3, 3, 3, 4]))
+    return tuple(fields[:count] + [draw(_NUMBER_TEXTS)] * (count - 3))
+
+
 # Lines of the other directives, as (line, None), and bad ones, as (line, error),
 # where `{n}` stands for the line number.
 _OTHER_LINES = [
@@ -303,11 +356,12 @@ _BAD_OTHER_LINES = [
 
 @st.composite
 def _loader_lines(draw):
-    """Scenario lines as (text, expected): for an OBSTACLE line its fields,
-    else None or the error the line gives."""
+    """Scenario lines as (text, expected): for an OBSTACLE line or a wild GROUND
+    line its fields, else None or the error the line gives."""
     lines = []
     for i in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["box"] * 12 + ["wild", "ground", "other", "bad"]))
+        kind = draw(st.sampled_from(["box"] * 12 + ["wild", "ground", "wild ground", "other",
+                                                     "bad"]))
         if kind == "ground":  # apart from every other GROUND line
             lines.append((f"GROUND {-1000 - 10 * i} {-995 - 10 * i} -3", None))
             continue
@@ -315,10 +369,14 @@ def _loader_lines(draw):
             lines.append(draw(st.sampled_from(_OTHER_LINES if kind == "other" else _BAD_OTHER_LINES)))
             continue
         count = st.sampled_from([3, 4, 4, 4, 4, 5])
-        fields = draw(_box_fields() if kind == "box" else count.flatmap(
-            lambda n: st.lists(_NUMBER_TEXTS, min_size=n, max_size=n).map(tuple)))
+        if kind == "wild ground":
+            fields = draw(_ground_fields(i))
+        else:
+            fields = draw(_box_fields() if kind == "box" else count.flatmap(
+                lambda n: st.lists(_NUMBER_TEXTS, min_size=n, max_size=n).map(tuple)))
         sep = st.sampled_from([" ", "\t", "  ", " \t "])
-        text = draw(st.sampled_from(["OBSTACLE", "obstacle", "Obstacle"]))
+        name = "GROUND" if kind == "wild ground" else "OBSTACLE"
+        text = draw(st.sampled_from([name, name.lower(), name.title()]))
         for field in fields:
             text += draw(sep) + field
         text += draw(st.sampled_from(["", " ", " # 1 2", "#"]))
@@ -341,18 +399,24 @@ def _reference_obstacles(lines):
             if text.startswith("GROUND"):
                 holes.append(tuple(map(float, text.split()[1:])))
             continue
-        if len(expected) != 4:
-            return None, f"line {lineno}: OBSTACLE takes 4 values, got {len(expected)}"
+        directive = text.split()[0].upper()
+        kind, n = (Rect, 4) if directive == "OBSTACLE" else (GroundSegment, 3)
+        if len(expected) != n:
+            return None, f"line {lineno}: {directive} takes {n} values, got {len(expected)}"
         try:
             values = [float(f) for f in expected]
         except ValueError:
-            return None, f"line {lineno}: non-numeric value in OBSTACLE directive"
+            return None, f"line {lineno}: non-numeric value in {directive} directive"
         if not all(map(math.isfinite, values)):
-            return None, f"line {lineno}: non-finite value in OBSTACLE"
+            return None, f"line {lineno}: non-finite value in {directive}"
         try:
-            obstacles.append(Rect(*values))
+            record = kind(*values)
         except GeometryError as exc:
             return None, f"line {lineno}: {exc}"
+        if kind is GroundSegment:
+            holes.append(record)
+            continue
+        obstacles.append(record)
         obstacle_lines.append(lineno)
     for lineno, (x0, x1, _, z1) in zip(obstacle_lines, obstacles):
         levels = [dz for a, b, dz in holes if a <= x1 and x0 < b]
@@ -411,6 +475,36 @@ class TestObstacleLoader:
             with pytest.raises(ScenarioError) as raised:
                 parse_scenario(text)
             assert str(raised.value) == message
+
+
+class TestGroundLoader:
+    @pytest.mark.parametrize("line,message", _BAD_GROUNDS)
+    def test_error_names_its_line(self, line, message):
+        with pytest.raises(ScenarioError) as raised:
+            parse_scenario(f"# header\nWALK 100 1\n{line}\nGROUND 50 60 -1\n")
+        assert str(raised.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize("line", _GOOD_GROUNDS)
+    def test_accepted_values(self, line):
+        fields = line.split("#")[0].split()[1:]
+        scene, _, _ = parse_scenario(f"{line}\nWALK 100 1\n")
+        (segment,) = scene.ground
+        assert type(segment) is GroundSegment
+        assert list(map(repr, segment)) == list(map(repr, GroundSegment(*map(float, fields))))
+
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("GROUND 0 1\nOBSTACLE nan 2 0 1\nWALK 100 1\n",
+                     "line 1: GROUND takes 3 values, got 2", id="ground-count-first"),
+        pytest.param("OBSTACLE 0 1 0 inf\nGROUND 0 1 nan\nWALK 100 1\n",
+                     "line 1: non-finite value in OBSTACLE", id="obstacle-first"),
+        pytest.param("GROUND 0 50 -10\nGROUND 40 90 -20\nGROUND 9 1 -5\nWALK 100 1\n",
+                     "line 3: ground segment needs x0 < x1, got [9.0, 1.0]",
+                     id="inverted-before-overlap"),
+    ])
+    def test_first_error_wins(self, text, message):
+        with pytest.raises(ScenarioError) as raised:
+            parse_scenario(text)
+        assert str(raised.value) == message
 
 
 # Runs that share user_x with other readings: flat_walk and wall_approach
