@@ -18,10 +18,11 @@ shows here.  Then each round runs every job on both sides, the side that
 goes first alternating from job to job and round to round, and sums each
 side's time.  For each workload it prints the median of the rounds'
 head/base time ratios, their quartiles, and the number of rounds the
-head was faster.  A ratio below 1 means the head is faster.  A second
-line gives the same figures for `parse_scenario` alone, timed inside
-those very calls of `main`: each side's `cli.parse_scenario` is wrapped
-to sum the time of its calls, so a loader change shows where its gain is.
+head was faster.  A ratio below 1 means the head is faster.  Three
+more lines give the same figures for `parse_scenario`, `run_scenario`
+and `format_trace` alone, timed inside those very calls of `main`: each
+side's `cli.<name>` is wrapped to sum the time of its calls, so a change
+to one stage shows where its gain is.
 
 This does not replace perfbench or a BENCH pair: it gives the in-process
 ratio beside them.
@@ -46,6 +47,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import GENERATORS, generate  # noqa: E402
+
+# The stages `cli.main` calls by their `cli` names, each timed on its own.
+STAGES = ("parse_scenario", "run_scenario", "format_trace")
 
 
 def extract(revision: str, into: Path) -> Path:
@@ -112,10 +116,10 @@ def summary(label, totals) -> str:
             f"{head_ms:.3f} ms head")
 
 
-def compare(workload, jobs, mains, parses, work: Path, rounds: int) -> None:
+def compare(workload, jobs, mains, clocks, work: Path, rounds: int) -> None:
     """Print the trace check and the timing summaries of one workload.
 
-    `parses` holds each side's `clock` cell on `cli.parse_scenario`.
+    `clocks` maps each side to its `clock` cells, one per name in STAGES.
     """
     outs = {side: [work / f"{job['name']}.{side}.csv" for job in jobs] for side in mains}
     runs = {side: list(map(job_argv, jobs, outs[side])) for side in mains}
@@ -132,11 +136,12 @@ def compare(workload, jobs, mains, parses, work: Path, rounds: int) -> None:
         print(f"{workload}: traces equal in all {len(jobs)} jobs")
 
     totals = {side: [] for side in mains}
-    parse_totals = {side: [] for side in mains}
+    stage_totals = {name: {side: [] for side in mains} for name in STAGES}
     for r in range(rounds):
         spent = dict.fromkeys(mains, 0.0)
-        for side in mains:
-            parses[side][0] = 0.0
+        for cells in clocks.values():
+            for cell in cells.values():
+                cell[0] = 0.0
         gc.collect()
         for i in range(len(jobs)):
             order = list(mains) if (r + i) % 2 == 0 else list(mains)[::-1]
@@ -144,9 +149,11 @@ def compare(workload, jobs, mains, parses, work: Path, rounds: int) -> None:
                 spent[side] += timed(mains[side], runs[side][i])
         for side in mains:
             totals[side].append(spent[side] / len(jobs))
-            parse_totals[side].append(parses[side][0] / len(jobs))
+            for name in STAGES:
+                stage_totals[name][side].append(clocks[side][name][0] / len(jobs))
     print(summary(f"{workload}:", totals))
-    print(summary(f"{workload}: parse_scenario", parse_totals))
+    for name in STAGES:
+        print(summary(f"{workload}: {name}", stage_totals[name]))
 
 
 def main(argv=None) -> int:
@@ -168,13 +175,14 @@ def main(argv=None) -> int:
         clis = {"base": load(extract(args.base, tmp / "base"), "_ab_base"),
                 "head": load(head, "_ab_head")}
         mains = {side: cli.main for side, cli in clis.items()}
-        parses = {side: clock(cli, "parse_scenario") for side, cli in clis.items()}
+        clocks = {side: {name: clock(cli, name) for name in STAGES}
+                  for side, cli in clis.items()}
         print(f"base {args.base}, head {args.head or 'working tree'}, seed {args.seed}, "
               f"{args.rounds} rounds")
         for workload in args.workload or sorted(GENERATORS):
             work = tmp / workload
             jobs = generate(workload, args.seed, str(work))["jobs"][:args.jobs]
-            compare(workload, jobs, mains, parses, work, args.rounds)
+            compare(workload, jobs, mains, clocks, work, args.rounds)
     return 0
 
 

@@ -2,18 +2,15 @@
 
 All band boundaries are half-open with ties going to the nearer band
 (higher alarm level), so a reading exactly on a boundary alarms at the
-more urgent level.
+more urgent level.  A reading is an echo distance in cm, None for no echo.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from typing import Optional
 
 from ._record import Record
-
-Reading = Optional[float]  # echo distance in cm, None = no echo
 
 
 class UpperLevel(Enum):
@@ -44,6 +41,9 @@ UPPER_OBSTACLE_ADVISORY = {
     UpperLevel.UNKNOWN: Advisory.UPPER_OBSTACLE_UNKNOWN,
 }
 
+# The height band of an upper obstacle by the chest level it last gave.
+UPPER_LEVEL_BY_CHEST_LEVEL = {1: UpperLevel.WAIST, 2: UpperLevel.HEAD, 3: UpperLevel.CHEST}
+
 
 class BuzzerFrame(Record, namedtuple("BuzzerFrame", "brzC brzK brzT brzP")):
     """Per-tick buzzer channel levels (0 = off)."""
@@ -59,7 +59,7 @@ class BuzzerFrame(Record, namedtuple("BuzzerFrame", "brzC brzK brzT brzP")):
         return tuple.__new__(cls, (brzC, brzK, brzT, brzP))
 
 
-def classify_chest(r: Reading) -> int:
+def classify_chest(r: float | None) -> int:
     """Chest channel level: bands 150/87/60/40 cm, innermost loudest."""
     if r is None or r > 150.0:
         return 0
@@ -72,7 +72,7 @@ def classify_chest(r: Reading) -> int:
     return 4
 
 
-def classify_knee(r: Reading) -> int:
+def classify_knee(r: float | None) -> int:
     """Knee channel level: bands 60/30/10 cm."""
     if r is None or r > 60.0:
         return 0
@@ -83,7 +83,7 @@ def classify_knee(r: Reading) -> int:
     return 3
 
 
-def classify_toe(r: Reading) -> int:
+def classify_toe(r: float | None) -> int:
     """Toe channel level: bands 40/20/10 cm."""
     if r is None or r > 40.0:
         return 0
@@ -94,7 +94,7 @@ def classify_toe(r: Reading) -> int:
     return 3
 
 
-def detect_upstairs(knee: Reading, toe: Reading) -> tuple:
+def detect_upstairs(knee: float | None, toe: float | None) -> tuple:
     """Up-staircase truth table on gated knee (<=40 cm) and toe (<=20 cm) echoes.
 
     Returns (upstairs, knee_bit, toe_bit) as (bool, int, int).  Both
@@ -137,5 +137,4 @@ def infer_upper_level(level: int) -> UpperLevel:
     the obstacle at waist (1), head (2) or chest (3) height; any other
     level gives UNKNOWN.
     """
-    levels = {1: UpperLevel.WAIST, 2: UpperLevel.HEAD, 3: UpperLevel.CHEST}
-    return levels.get(level, UpperLevel.UNKNOWN)
+    return UPPER_LEVEL_BY_CHEST_LEVEL.get(level, UpperLevel.UNKNOWN)

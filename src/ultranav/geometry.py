@@ -55,7 +55,6 @@ from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
-from typing import Optional
 
 from ._record import Record, as_records
 
@@ -126,7 +125,7 @@ class GroundSegment(Record, namedtuple("GroundSegment", "x0 x1 dz")):
         return tuple.__new__(cls, (x0, x1, dz))
 
 
-def ground_overlap(ground) -> Optional[int]:
+def ground_overlap(ground) -> int | None:
     """Index of a ground segment overlapping another, or None.
 
     Of the overlapping pair, the index is the one authored later.
@@ -138,7 +137,7 @@ def ground_overlap(ground) -> Optional[int]:
     return None
 
 
-def buried_obstacle(obstacles, profile) -> Optional[int]:
+def buried_obstacle(obstacles, profile) -> int | None:
     """Index of the first obstacle whose top z1 is at or below the terrain
     at every x of its span [x0, x1], or None.
 
@@ -268,7 +267,7 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
         return chest, knee, toe, _down(down_index, x, arch_z, ground_z)
 
 
-def cone_min_distance(scene: SagittalScene, origin: tuple, aim: Aim) -> Optional[float]:
+def cone_min_distance(scene: SagittalScene, origin: tuple, aim: Aim) -> float | None:
     """Nearest echo (cm) inside the beam cast from origin = (x, z) along
     aim, or None: the one of `scene.echoes` that aim picks.
 
@@ -315,7 +314,7 @@ def _forward(faces: list, start: int, ox: float, za: float, zb: float, zc: float
     return ba, bb, bc
 
 
-def _down(index: tuple, ox: float, oz: float, ground_z: float) -> Optional[float]:
+def _down(index: tuple, ox: float, oz: float, ground_z: float) -> float | None:
     """Down kernel: nearest echo from (ox, oz) in the horizontal index
     (faces, keys, tops), ground_z = scene.elevation(ox).
 

@@ -5,14 +5,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cache, cached_property
-from typing import NamedTuple, Optional
 
 from ._record import Record, as_record, check_finite
 from .classify import (
     Advisory,
     BuzzerFrame,
     UPPER_OBSTACLE_ADVISORY,
-    UpperLevel,
     classify_chest,
     classify_depth,
     classify_knee,
@@ -128,14 +126,15 @@ class SimConfig(
         return tuple(spec.mount_height for spec in self.sensors)
 
 
-class TickFlags(NamedTuple):
-    """Per-tick findings feeding advisory fusion."""
+class TickFlags(namedtuple("TickFlags", "upstairs knee_bit toe_bit downstep inferred",
+                           defaults=(False, 0, 0, False, None))):
+    """Per-tick findings feeding advisory fusion.
 
-    upstairs: bool = False
-    knee_bit: int = 0
-    toe_bit: int = 0
-    downstep: bool = False
-    inferred: Optional[UpperLevel] = None
+    `upstairs` and `downstep` are bools, `knee_bit` and `toe_bit` ints,
+    and `inferred` an UpperLevel, or None when nothing is inferred.
+    """
+
+    __slots__ = ()
 
 
 # A tick's levels and flags take at most 320 and 80 distinct values, so
@@ -147,25 +146,19 @@ _frame = cache(BuzzerFrame)
 _flags = cache(TickFlags)
 
 
-class FrameOutput(NamedTuple):
+class FrameOutput(namedtuple("FrameOutput", "tick t_ms user_x d_chest d_knee d_toe d_down"
+                             " frame advisory flags")):
     """One tick's full record: readings, levels, flags, advisory.
 
-    Immutable.  `t_ms` is the int tick * TICK_MS.  The four readings (cm,
-    None for no echo) are named after the trace's columns; d_down is the
-    arch sensor's.  Rows with equal levels or flags share one `frame` or
-    `flags` object.
+    Immutable.  `tick` is the int tick index and `t_ms` the int
+    tick * TICK_MS; `user_x` is the float position (cm).  The four
+    readings (float cm, None for no echo) are named after the trace's
+    columns; d_down is the arch sensor's.  `frame` is a BuzzerFrame,
+    `advisory` an Advisory and `flags` a TickFlags; rows with equal
+    levels or flags share one `frame` or `flags` object.
     """
 
-    tick: int
-    t_ms: int
-    user_x: float
-    d_chest: Optional[float]
-    d_knee: Optional[float]
-    d_toe: Optional[float]
-    d_down: Optional[float]
-    frame: BuzzerFrame
-    advisory: Advisory
-    flags: TickFlags
+    __slots__ = ()
 
     @property
     def readings(self) -> dict:

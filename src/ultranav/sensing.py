@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
-from typing import Optional
 
 from ._record import Record, check_finite
 from .geometry import Aim, SagittalScene, cone_min_distance
@@ -111,7 +110,7 @@ def measure(
     temp_actual: float = 20.0,
     temp_cal: float = 20.0,
     calib: Calibration = IDENTITY_CALIBRATION,
-) -> Optional[float]:
+) -> float | None:
     """One echo reading in cm, or None when nothing echoes in range.
 
     Casts the sensor's cone from (user_x, mount_height) and passes the
@@ -124,8 +123,8 @@ def measure(
 
 
 def echo_reading(
-    true: Optional[float], c_cal: float, c_actual: float, gain: float, offset: float
-) -> Optional[float]:
+    true: float | None, c_cal: float, c_actual: float, gain: float, offset: float
+) -> float | None:
     """The device's reading of a true echo distance (cm), or None.
 
     The distance is scaled by the temperature bias factor c_cal / c_actual

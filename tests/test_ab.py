@@ -21,11 +21,14 @@ def test_head_against_itself():
         cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    header, traces, timing, parse = proc.stdout.splitlines()
+    header, traces, *timings = proc.stdout.splitlines()
     assert header == "base HEAD, head HEAD, seed 4, 3 rounds"
     assert traces == "scene_churn: traces equal in all 1 jobs"
     ratio = r"\d+\.\d{3}"
-    for line, label in ((timing, "scene_churn:"), (parse, "scene_churn: parse_scenario")):
+    labels = ("scene_churn:", *(f"scene_churn: {name}"
+                                for name in ("parse_scenario", "run_scenario", "format_trace")))
+    assert len(timings) == len(labels)
+    for line, label in zip(timings, labels):
         assert re.fullmatch(
             rf"{label} head/base time ratio {ratio} \(quartiles {ratio} to {ratio}\), "
             rf"head faster in [0-3] of 3 rounds; per job {ratio} ms base, {ratio} ms head",

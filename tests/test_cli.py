@@ -772,6 +772,17 @@ class TestRunCommand:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_loads_no_heavy_module(self):
+        # -S runs no site hook, so no .pth file imports anything first; -I
+        # keeps PYTHON* variables from loading modules of their own.
+        heavy = ("typing", "re", "dataclasses", "argparse", "inspect", "numpy", "ultranav.tables")
+        code = ("import sys\nsys.path.insert(0, sys.argv[1])\nimport ultranav.cli\n"
+                f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(REPO_ROOT / "src")],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     @pytest.mark.parametrize(
         "target,named",
         [

@@ -7,9 +7,16 @@ import re
 
 import pytest
 
-from ultranav.classify import BuzzerFrame
+from ultranav.classify import Advisory, BuzzerFrame, UpperLevel
 from ultranav.geometry import GeometryError, GroundSegment, Rect, SagittalScene
-from ultranav.pipeline import PipelineError, SimConfig, TrajectorySegment, run_scenario
+from ultranav.pipeline import (
+    FrameOutput,
+    PipelineError,
+    SimConfig,
+    TickFlags,
+    TrajectorySegment,
+    run_scenario,
+)
 from ultranav.sensing import Calibration, SensingError, SensorName, SensorSpec, default_sensors
 
 NAN = float("nan")
@@ -64,6 +71,34 @@ def test_fields_and_attributes_cannot_be_assigned(good, bad, error, message):
     for name in (*bad, "extra"):
         with pytest.raises(AttributeError):
             setattr(good, name, 1)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        pytest.param(TickFlags(True, 1, 0, False, UpperLevel.HEAD), id="TickFlags"),
+        pytest.param(FrameOutput(3, 90, 12.5, 80.0, None, 30.0, 70.0, BuzzerFrame(2, 0, 1, 0),
+                                 Advisory.TOE_OBSTACLE_AHEAD, TickFlags(toe_bit=1)),
+                     id="FrameOutput"),
+    ],
+)
+def test_unchecked_rows_have_no_instance_dict(row):
+    # Each class and its namedtuple base declare empty __slots__.
+    assert not hasattr(row, "__dict__")
+    for name in (*row._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(row, name, 1)
+    for rebuilt in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row)),
+                    row._replace(), row._replace(**{row._fields[0]: 7})._replace(**row._asdict())):
+        assert type(rebuilt) is type(row) and rebuilt == row
+
+
+def test_unchecked_row_fields_and_defaults():
+    assert TickFlags._fields == ("upstairs", "knee_bit", "toe_bit", "downstep", "inferred")
+    assert TickFlags() == (False, 0, 0, False, None)
+    assert FrameOutput._fields == ("tick", "t_ms", "user_x", "d_chest", "d_knee", "d_toe",
+                                   "d_down", "frame", "advisory", "flags")
+    assert FrameOutput._field_defaults == {}
 
 
 @pytest.mark.parametrize(
