@@ -42,8 +42,7 @@ import sys
 from functools import cache, partial
 from math import isfinite
 
-from .geometry import (GeometryError, GroundSegment, Rect, SagittalScene, buried_obstacle,
-                       ground_overlap)
+from .geometry import GeometryError, GroundSegment, Rect, SagittalScene
 from .pipeline import (_MEMO_SIZE, PipelineError, SimConfig, TrajectorySegment, check_setting,
                        run_scenario)
 from .sensing import SensingError, SensorName, SensorSpec, default_sensors, load_calibration
@@ -104,9 +103,12 @@ def parse_scenario(text: str, calib=None):
     or checked at its line, and a value it rejects is reported with that
     line, even if a later line sets it again.  OBSTACLE and GROUND fields go
     to the record, which reads each with float(); a rejected line names its
-    first fault: count, non-numeric, non-finite, the record's rule.  Settings
-    the scenario leaves out keep their SimConfig defaults, and sensors it
-    leaves out their `default_sensors` mounts.  Raises ScenarioError.
+    first fault: count, non-numeric, non-finite, the record's rule.  Then the
+    scene is built once, and a scene fault is reported with the line of the
+    member `GeometryError.member` names; then the calibration file, then a
+    missing WALK.  Settings the scenario leaves out keep their SimConfig
+    defaults, and sensors it leaves out their `default_sensors` mounts.
+    Raises ScenarioError.
     """
     settings = {}
     sensors = dict(_DEFAULT_SENSORS)
@@ -157,21 +159,17 @@ def parse_scenario(text: str, calib=None):
         else:
             raise ScenarioError(f"line {lineno}: unknown directive {directive!r}")
 
-    overlap = ground_overlap(ground)
-    if overlap is not None:
-        raise ScenarioError(
-            f"line {ground_lines[overlap]}: ground segment overlaps an earlier one"
-        )
+    try:
+        scene = SagittalScene(obstacles, ground)
+    except GeometryError as exc:  # members are built records: a fault names its member
+        field, index = exc.member
+        lines = {"obstacles": obstacle_lines, "ground": ground_lines}[field]
+        raise ScenarioError(f"line {lines[index]}: {exc}") from None
     if calib is not None:
         settings["calibration"] = load_calibration(calib)
     config = SimConfig(sensors=tuple(sensors.values()), **settings)
     if not walks:
         raise ScenarioError("scenario has no WALK directive")
-    try:
-        scene = SagittalScene(obstacles, ground)
-    except GeometryError as exc:  # the ground was checked above: a buried obstacle
-        buried = buried_obstacle(obstacles, SagittalScene((), ground).ground_profile)
-        raise ScenarioError(f"line {obstacle_lines[buried]}: {exc}") from None
     return scene, walks, config
 
 

@@ -15,8 +15,9 @@ risers forward, obstacle tops and terrain down.  An obstacle's far side,
 a step down and an obstacle's bottom point away from every cone of
 their aim and are not indexed.  Grazing hits on the other orientation
 scatter away and produce no echo.  Obstacles thinner than
-MIN_OBSTACLE_THICKNESS_CM along x have no faces, and a scene rejects an
-obstacle that lies wholly below the terrain (`buried_obstacle`).
+MIN_OBSTACLE_THICKNESS_CM along x have no faces.  A scene rejects ground
+that overlaps by more than _EPS and an obstacle wholly below the terrain
+(`buried_obstacle`), naming the member at fault in `GeometryError.member`.
 Every cone is the modules' one fixed beam, h = BEAM_HALF_ANGLE_DEG either
 side of its aim.  A face the aim can see lies at depth L along that axis,
 and the cone covers the cross-axis window [c - L tan h, c + L tan h]
@@ -71,7 +72,12 @@ _EPS = 1e-9
 
 
 class GeometryError(ValueError):
-    """Invalid scene or sensor origin."""
+    """Invalid scene or sensor origin.  `member` is the scene member at fault,
+    ("ground", i) for an overlap or ("obstacles", i) for a buried obstacle, else None."""
+
+    def __init__(self, message, member=None):
+        super().__init__(message)
+        self.member = member
 
 
 class Aim(Enum):
@@ -125,18 +131,6 @@ class GroundSegment(Record, namedtuple("GroundSegment", "x0 x1 dz")):
         return tuple.__new__(cls, (x0, x1, dz))
 
 
-def ground_overlap(ground) -> int | None:
-    """Index of a ground segment overlapping another, or None.
-
-    Of the overlapping pair, the index is the one authored later.
-    """
-    order = sorted(range(len(ground)), key=lambda i: (ground[i].x0, ground[i].x1))
-    for a, b in zip(order, order[1:]):
-        if ground[b].x0 < ground[a].x1 - _EPS:
-            return max(a, b)
-    return None
-
-
 def buried_obstacle(obstacles, profile) -> int | None:
     """Index of the first obstacle whose top z1 is at or below the terrain
     at every x of its span [x0, x1], or None.
@@ -160,9 +154,9 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
     """Immutable obstacle + terrain description of the vertical slice.
 
     A member that is not a Rect or GroundSegment is built as one, so its
-    checks run.  An obstacle wholly below the terrain (`buried_obstacle`)
-    is rejected.  Declares no `__slots__`: the face indexes below are
-    cached in the instance dict.
+    checks run.  Overlapping ground (`ground_profile`) and an obstacle
+    wholly below the terrain (`buried_obstacle`) are rejected.  Declares no
+    `__slots__`: the face indexes below are cached in the instance dict.
     """
 
     def __new__(cls, obstacles: tuple = (), ground: tuple = ()):
@@ -173,7 +167,8 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
         if buried is not None:
             x0, x1, _, z1 = obstacles[buried]
             raise GeometryError(
-                f"obstacle [{x0}, {x1}] lies wholly below the terrain (top z1={z1})"
+                f"obstacle [{x0}, {x1}] lies wholly below the terrain (top z1={z1})",
+                ("obstacles", buried),
             )
         return self
 
@@ -187,15 +182,20 @@ class SagittalScene(Record, namedtuple("SagittalScene", "obstacles ground")):
         the move leaves empty is dropped.  Wider gaps and both ends are
         filled with dz=0.  Segments made here skip the record's checks
         (`tuple.__new__`): their bounds are checked values, start below end.
+        A segment starting more than _EPS before the end of the one before it
+        raises GeometryError, naming the later authored of the two.
         """
-        overlap = ground_overlap(self.ground)
-        if overlap is not None:
-            raise GeometryError(
-                f"overlapping ground segments at x={self.ground[overlap].x0}"
-            )
+        ground = self.ground
         out = []
-        cursor = -math.inf
-        for seg in sorted(self.ground, key=lambda s: (s.x0, s.x1)):
+        cursor = prev_x1 = -math.inf
+        prev = None
+        for i in sorted(range(len(ground)), key=lambda i: (ground[i].x0, ground[i].x1)):
+            seg = ground[i]
+            if seg.x0 < prev_x1 - _EPS:
+                i = max(prev, i)
+                raise GeometryError(f"overlapping ground segments at x={ground[i].x0}",
+                                    ("ground", i))
+            prev, prev_x1 = i, seg.x1
             if seg.x0 > cursor + _EPS:
                 out.append(tuple.__new__(GroundSegment, (cursor, seg.x0, 0.0)))
                 cursor = seg.x0

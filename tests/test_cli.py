@@ -182,9 +182,53 @@ class TestParseScenario:
             parse_scenario("# c\nWALK 100 1\nOBSTACLE 10 5 0 10\n")
 
     def test_overlapping_ground_reports_line(self):
-        for second in ("GROUND 40 90 -20", "GROUND 0 30 -20"):
-            with pytest.raises(ScenarioError, match="line 2"):
+        for second, x in (("GROUND 40 90 -20", 40.0), ("GROUND 0 30 -20", 0.0)):
+            with pytest.raises(ScenarioError) as raised:
                 parse_scenario(f"GROUND 0 50 -10\n{second}\nWALK 100 1\n")
+            assert str(raised.value) == f"line 2: overlapping ground segments at x={x}"
+
+    @pytest.mark.parametrize("text,calib_text,message", [
+        pytest.param("OBSTACLE 150 160 -40 -20\nGROUND 0 50 -10\nGROUND 40 90 -20\nWALK 100 1\n",
+                     None, "line 3: overlapping ground segments at x=40.0",
+                     id="overlap-before-buried"),
+        pytest.param("OBSTACLE 150 160 -40 -20\nWALK 100 1\n", "20 21\nfar 300\n",
+                     "line 1: obstacle [150.0, 160.0] lies wholly below the terrain (top z1=-20.0)",
+                     id="buried-before-calib"),
+        pytest.param("OBSTACLE 150 160 -40 -20\n", None,
+                     "line 1: obstacle [150.0, 160.0] lies wholly below the terrain (top z1=-20.0)",
+                     id="buried-before-missing-walk"),
+        pytest.param("OBSTACLE 1 2 0 1\n", "20 21\nfar 300\n",
+                     "calibration line 2: non-numeric value in 'far 300'",
+                     id="calib-before-missing-walk"),
+    ])
+    def test_report_order(self, tmp_path, text, calib_text, message):
+        # Line faults in line order, then scene faults, the calibration file
+        # and a missing WALK.
+        calib = None
+        if calib_text is not None:
+            calib = tmp_path / "cal.txt"
+            calib.write_text(calib_text)
+        with pytest.raises(ValueError) as raised:
+            parse_scenario(text, calib)
+        assert str(raised.value) == message
+
+    def test_builds_the_scene_once(self, monkeypatch):
+        built = []
+        new = SagittalScene.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(SagittalScene, "__new__", staticmethod(counting))
+        for text in ("OBSTACLE 1 2 0 1\nWALK 100 1\n", "GROUND 0 50 -10\nGROUND 40 90 -20\n",
+                     "GROUND 0 50 -10\nOBSTACLE 1 2 -30 -20\nWALK 100 1\n"):
+            built.clear()
+            try:
+                parse_scenario(text)
+            except ScenarioError:
+                pass
+            assert len(built) == 1
 
     def test_sensor_override_applies(self):
         _, _, config = parse_scenario("SENSOR chest 140 150\nWALK 100 1\n")
@@ -1043,6 +1087,26 @@ class TestInputBounds:
                 id="obstacle-buried-in-hole",
             ),
             pytest.param(
+                "CONFIG temp\nWALK 100 1\n", "line 1: CONFIG takes 'key value'",
+                id="config-one-field",
+            ),
+            pytest.param(
+                "CONFIG temp warm\nWALK 100 1\n", "line 1: bad value 'warm' for CONFIG temp",
+                id="config-bad-value",
+            ),
+            pytest.param(
+                "SENSOR chest 150\nWALK 100 1\n", "line 1: SENSOR takes 'name height sarl'",
+                id="sensor-two-fields",
+            ),
+            pytest.param(
+                "SENSOR elbow 100 50\nWALK 100 1\n", "line 1: unknown sensor name 'elbow'",
+                id="sensor-unknown-name",
+            ),
+            pytest.param(
+                "SENSOR arch 10 0\nWALK 100 1\n", "line 1: arch: sarl must be > 0",
+                id="sensor-arch-sarl-zero",
+            ),
+            pytest.param(
                 "WALK 100 0.012\nWALK 100 0.012\nWALK 100 0.012\n",
                 "the walk rounds to 0 whole ticks of 30 ms, segment by segment;"
                 " it must last 1 to 1000000 ticks",
@@ -1058,6 +1122,26 @@ class TestInputBounds:
         assert captured.out == ""
         assert captured.err.startswith(f"ultranav: error: {message}")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "scenario_text,calib_text,message",
+        [
+            pytest.param(
+                "WALK 100 1\n", "20 21\nfar 300\n",
+                "calibration line 2: non-numeric value in 'far 300'", id="calib-non-numeric",
+            ),
+        ],
+    )
+    def test_calibration_rejected_with_one_line(self, tmp_path, capsys, scenario_text,
+                                                calib_text, message):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(scenario_text)
+        calib = tmp_path / "cal.txt"
+        calib.write_text(calib_text)
+        assert main(["run", str(scn), "--calib", str(calib)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ultranav: error: {message}\n"
 
     def test_walk_into_raised_terrain_fails_with_one_line(self, tmp_path, capsys):
         # The step up is 20 cm high.  Tick 24, at x = 100.8, is the first

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from bisect import bisect_left
 
 import pytest
@@ -489,6 +491,45 @@ class TestSceneValidation:
     def test_overlapping_ground_segments(self):
         with pytest.raises(GeometryError):
             SagittalScene((), (GroundSegment(0, 50, -10), GroundSegment(40, 80, -20)))
+
+    @pytest.mark.parametrize(
+        "obstacles,ground,member,message",
+        [
+            # The later authored of the pair is named, whichever sorts first.
+            pytest.param((), ((0, 50, -10), (40, 90, -20)), ("ground", 1),
+                         "overlapping ground segments at x=40.0", id="overlap-later-right"),
+            pytest.param((), ((40, 90, -20), (0, 50, -10)), ("ground", 1),
+                         "overlapping ground segments at x=0.0", id="overlap-later-left"),
+            pytest.param((), ((0, 50, -10), (0, 30, -20)), ("ground", 1),
+                         "overlapping ground segments at x=0.0", id="overlap-equal-starts"),
+            pytest.param((), ((0, 10, -5), (20, 30, -5), (25, 40, -5)), ("ground", 2),
+                         "overlapping ground segments at x=25.0", id="overlap-third"),
+            pytest.param(((300, 310, 0, 50), (150, 160, -40, -20)), (), ("obstacles", 1),
+                         "obstacle [150.0, 160.0] lies wholly below the terrain (top z1=-20.0)",
+                         id="buried"),
+            # The overlap is found while the profile is built, before any burial.
+            pytest.param(((150, 160, -40, -20),), ((0, 50, -10), (40, 90, -20)), ("ground", 1),
+                         "overlapping ground segments at x=40.0", id="overlap-before-buried"),
+        ],
+    )
+    def test_scene_fault_names_its_member(self, obstacles, ground, member, message):
+        with pytest.raises(GeometryError) as raised:
+            SagittalScene(obstacles, ground)
+        assert raised.value.member == member
+        assert raised.value.args == (message,)
+        for twin in (copy.copy(raised.value), pickle.loads(pickle.dumps(raised.value))):
+            assert type(twin) is GeometryError
+            assert (twin.member, twin.args) == (member, (message,))
+
+    def test_other_faults_name_no_member(self):
+        with pytest.raises(GeometryError) as rect:
+            Rect(5, 1, 0, 1)
+        with pytest.raises(GeometryError) as origin:
+            SagittalScene().echoes(0.0, (10.0, 10.0, -1.0, 10.0))
+        for raised in (rect, origin):
+            assert raised.value.member is None
+            assert copy.copy(raised.value).member is None
+            assert pickle.loads(pickle.dumps(raised.value)).member is None
 
     def test_gap_filled_with_nominal_ground(self):
         scene = SagittalScene((), (GroundSegment(0, 10, -5), GroundSegment(20, 30, -8)))
