@@ -9,12 +9,12 @@ plus the optional `--calib` file; `run` takes no flag that overrides a
 CONFIG line.  Bad arguments, like bad scenarios and an unwritable `--out`
 file, give one 'ultranav: error:' line and exit 2.
 
-`parse_scenario` reads a scenario file, plus the calibration file, in one
-pass into `run_scenario`'s arguments (scene, trajectory, config).  Each
-value is built at the line that sets it, and a rejected one is reported
-with that line.  OBSTACLE and GROUND fields go to `Rect` or `GroundSegment`,
-which reads each with float() once.  A rejected line names the first check
-it fails: value count, non-numeric, non-finite, then the record's own rule.
+`parse_scenario` reads a scenario file, plus the calibration file, in one pass into
+`run_scenario`'s arguments (scene, trajectory, config).  Each value is built at the line
+that sets it, and a rejected one is reported with that line, which one handler in the line
+loop puts before the fault, a record's message as it is.  OBSTACLE and GROUND fields go to
+`Rect` or `GroundSegment`, which reads each with float() once.  A rejected line names the
+first check it fails: value count, non-numeric, non-finite, then the record's own rule.
 
 Scenario format: one directive per line, '#' starts a comment.
 
@@ -65,49 +65,46 @@ _DEFAULT_SENSORS = {spec.name: spec for spec in default_sensors()}
 
 
 class ScenarioError(ValueError):
-    """Scenario file syntax or semantic error, with line number."""
+    """Scenario file syntax or semantic error; `parse_scenario` adds a bad line's number."""
 
 
-def _build(kind, n, fields, lineno, directive):
-    """kind(*values) from a directive's n numbers; a rejected line names its first fault."""
+def _build(kind, n, fields, directive):
+    """kind(*values) from n numbers, or the first fault, bare: the line loop adds `line N:`."""
     if len(fields) != n:
-        raise ScenarioError(f"line {lineno}: {directive} takes {n} values, got {len(fields)}")
+        raise ScenarioError(f"{directive} takes {n} values, got {len(fields)}")
     try:
         values = list(map(float, fields))
     except ValueError:
-        raise ScenarioError(f"line {lineno}: non-numeric value in {directive} directive") from None
+        raise ScenarioError(f"non-numeric value in {directive} directive") from None
     if not all(map(isfinite, values)):
-        raise ScenarioError(f"line {lineno}: non-finite value in {directive}")
-    try:
-        return kind(*values)
-    except (GeometryError, PipelineError, SensingError) as exc:
-        raise ScenarioError(f"line {lineno}: {exc}") from None
+        raise ScenarioError(f"non-finite value in {directive}")
+    return kind(*values)
 
 
-def _record(kind, n, fields, lineno, directive):
-    """kind(*fields), whose record reads each field with float(), if it builds with a
-    finite sum; else `_build`, which names the first fault or builds if the sum overflowed."""
+def _record(kind, n, fields, directive):
+    """kind(*fields), whose record reads each field with float(), if its sum is finite; else
+    `_build`, which builds (the sum overflowed) or raises the first fault, a record's as it is."""
     if len(fields) == n:
         try:
             if isfinite(sum(record := kind(*fields))):
                 return record
         except ValueError:
             pass
-    return _build(kind, n, fields, lineno, directive)
+    return _build(kind, n, fields, directive)
 
 
 def parse_scenario(text: str, calib=None):
     """Scenario text, plus an optional calibration file, as run_scenario's arguments.
 
-    Returns (scene, trajectory, config).  Each directive's value is built
-    or checked at its line, and a value it rejects is reported with that
-    line, even if a later line sets it again.  OBSTACLE and GROUND fields go
-    to the record, which reads each with float(); a rejected line names its
-    first fault: count, non-numeric, non-finite, the record's rule.  Then the
-    scene is built once, and a scene fault is reported with the line of the
-    member `GeometryError.member` names; then the calibration file, then a
-    missing WALK.  Settings the scenario leaves out keep their SimConfig
-    defaults, and sensors it leaves out their `default_sensors` mounts.
+    Returns (scene, trajectory, config).  Each directive's value is built or checked at
+    its line, and a value it rejects is reported with that line, even if a later line sets
+    it again: the loop's one handler puts `line N:` before each fault a line raises, a
+    record's message as it is.  OBSTACLE and GROUND fields go to the record, which reads
+    each with float(); a rejected line names its first fault: count, non-numeric,
+    non-finite, the record's rule.  Then the scene is built once, and a scene fault is
+    reported with the line of the member `GeometryError.member` names; then the
+    calibration file, then a missing WALK.  Settings the scenario leaves out keep their
+    SimConfig defaults, and sensors it leaves out their `default_sensors` mounts.
     Raises ScenarioError.
     """
     settings = {}
@@ -120,44 +117,40 @@ def parse_scenario(text: str, calib=None):
         directive = fields.pop(0)
         if directive != "OBSTACLE":
             directive = directive.upper()
-        if directive == "OBSTACLE":
-            obstacles.append(_record(Rect, 4, fields, lineno, directive))
-            obstacle_lines.append(lineno)
-        elif directive == "CONFIG":
-            if len(fields) != 2:
-                raise ScenarioError(f"line {lineno}: CONFIG takes 'key value'")
-            key, value = fields
-            if key not in _CONFIG_KEYS:
-                raise ScenarioError(f"line {lineno}: unknown CONFIG key {key!r}")
-            setting, kind = _CONFIG_KEYS[key]
-            try:
-                value = kind(value)
-            except ValueError:
-                raise ScenarioError(
-                    f"line {lineno}: bad value {value!r} for CONFIG {key}"
-                ) from None
-            try:
+        try:
+            if directive == "OBSTACLE":
+                obstacles.append(_record(Rect, 4, fields, directive))
+                obstacle_lines.append(lineno)
+            elif directive == "CONFIG":
+                if len(fields) != 2:
+                    raise ScenarioError("CONFIG takes 'key value'")
+                key, value = fields
+                if key not in _CONFIG_KEYS:
+                    raise ScenarioError(f"unknown CONFIG key {key!r}")
+                setting, kind = _CONFIG_KEYS[key]
+                try:
+                    value = kind(value)
+                except ValueError:
+                    raise ScenarioError(f"bad value {value!r} for CONFIG {key}") from None
                 check_setting(setting, value)
-            except PipelineError as exc:
-                raise ScenarioError(f"line {lineno}: {exc}") from None
-            settings[setting] = value
-        elif directive == "SENSOR":
-            if len(fields) != 3:
-                raise ScenarioError(f"line {lineno}: SENSOR takes 'name height sarl'")
-            try:
-                name = SensorName(fields[0].lower())
-            except ValueError:
-                raise ScenarioError(
-                    f"line {lineno}: unknown sensor name {fields[0]!r}"
-                ) from None
-            sensors[name] = _build(partial(SensorSpec, name), 2, fields[1:], lineno, directive)
-        elif directive == "GROUND":
-            ground.append(_record(GroundSegment, 3, fields, lineno, directive))
-            ground_lines.append(lineno)
-        elif directive == "WALK":
-            walks.append(_build(TrajectorySegment, 2, fields, lineno, directive))
-        else:
-            raise ScenarioError(f"line {lineno}: unknown directive {directive!r}")
+                settings[setting] = value
+            elif directive == "SENSOR":
+                if len(fields) != 3:
+                    raise ScenarioError("SENSOR takes 'name height sarl'")
+                try:
+                    name = SensorName(fields[0].lower())
+                except ValueError:
+                    raise ScenarioError(f"unknown sensor name {fields[0]!r}") from None
+                sensors[name] = _build(partial(SensorSpec, name), 2, fields[1:], directive)
+            elif directive == "GROUND":
+                ground.append(_record(GroundSegment, 3, fields, directive))
+                ground_lines.append(lineno)
+            elif directive == "WALK":
+                walks.append(_build(TrajectorySegment, 2, fields, directive))
+            else:
+                raise ScenarioError(f"unknown directive {directive!r}")
+        except (ScenarioError, GeometryError, PipelineError, SensingError) as exc:
+            raise ScenarioError(f"line {lineno}: {exc}") from None
 
     try:
         scene = SagittalScene(obstacles, ground)

@@ -1107,6 +1107,22 @@ class TestInputBounds:
                 id="sensor-arch-sarl-zero",
             ),
             pytest.param(
+                "SENSOR chest 150 2\nWALK 100 1\n", "line 1: chest: need 3 < sarl <= 300",
+                id="sensor-chest-sarl-below-range",
+            ),
+            pytest.param(
+                "SENSOR knee 50 x\nWALK 100 1\n",
+                "line 1: non-numeric value in SENSOR directive",
+                id="sensor-non-numeric",
+            ),
+            pytest.param(
+                "WALK 100\n", "line 1: WALK takes 2 values, got 1", id="walk-one-value"
+            ),
+            pytest.param(
+                "WALK fast 1\n", "line 1: non-numeric value in WALK directive",
+                id="walk-non-numeric",
+            ),
+            pytest.param(
                 "WALK 100 0.012\nWALK 100 0.012\nWALK 100 0.012\n",
                 "the walk rounds to 0 whole ticks of 30 ms, segment by segment;"
                 " it must last 1 to 1000000 ticks",
