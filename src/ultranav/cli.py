@@ -9,12 +9,11 @@ plus the optional `--calib` file; `run` takes no flag that overrides a
 CONFIG line.  Bad arguments, like bad scenarios and an unwritable `--out`
 file, give one 'ultranav: error:' line and exit 2.
 
-`parse_scenario` reads a scenario file, plus the calibration file, in one pass into
-`run_scenario`'s arguments (scene, trajectory, config).  Each value is built at the line
-that sets it, and a rejected one is reported with that line, which one handler in the line
-loop puts before the fault, a record's message as it is.  OBSTACLE and GROUND fields go to
-`Rect` or `GroundSegment`, which reads each with float() once.  A rejected line names the
-first check it fails: value count, non-numeric, non-finite, then the record's own rule.
+`parse_scenario` reads a scenario file, plus the calibration file, into `run_scenario`'s
+arguments; a rejected value is reported with its line.  OBSTACLE, GROUND, SENSOR and WALK
+fields go as text to their record, which reads each with float(); a rejected line names
+its first fault: value count, non-numeric, non-finite, then the record's own rule.  Both
+files are read by `_read`, past a leading byte-order mark, and split by `_lines`.
 
 Scenario format: one directive per line, '#' starts a comment.
 
@@ -40,12 +39,13 @@ from __future__ import annotations
 import os
 import sys
 from functools import cache, partial
+from itertools import compress, count
 from math import isfinite
 
 from .geometry import GeometryError, GroundSegment, Rect, SagittalScene
 from .pipeline import (_MEMO_SIZE, PipelineError, SimConfig, TrajectorySegment, check_setting,
                        run_scenario)
-from .sensing import SensingError, SensorName, SensorSpec, default_sensors, load_calibration
+from .sensing import SensingError, SensorName, SensorSpec, default_sensors, fit_calibration
 
 TRACE_HEADER = (
     "tick,t_ms,user_x,d_chest,d_knee,d_toe,d_down,"
@@ -68,59 +68,60 @@ class ScenarioError(ValueError):
     """Scenario file syntax or semantic error; `parse_scenario` adds a bad line's number."""
 
 
-def _build(kind, n, fields, directive):
-    """kind(*values) from n numbers, or the first fault, bare: the line loop adds `line N:`."""
+def _read(path) -> str:
+    """The text of the file at `path`: UTF-8, past a leading byte-order mark."""
+    with open(path, "rb") as fh:  # bytes, decoded at once: a text stream costs more to open
+        return fh.read().decode("utf-8-sig")
+
+
+def _lines(text):
+    """(number, text before any '#', its fields) of each line of `text` that has a field."""
+    heads = [raw.split("#", 1)[0] if "#" in raw else raw for raw in text.splitlines()]
+    fields = list(map(str.split, heads))
+    return compress(zip(count(1), heads, fields), fields)
+
+
+def _record(kind, n, fields, directive, finite=False):
+    """kind(*fields), a record that reads each field with float(), if it builds and its sum is
+    finite (a `finite` record checks that itself); else the first fault, bare: value count,
+    non-numeric, non-finite, then the record's own rule."""
     if len(fields) != n:
         raise ScenarioError(f"{directive} takes {n} values, got {len(fields)}")
+    try:
+        record = kind(*fields)
+        if finite or isfinite(sum(record)):
+            return record
+    except ValueError:
+        pass
     try:
         values = list(map(float, fields))
     except ValueError:
         raise ScenarioError(f"non-numeric value in {directive} directive") from None
     if not all(map(isfinite, values)):
         raise ScenarioError(f"non-finite value in {directive}")
-    return kind(*values)
-
-
-def _record(kind, n, fields, directive):
-    """kind(*fields), whose record reads each field with float(), if its sum is finite; else
-    `_build`, which builds (the sum overflowed) or raises the first fault, a record's as it is."""
-    if len(fields) == n:
-        try:
-            if isfinite(sum(record := kind(*fields))):
-                return record
-        except ValueError:
-            pass
-    return _build(kind, n, fields, directive)
+    return kind(*values)  # the record's own fault, or a record whose sum overflowed
 
 
 def parse_scenario(text: str, calib=None):
     """Scenario text, plus an optional calibration file, as run_scenario's arguments.
 
-    Returns (scene, trajectory, config).  Each directive's value is built or checked at
-    its line, and a value it rejects is reported with that line, even if a later line sets
-    it again: the loop's one handler puts `line N:` before each fault a line raises, a
-    record's message as it is.  OBSTACLE and GROUND fields go to the record, which reads
-    each with float(); a rejected line names its first fault: count, non-numeric,
-    non-finite, the record's rule.  Then the scene is built once, and a scene fault is
-    reported with the line of the member `GeometryError.member` names; then the
-    calibration file, then a missing WALK.  Settings the scenario leaves out keep their
-    SimConfig defaults, and sensors it leaves out their `default_sensors` mounts.
-    Raises ScenarioError.
+    Returns (scene, trajectory, config).  Each value is built or checked at its line, and one
+    it rejects is reported with that line, even if a later line sets it again: the loop's
+    one handler puts `line N:` before each fault a line raises, a record's message as it
+    is.  OBSTACLE, GROUND, SENSOR and WALK lines go through `_record`.  Then the scene is
+    built once, and a scene fault is reported with the line of the member
+    `GeometryError.member` names; then the calibration file, then a missing WALK.  Settings
+    and sensors the scenario leaves out keep their defaults.  Raises ScenarioError.
     """
-    settings = {}
-    sensors = dict(_DEFAULT_SENSORS)
-    obstacles, obstacle_lines, ground, ground_lines, walks = [], [], [], [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if not fields:
-            continue
+    settings, sensors = {}, dict(_DEFAULT_SENSORS)
+    obstacles, ground, walks = [], [], []
+    for lineno, _, fields in _lines(text):
         directive = fields.pop(0)
         if directive != "OBSTACLE":
             directive = directive.upper()
         try:
             if directive == "OBSTACLE":
                 obstacles.append(_record(Rect, 4, fields, directive))
-                obstacle_lines.append(lineno)
             elif directive == "CONFIG":
                 if len(fields) != 2:
                     raise ScenarioError("CONFIG takes 'key value'")
@@ -141,12 +142,12 @@ def parse_scenario(text: str, calib=None):
                     name = SensorName(fields[0].lower())
                 except ValueError:
                     raise ScenarioError(f"unknown sensor name {fields[0]!r}") from None
-                sensors[name] = _build(partial(SensorSpec, name), 2, fields[1:], directive)
+                # A SensorSpec holds its name, so its sum cannot be taken.
+                sensors[name] = _record(partial(SensorSpec, name), 2, fields[1:], directive, True)
             elif directive == "GROUND":
                 ground.append(_record(GroundSegment, 3, fields, directive))
-                ground_lines.append(lineno)
             elif directive == "WALK":
-                walks.append(_build(TrajectorySegment, 2, fields, directive))
+                walks.append(_record(TrajectorySegment, 2, fields, directive))
             else:
                 raise ScenarioError(f"unknown directive {directive!r}")
         except (ScenarioError, GeometryError, PipelineError, SensingError) as exc:
@@ -154,9 +155,10 @@ def parse_scenario(text: str, calib=None):
 
     try:
         scene = SagittalScene(obstacles, ground)
-    except GeometryError as exc:  # members are built records: a fault names its member
+    except GeometryError as exc:  # member i is the i-th line of its directive
         field, index = exc.member
-        lines = {"obstacles": obstacle_lines, "ground": ground_lines}[field]
+        directive = {"obstacles": "OBSTACLE", "ground": "GROUND"}[field]
+        lines = [n for n, _, fields in _lines(text) if fields[0].upper() == directive]
         raise ScenarioError(f"line {lines[index]}: {exc}") from None
     if calib is not None:
         settings["calibration"] = load_calibration(calib)
@@ -164,6 +166,25 @@ def parse_scenario(text: str, calib=None):
     if not walks:
         raise ScenarioError("scenario has no WALK directive")
     return scene, walks, config
+
+
+def parse_calibration_text(text: str):
+    """The Calibration fitted to `actual_cm measured_cm` lines; raises SensingError."""
+    pairs = []
+    for lineno, head, fields in _lines(text):
+        if len(fields) != 2:
+            raise SensingError(f"calibration line {lineno}: expected 'actual measured', "
+                               f"got {head.strip()!r}")
+        try:
+            pairs.append((float(fields[0]), float(fields[1])))
+        except ValueError:
+            raise SensingError(f"calibration line {lineno}: non-numeric value in "
+                               f"{head.strip()!r}") from None
+    return fit_calibration(pairs)
+
+
+def load_calibration(path):
+    return parse_calibration_text(_read(path))
 
 
 def _format_lead(x, d_chest, d_knee, d_toe, d_down, frame) -> str:
@@ -311,9 +332,7 @@ def cmd_run(scenario, calib, out) -> int:
     scenario leaves an existing one untouched; `main` reports a failed write.
     """
     try:
-        with open(scenario, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        frames = run_scenario(*parse_scenario(text, calib))
+        frames = run_scenario(*parse_scenario(_read(scenario), calib))
     except (OSError, ValueError) as exc:
         return _error(exc)
     trace = format_trace(frames)

@@ -55,11 +55,15 @@ class PipelineError(ValueError):
 
 
 class TrajectorySegment(Record, namedtuple("TrajectorySegment", "speed duration_s")):
-    """Constant-speed stretch of the walk: speed in cm/s (negative = stepping back)."""
+    """Constant-speed stretch of the walk, read with float(): speed in cm/s (negative = back)."""
 
     __slots__ = ()
 
     def __new__(cls, speed: float, duration_s: float):
+        try:
+            speed, duration_s = float(speed), float(duration_s)
+        except OverflowError:  # an int past the float range: a check below rejects it as it is
+            pass
         if not duration_s > 0.0:
             raise PipelineError("trajectory segment duration must be > 0")
         check_finite(PipelineError, "trajectory segment duration", duration_s)
@@ -305,7 +309,7 @@ def run_scenario(scene: SagittalScene, trajectory, config: SimConfig = None):
 
     Each tick's x is the exact sum of the steps taken before it, each
     speed * TICK_MS, rounded to a float once, so ground the walk revisits
-    gives the very same float.  Every speed, as a float, is a ratio p/q of
+    gives the very same float.  Every speed, a float, is a ratio p/q of
     ints with q a power of two, so the position is kept as an int in units
     of 1/(Q * 1000) cm, Q the largest q, and int / int true division
     rounds it correctly.
@@ -324,7 +328,7 @@ def run_scenario(scene: SagittalScene, trajectory, config: SimConfig = None):
 
     frames, state, memo = [], TickState(), {}
     debounce_ticks = config.debounce_ticks
-    ratios = [float(segment.speed).as_integer_ratio() for segment in trajectory]
+    ratios = [segment.speed.as_integer_ratio() for segment in trajectory]
     largest_q = max(q for _, q in ratios)
     unit, steps, index = largest_q * 1000, 0, 0
     for (p, q), segment, count in zip(ratios, trajectory, counts):

@@ -1,4 +1,4 @@
-"""Sensor models: range gating, temperature bias, and linear calibration."""
+"""Sensor models: range gating, temperature bias, and linear calibration; no file I/O."""
 
 from __future__ import annotations
 
@@ -62,10 +62,10 @@ class SensorSpec(Record, namedtuple("SensorSpec", "name mount_height sarl")):
     `aim` follows from the name: the arch sensor faces down, the rest
     forward.  It is not a field, so `_replace(aim=...)` raises (ValueError,
     or TypeError from Python 3.13).
-    `mount_height` must be finite and > 0.  `sarl` must be finite and is
-    validated (MIN_RANGE_CM < sarl <= MAX_RANGE_CM for a forward sensor,
-    > 0 for a down one) but read by nothing else: the buzzer bands are the
-    fixed tables in `classify`.
+    Both lengths are read with float(), so numeric text is taken, as by
+    `Rect`, and must be finite.  `mount_height` must be > 0; `sarl` is
+    validated (MIN_RANGE_CM < sarl <= MAX_RANGE_CM forward, > 0 down) but
+    read by nothing else: the buzzer bands are the fixed tables in `classify`.
     """
 
     __slots__ = ()
@@ -73,6 +73,10 @@ class SensorSpec(Record, namedtuple("SensorSpec", "name mount_height sarl")):
     def __new__(cls, name: SensorName, mount_height: float, sarl: float):
         if not isinstance(name, SensorName):
             raise SensingError(f"sensor name must be a SensorName, got {name!r}")
+        try:
+            mount_height, sarl = float(mount_height), float(sarl)
+        except OverflowError:  # an int past the float range: a check below rejects it as it is
+            pass
         if not mount_height > 0.0:
             raise SensingError(f"{name.value}: mount_height must be > 0, got {mount_height}")
         check_finite(SensingError, f"{name.value}: mount_height", mount_height)
@@ -152,9 +156,7 @@ def fit_calibration(pairs) -> Calibration:
     pairs = [(float(a), float(m)) for a, m in pairs]
     n = len(pairs)
     if n < 2 or len({a for a, _ in pairs}) < 2:
-        raise SensingError(
-            "calibration fit needs >= 2 pairs with distinct actual distances"
-        )
+        raise SensingError("calibration fit needs >= 2 pairs with distinct actual distances")
     mean_a = sum(a for a, _ in pairs) / n
     mean_m = sum(m for _, m in pairs) / n
     try:
@@ -172,29 +174,3 @@ def fit_calibration(pairs) -> Calibration:
 def correct(calib: Calibration, measured: float) -> float:
     """Invert the calibration line: recover actual from measured."""
     return (measured - calib.offset) / calib.gain
-
-
-def parse_calibration_text(text: str) -> Calibration:
-    """Fit a calibration from `actual_cm measured_cm` lines; '#' comments."""
-    pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        fields = body.split()
-        if len(fields) != 2:
-            raise SensingError(
-                f"calibration line {lineno}: expected 'actual measured', got {body!r}"
-            )
-        try:
-            pairs.append((float(fields[0]), float(fields[1])))
-        except ValueError:
-            raise SensingError(
-                f"calibration line {lineno}: non-numeric value in {body!r}"
-            ) from None
-    return fit_calibration(pairs)
-
-
-def load_calibration(path) -> Calibration:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_calibration_text(fh.read())

@@ -235,6 +235,18 @@ class TestParseScenario:
         chest = config.sensors[0]
         assert chest.mount_height == 140.0
 
+    def test_programming_error_escapes_unprefixed(self, monkeypatch):
+        # Only the input's error types are named by their line: a plain
+        # ValueError, as from a bug, shows as itself.
+        def broken(name, value):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "check_setting", broken)
+        with pytest.raises(ValueError) as raised:
+            parse_scenario("CONFIG temp 20\nWALK 100 1\n")
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "bug"
+
     def test_missing_walk_rejected(self):
         with pytest.raises(ScenarioError, match="WALK"):
             parse_scenario("OBSTACLE 100 102 0 200\n")
@@ -291,7 +303,8 @@ _BAD_OBSTACLES = [
     pytest.param("OBSTACLE 1 2 3 # 4", "OBSTACLE takes 4 values, got 3", id="commented-out"),
 ]
 
-# OBSTACLE values that are accepted, each as float() reads it.
+# OBSTACLE values that are accepted, each as float() reads it, and SENSOR values
+# in the same spellings.
 _GOOD_OBSTACLES = [
     pytest.param("OBSTACLE 1e308 1.7e308 0 1", id="bounds-sum-overflows"),
     pytest.param("OBSTACLE -1.7e308 -1e308 -1e308 1e308", id="bounds-sum-overflows-negative"),
@@ -302,6 +315,11 @@ _GOOD_OBSTACLES = [
     pytest.param("obstacle 1 2 0 1", id="lowercase"),
     pytest.param("  OBSTACLE 1 2 0 1  # a box", id="comment"),
     pytest.param("OBSTACLE 1e-320 2e-320 0 5e-324", id="subnormals"),
+    pytest.param("SENSOR knee 5_0 6_0", id="sensor-underscores"),
+    pytest.param("SENSOR knee .5 5.", id="sensor-bare-points"),
+    pytest.param("SENSOR\tknee\t+50\t60", id="sensor-tabs-and-signs"),
+    pytest.param("SENSOR arch 5e-324 1e-320", id="sensor-subnormals"),
+    pytest.param("  sensor Toe 5 40  # a mount", id="sensor-mixed-case-comment"),
 ]
 
 # Bad GROUND lines and the exact error each gives.
@@ -326,7 +344,8 @@ _BAD_GROUNDS = [
     pytest.param("GROUND 1 2 # -3", "GROUND takes 3 values, got 2", id="commented-out"),
 ]
 
-# GROUND values that are accepted, each as float() reads it.
+# GROUND values that are accepted, each as float() reads it, and WALK values in
+# the same spellings.
 _GOOD_GROUNDS = [
     pytest.param("GROUND 1e308 1.7e308 -5", id="values-sum-overflows"),
     pytest.param("GROUND -0 5 -0", id="minus-zero"),
@@ -334,7 +353,28 @@ _GOOD_GROUNDS = [
     pytest.param("GROUND\t1\t2\t-3", id="tabs"),
     pytest.param("Ground 1 2 -3", id="mixed-case"),
     pytest.param("  GROUND 1 2 -3  # a hole", id="comment"),
+    pytest.param("WALK 1_0 1_0", id="walk-underscores"),
+    pytest.param("WALK .5 5.", id="walk-bare-points"),
+    pytest.param("WALK -0 +1", id="walk-signs"),
+    pytest.param("WALK\t100\t1", id="walk-tabs"),
+    pytest.param("WALK 5e-324 1e-320", id="walk-subnormals"),
+    pytest.param("  walk 100 1  # a stretch", id="walk-lowercase-comment"),
 ]
+
+
+def _parsed_and_reference(line):
+    """The record parse_scenario builds from `line`, an OBSTACLE, GROUND, SENSOR or
+    WALK line, and the record its class builds from float() of each value."""
+    directive, *fields = line.split("#")[0].split()
+    directive = directive.upper()
+    scene, walks, config = parse_scenario(line if directive == "WALK" else f"{line}\nWALK 100 1\n")
+    if directive == "SENSOR":
+        name = SensorName(fields.pop(0).lower())
+        (parsed,) = [spec for spec in config.sensors if spec.name is name]
+        return parsed, SensorSpec(name, *map(float, fields))
+    kind, (parsed,) = {"OBSTACLE": (Rect, scene.obstacles), "GROUND": (GroundSegment, scene.ground),
+                       "WALK": (TrajectorySegment, walks)}[directive]
+    return parsed, kind(*map(float, fields))
 
 
 _NUMBER_TEXTS = st.one_of(
@@ -481,11 +521,9 @@ class TestObstacleLoader:
 
     @pytest.mark.parametrize("line", _GOOD_OBSTACLES)
     def test_accepted_values(self, line):
-        fields = line.split("#")[0].split()[1:]
-        scene, _, _ = parse_scenario(f"{line}\nWALK 100 1\n")
-        (rect,) = scene.obstacles
-        assert type(rect) is Rect
-        assert list(map(repr, rect)) == list(map(repr, Rect(*map(float, fields))))
+        parsed, expected = _parsed_and_reference(line)
+        assert type(parsed) is type(expected)
+        assert list(map(repr, parsed)) == list(map(repr, expected))
 
     @pytest.mark.parametrize("text,message", [
         pytest.param("WALK 100 1\nOBSTACLE 5 1 0 1\nOBSTACLE 1 2 0 1\nWALK 600 1\n",
@@ -530,11 +568,9 @@ class TestGroundLoader:
 
     @pytest.mark.parametrize("line", _GOOD_GROUNDS)
     def test_accepted_values(self, line):
-        fields = line.split("#")[0].split()[1:]
-        scene, _, _ = parse_scenario(f"{line}\nWALK 100 1\n")
-        (segment,) = scene.ground
-        assert type(segment) is GroundSegment
-        assert list(map(repr, segment)) == list(map(repr, GroundSegment(*map(float, fields))))
+        parsed, expected = _parsed_and_reference(line)
+        assert type(parsed) is type(expected)
+        assert list(map(repr, parsed)) == list(map(repr, expected))
 
     @pytest.mark.parametrize("text,message", [
         pytest.param("GROUND 0 1\nOBSTACLE nan 2 0 1\nWALK 100 1\n",
@@ -764,6 +800,20 @@ class TestRunCommand:
         lines = capsys.readouterr().out.strip().splitlines()[1:]
         d_chest = float(lines[0].split(",")[3])
         assert d_chest == pytest.approx(102.0, abs=0.05)
+
+    @pytest.mark.parametrize("marked", [["scenario"], ["calib"], ["scenario", "calib"]],
+                             ids="-".join)
+    def test_leading_byte_order_mark_is_read_past(self, tmp_path, capsys, marked):
+        # Some editors start a UTF-8 file with U+FEFF; the trace is that of the file without it.
+        texts = {"scenario": (SCENARIO_DIR / "wall_approach.scn").read_text(),
+                 "calib": "# bench\n10 12\n100 102\n300 302\n"}
+        traces = []
+        for marks in ((), marked):
+            for name, text in texts.items():
+                (tmp_path / name).write_text("\ufeff" * (name in marks) + text, encoding="utf-8")
+            assert main(["run", str(tmp_path / "scenario"), "--calib", str(tmp_path / "calib")]) == 0
+            traces.append(capsys.readouterr().out)
+        assert traces[0] == traces[1]
 
     @pytest.mark.parametrize(
         "scenario_text,flags,named",
@@ -1123,6 +1173,15 @@ class TestInputBounds:
                 id="walk-non-numeric",
             ),
             pytest.param(
+                # Only a mark that starts the file is read past.
+                "WALK 100 1\n\ufeffWALK 100 1\n", r"line 2: unknown directive '\ufeffWALK'",
+                id="byte-order-mark-on-line-2",
+            ),
+            pytest.param(
+                "WALK 100\ufeff 1\n", "line 1: non-numeric value in WALK directive",
+                id="byte-order-mark-in-a-line",
+            ),
+            pytest.param(
                 "WALK 100 0.012\nWALK 100 0.012\nWALK 100 0.012\n",
                 "the walk rounds to 0 whole ticks of 30 ms, segment by segment;"
                 " it must last 1 to 1000000 ticks",
@@ -1132,7 +1191,7 @@ class TestInputBounds:
     )
     def test_rejected_with_one_line(self, tmp_path, capsys, scenario_text, message):
         scn = tmp_path / "bad.scn"
-        scn.write_text(scenario_text)
+        scn.write_text(scenario_text, encoding="utf-8")
         assert main(["run", str(scn)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1146,14 +1205,30 @@ class TestInputBounds:
                 "WALK 100 1\n", "20 21\nfar 300\n",
                 "calibration line 2: non-numeric value in 'far 300'", id="calib-non-numeric",
             ),
+            pytest.param(
+                "WALK 100 1\n", "10 12\n100\n",
+                "calibration line 2: expected 'actual measured', got '100'", id="calib-one-value",
+            ),
+            pytest.param(
+                # The line is quoted as written before any '#', whitespace runs included.
+                "WALK 100 1\n", "10 12\n 100\t 102  7  # bench\n",
+                r"calibration line 2: expected 'actual measured', got '100\t 102  7'",
+                id="calib-whitespace-runs",
+            ),
+            pytest.param(
+                # Only a mark that starts the file is read past.
+                "WALK 100 1\n", "10 12\n\ufeff100 102\n",
+                r"calibration line 2: non-numeric value in '\ufeff100 102'",
+                id="calib-byte-order-mark-on-line-2",
+            ),
         ],
     )
     def test_calibration_rejected_with_one_line(self, tmp_path, capsys, scenario_text,
                                                 calib_text, message):
         scn = tmp_path / "bad.scn"
-        scn.write_text(scenario_text)
+        scn.write_text(scenario_text, encoding="utf-8")
         calib = tmp_path / "cal.txt"
-        calib.write_text(calib_text)
+        calib.write_text(calib_text, encoding="utf-8")
         assert main(["run", str(scn), "--calib", str(calib)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

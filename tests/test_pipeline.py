@@ -434,7 +434,7 @@ class TestPositions:
         check_rows(rows, walk_speeds(walk), config.debounce_ticks)
 
     def test_speeds_of_other_number_types(self):
-        # numpy's ints have no `as_integer_ratio`; the run takes each speed as a float.
+        # numpy's ints have no `as_integer_ratio`; the segment keeps each speed as a float.
         np = pytest.importorskip("numpy")
         walk = [TrajectorySegment(np.int64(100), 0.09), TrajectorySegment(np.float32(-50.5), 0.06)]
         rows = run_scenario(SagittalScene(), walk, SimConfig())
@@ -732,6 +732,27 @@ class TestConfigValidation:
     def test_nan_segment_rejected(self, speed, duration):
         with pytest.raises(PipelineError):
             TrajectorySegment(speed, duration)
+
+    @pytest.mark.parametrize(
+        "speed,duration,message",
+        [
+            pytest.param(10**400, 1, "|speed| must be <= 500.0 cm/s", id="speed-int-past-float"),
+            pytest.param(-10**400, 1, "|speed| must be <= 500.0 cm/s",
+                         id="speed-negative-int-past-float"),
+            pytest.param(math.nan, 1, "|speed| must be <= 500.0 cm/s", id="speed-nan"),
+            pytest.param(1, math.nan, "trajectory segment duration must be > 0", id="duration-nan"),
+            pytest.param(1, -10**400, "trajectory segment duration must be > 0",
+                         id="duration-negative-int-past-float"),
+            pytest.param(1, 10**400, "trajectory segment duration must be finite, got an int past"
+                         " the float range", id="duration-int-past-float"),
+            pytest.param(1, math.inf, "trajectory segment duration must be finite, got inf",
+                         id="duration-inf"),
+        ],
+    )
+    def test_segment_fault_message(self, speed, duration, message):
+        with pytest.raises(PipelineError) as raised:
+            TrajectorySegment(speed, duration)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize(
         "name,value,message",

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ultranav.cli import parse_calibration_text
 from ultranav.geometry import Aim, Rect, SagittalScene
 from ultranav.sensing import (
     MAX_RANGE_CM,
@@ -16,7 +17,6 @@ from ultranav.sensing import (
     echo_reading,
     fit_calibration,
     measure,
-    parse_calibration_text,
     sound_speed,
 )
 
