@@ -14,12 +14,15 @@ workload (all three by default) at the seed (default 4); `--jobs` keeps
 the first N of each.  Every job is run once per side with
 `main(["run", scn, "--out", out])` (and `--calib` where it has one), and
 the jobs whose trace bytes differ are listed: a named behaviour change
-shows here.  Then each round runs every job on both sides, the side that
-goes first alternating from job to job and round to round, and sums each
-side's time.  For each workload it prints the median of the rounds'
-head/base time ratios, their quartiles, and the number of rounds the
-head was faster.  A ratio below 1 means the head is faster.  Three
-more lines give the same figures for `parse_scenario`, `run_scenario`
+shows here.  That pass's time gives the repeat count: each round runs
+every job that many times on both sides, so that each side's share of a
+round lasts at least about ROUND_S, however short the workload's jobs.
+The side that goes first alternates from run to run and round to round,
+and each side's time is summed.  For each workload it prints the median
+of the rounds' head/base time ratios, their quartiles, the number of
+rounds the head was faster, and each side's median time per job run.  A
+ratio below 1 means the head is faster.  Three more lines give the same
+figures for `parse_scenario`, `run_scenario`
 and `format_trace` alone, timed inside those very calls of `main`: each
 side's `cli.<name>` is wrapped to sum the time of its calls, so a change
 to one stage shows where its gain is.
@@ -35,6 +38,7 @@ import gc
 import importlib
 import importlib.util
 import io
+import math
 import statistics
 import subprocess
 import sys
@@ -50,6 +54,11 @@ from workloads import GENERATORS, generate  # noqa: E402
 
 # The stages `cli.main` calls by their `cli` names, each timed on its own.
 STAGES = ("parse_scenario", "run_scenario", "format_trace")
+
+# Each side's share of a round lasts at least about this long (s): at one
+# pass per round, clutter_dense's 4 jobs take about 10 ms, and its rounds'
+# ratios spread several times wider than at 0.1 s.
+ROUND_S = 0.1
 
 
 def extract(revision: str, into: Path) -> Path:
@@ -123,10 +132,10 @@ def compare(workload, jobs, mains, clocks, work: Path, rounds: int) -> None:
     """
     outs = {side: [work / f"{job['name']}.{side}.csv" for job in jobs] for side in mains}
     runs = {side: list(map(job_argv, jobs, outs[side])) for side in mains}
-    differ = []
+    differ, once = [], dict.fromkeys(mains, 0.0)
     for i, job in enumerate(jobs):
         for side, main in mains.items():
-            timed(main, runs[side][i])
+            once[side] += timed(main, runs[side][i])
         if outs["base"][i].read_bytes() != outs["head"][i].read_bytes():
             differ.append(job["name"])
     if differ:
@@ -135,6 +144,8 @@ def compare(workload, jobs, mains, clocks, work: Path, rounds: int) -> None:
     else:
         print(f"{workload}: traces equal in all {len(jobs)} jobs")
 
+    repeats = math.ceil(ROUND_S / min(once.values()))
+    runs_per_round = len(jobs) * repeats
     totals = {side: [] for side in mains}
     stage_totals = {name: {side: [] for side in mains} for name in STAGES}
     for r in range(rounds):
@@ -144,13 +155,14 @@ def compare(workload, jobs, mains, clocks, work: Path, rounds: int) -> None:
                 cell[0] = 0.0
         gc.collect()
         for i in range(len(jobs)):
-            order = list(mains) if (r + i) % 2 == 0 else list(mains)[::-1]
-            for side in order:
-                spent[side] += timed(mains[side], runs[side][i])
+            for k in range(repeats):
+                order = list(mains) if (r + i + k) % 2 == 0 else list(mains)[::-1]
+                for side in order:
+                    spent[side] += timed(mains[side], runs[side][i])
         for side in mains:
-            totals[side].append(spent[side] / len(jobs))
+            totals[side].append(spent[side] / runs_per_round)
             for name in STAGES:
-                stage_totals[name][side].append(clocks[side][name][0] / len(jobs))
+                stage_totals[name][side].append(clocks[side][name][0] / runs_per_round)
     print(summary(f"{workload}:", totals))
     for name in STAGES:
         print(summary(f"{workload}: {name}", stage_totals[name]))

@@ -1,8 +1,9 @@
 """Decision tables: proximity buzzer bands, stair detection, pothole grading.
 
-All band boundaries are half-open with ties going to the nearer band
-(higher alarm level), so a reading exactly on a boundary alarms at the
-more urgent level.  A reading is an echo distance in cm, None for no echo.
+Every band is (lo, hi]: a reading on an edge takes the band below it,
+the more urgent one on a distance channel and the shallower one for a
+depth (`tables` states the bands).  A reading is an echo distance in cm,
+None for no echo.
 """
 
 from __future__ import annotations

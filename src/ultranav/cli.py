@@ -39,6 +39,7 @@ from __future__ import annotations
 import os
 import sys
 from functools import cache, partial
+from io import StringIO
 from itertools import compress, count
 from math import isfinite
 
@@ -213,17 +214,8 @@ def _format_tail(flags, advisory) -> str:
     return f"{int(flags.upstairs)},{int(flags.downstep)},{inferred},{advisory.value}\n"
 
 
-def format_row(row) -> str:
-    """One FrameOutput as a trace row, its newline included."""
-    tick, t_ms, x, d_chest, d_knee, d_toe, d_down, frame, advisory, flags = row
-    return (
-        f"{tick},{t_ms},{_format_lead(x, d_chest, d_knee, d_toe, d_down, frame)}"
-        f"{_format_tail(flags, advisory)}"
-    )
-
-
 def format_trace(frames) -> str:
-    """Byte-stable CSV trace: TRACE_HEADER, then the format_row of each frame.
+    """Byte-stable CSV trace: TRACE_HEADER, then a row per frame, `tick,t_ms,`, lead and tail.
 
     A lead (`user_x` to `brzP`) is reused only with the very x, reading and
     `frame` objects it came from, as a run's revisits give them, since equal
@@ -325,27 +317,13 @@ def _error(message) -> int:
     return 2
 
 
-def cmd_run(scenario, calib, out) -> int:
-    """Run a scenario file and write its trace to `out` or stdout; the exit code.
-
-    The output file is opened only after the run succeeds, so a rejected
-    scenario leaves an existing one untouched; `main` reports a failed write.
-    """
-    try:
-        frames = run_scenario(*parse_scenario(_read(scenario), calib))
-    except (OSError, ValueError) as exc:
-        return _error(exc)
-    trace = format_trace(frames)
-    if out is None:
-        sys.stdout.write(trace)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(trace)
-    return 0
-
-
 def main(argv=None) -> int:
-    """The exit code for argv (default sys.argv[1:]); bad argv and failed writes raise nothing."""
+    """The exit code for argv (default sys.argv[1:]); bad argv and failed writes raise nothing.
+
+    Each command makes its whole text first, and one block writes it to stdout or `--out`.
+    A rejected scenario or run is reported before the output file is opened, so it leaves
+    an existing one untouched.
+    """
     try:
         command, scenario, calib, out = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
@@ -353,20 +331,28 @@ def main(argv=None) -> int:
     if out is None and sys.stdout is None:
         # The interpreter sets sys.stdout to None when it starts with fd 1 closed.
         return _error("stdout is closed")
+    code = 0
+    if command == "run":
+        try:
+            frames = run_scenario(*parse_scenario(_read(scenario), calib))
+        except (OSError, ValueError) as exc:
+            return _error(exc)
+        text = format_trace(frames)
+    elif command == "verify-tables":
+        from .tables import verify_tables
+        report = StringIO()
+        code = 0 if verify_tables(report) else 1
+        text = report.getvalue()
+    else:
+        text = USAGE
     try:
-        if command == "run":
-            code = cmd_run(scenario, calib, out)
-        elif command == "verify-tables":
-            from .tables import verify_tables
-            code = 0 if verify_tables(sys.stdout) else 1
-        else:
-            sys.stdout.write(USAGE)
-            code = 0
         if out is None:
+            sys.stdout.write(text)
             sys.stdout.flush()  # here, or a write that fails only at exit escapes the handler
-    except (OSError, ValueError) as exc:
-        # `_error` raises nothing and `cmd_run` maps its parse and run errors, so this
-        # failure is the output's, stdout or --out (ValueError: closed, or a NUL in the path).
+        else:
+            with open(out, "wb") as fh:  # bytes, as `_read` reads: a text stream costs more
+                fh.write(text.encode())
+    except (OSError, ValueError) as exc:  # ValueError: a closed stdout, or a NUL in the path
         if out is None:
             _drop_unwritten(sys.stdout)
         return _error(exc)

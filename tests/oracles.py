@@ -1,4 +1,4 @@
-"""Independent oracles: brute-force geometry, and the stateful columns.
+"""Independent oracles: brute-force geometry, the stateful columns, and a trace row.
 
 `echoing_faces` states the face model on its own: a face echoes only
 if it faces the module, so each obstacle at least
@@ -31,6 +31,10 @@ from each tick's stateless inputs, a fold of `reference_step` over them,
 and `debounce_trace_problems` checks a trace's advisory column against
 `debounce_ticks` alone.  Both are written from the README and PAPER.md's
 rules, not from `ultranav.pipeline`, which this module does not import.
+
+`reference_row` prints one run row as its trace line, written from the
+README's trace format, not from `ultranav.cli`, which this module does
+not import.
 """
 
 from __future__ import annotations
@@ -395,3 +399,24 @@ def debounce_trace_problems(text: str, debounce_ticks) -> list:
                 problems.append(f"row {t}: {settled} held {k} ticks, advisory is {advisory}")
         before = advisory
     return problems
+
+
+def reference_row(row) -> str:
+    """A run's row as its trace line, newline included, in README's column order.
+
+    `tick` and `t_ms`, the whole ms, print as ints; `user_x` and the four
+    readings with one decimal place, no echo as '-'; each buzzer level as
+    it is; `upstairs` and `downstep` as 0 or 1; `inferred` as its band's
+    name, '-' when none; `advisory` as its name.
+    """
+    flags = row.flags
+    readings = (row.d_chest, row.d_knee, row.d_toe, row.d_down)
+    cells = [
+        str(row.tick), str(row.t_ms), f"{row.user_x:.1f}",
+        *("-" if d is None else f"{d:.1f}" for d in readings),
+        *map(str, row.frame),
+        str(int(flags.upstairs)), str(int(flags.downstep)),
+        "-" if flags.inferred is None else flags.inferred.value,
+        row.advisory.value,
+    ]
+    return ",".join(cells) + "\n"

@@ -68,6 +68,46 @@ class TestBandStructure:
         assert all(a <= b for a, b in zip(levels, levels[1:]))
 
 
+# Each channel's edges with the level one ulp below, at and one ulp above
+# the edge: every band is (lo, hi], so a reading on an edge takes the band
+# below it.  Then the readings no band holds, with the level each gives
+# today: no echo is silent, and NaN, which passes no comparison, falls
+# through to the last level.
+_EDGES = {
+    classify_chest: [(40.0, 4, 4, 3), (60.0, 3, 3, 2), (87.0, 2, 2, 1), (150.0, 1, 1, 0)],
+    classify_knee: [(10.0, 3, 3, 2), (30.0, 2, 2, 1), (60.0, 1, 1, 0)],
+    classify_toe: [(10.0, 3, 3, 2), (20.0, 2, 2, 1), (40.0, 1, 1, 0)],
+    classify_depth: [(10.0, 0, 0, 1), (20.0, 1, 1, 2), (40.0, 2, 2, 3)],
+}
+_OUTSIDE = {
+    classify_chest: [(None, 0), (math.nan, 4), (math.inf, 0), (-math.inf, 4)],
+    classify_knee: [(None, 0), (math.nan, 3), (math.inf, 0), (-math.inf, 3)],
+    classify_toe: [(None, 0), (math.nan, 3), (math.inf, 0), (-math.inf, 3)],
+    # `sense` turns no echo into an unbounded depth, so classify_depth takes no None.
+    classify_depth: [(math.nan, 3), (math.inf, 3), (-math.inf, 0)],
+}
+_PINNED = [
+    pytest.param(classifier, reading, level,
+                 id=f"{classifier.__name__.removeprefix('classify_')}-{reading}-{side}")
+    for classifier, edges in _EDGES.items()
+    for edge, *levels in edges
+    for side, reading, level in zip(
+        ("below", "at", "above"),
+        (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)), levels)
+] + [
+    pytest.param(classifier, reading, level,
+                 id=f"{classifier.__name__.removeprefix('classify_')}-{reading}")
+    for classifier, readings in _OUTSIDE.items()
+    for reading, level in readings
+]
+
+
+class TestBandEdges:
+    @pytest.mark.parametrize("classifier,reading,level", _PINNED)
+    def test_level(self, classifier, reading, level):
+        assert classifier(reading) == level
+
+
 class TestUpstairs:
     def test_window_hit(self):
         upstairs, knee_bit, toe_bit = detect_upstairs(40.0, 15.0)  # difference 25

@@ -16,7 +16,6 @@ from ultranav.cli import (
     TRACE_HEADER,
     ScenarioError,
     _format_tail,
-    format_row,
     format_trace,
     main,
     parse_args,
@@ -45,6 +44,8 @@ from ultranav.sensing import (
     sound_speed,
 )
 from ultranav.tables import verify_tables
+
+from oracles import reference_row
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -649,13 +650,13 @@ _SPILL = [
     for i in range(_MEMO_SIZE + 100)
 ]
 
-_ROWS_TEXT = {id(part): "".join(map(format_row, part)) for part in (*_RUNS, _SPILL)}
+_ROWS_TEXT = {id(part): "".join(map(reference_row, part)) for part in (*_RUNS, _SPILL)}
 
 
 def _rows_text(part):
-    """The format_row of each row in part, joined: worked out once for the shared parts."""
+    """The reference_row of each row in part, joined: worked out once for the shared parts."""
     text = _ROWS_TEXT.get(id(part))
-    return "".join(map(format_row, part)) if text is None else text
+    return "".join(map(reference_row, part)) if text is None else text
 
 
 class TestFormatTrace:
@@ -671,7 +672,7 @@ class TestFormatTrace:
     ))
     @example(parts=[_SPILL, _RUNS[1], _SPILL])
     @example(parts=[_LOOKALIKES])
-    def test_equals_format_row_of_each_frame(self, parts):
+    def test_equals_reference_row_of_each_frame(self, parts):
         frames = list(chain.from_iterable(parts))
         rows = "".join(map(_rows_text, parts))
         assert format_trace(frames) == TRACE_HEADER + "\n" + rows
@@ -688,7 +689,7 @@ class TestFormatTrace:
         base = _RUNS[2]
         rows = [base[i % len(base)]._replace(flags=_TWIN_FLAGS[f], advisory=advisory)
                 for i, (f, advisory) in enumerate(picks)]
-        assert format_trace(rows) == TRACE_HEADER + "\n" + "".join(map(format_row, rows))
+        assert format_trace(rows) == TRACE_HEADER + "\n" + "".join(map(reference_row, rows))
 
     def test_fresh_equal_flags_with_alternating_advisories(self):
         # Every row gets a new flags object, made as the row is read, and
@@ -699,7 +700,7 @@ class TestFormatTrace:
                              advisory=advisories[i // 3 % 2])
                 for i, row in enumerate(_RUNS[2])]
         made = (row._replace(flags=TickFlags(*row.flags)) for row in rows)
-        assert format_trace(made) == TRACE_HEADER + "\n" + "".join(map(format_row, rows))
+        assert format_trace(made) == TRACE_HEADER + "\n" + "".join(map(reference_row, rows))
 
     def test_cached_tail_is_the_uncached_one(self):
         # Every pair a run can give: 80 flags by 11 advisories.
@@ -729,7 +730,7 @@ class TestFormatTrace:
                 TrajectorySegment(100.0, 0.3)]
         rows = run_scenario(SagittalScene([Rect(40.0, 42.0, 0.0, 200.0)]), walk)
         assert [row.user_x for row in rows].count(0.0) == 2
-        expected = TRACE_HEADER + "\n" + "".join(map(format_row, rows))
+        expected = TRACE_HEADER + "\n" + "".join(map(reference_row, rows))
         calls, formatted = [], cli._format_lead
         monkeypatch.setattr(cli, "_format_lead",
                             lambda *lead: calls.append(lead) or formatted(*lead))
@@ -743,7 +744,7 @@ class TestFormatTrace:
         levels = [(i % 5, i % 4, 0, i % 3) for i in range(len(rows))]
         fresh = [row._replace(frame=BuzzerFrame(*frame)) for row, frame in zip(rows, levels)]
         made = (row._replace(frame=BuzzerFrame(*frame)) for row, frame in zip(rows, levels))
-        assert format_trace(made) == TRACE_HEADER + "\n" + "".join(map(format_row, fresh))
+        assert format_trace(made) == TRACE_HEADER + "\n" + "".join(map(reference_row, fresh))
 
 
 class TestRunCommand:
@@ -764,7 +765,7 @@ class TestRunCommand:
         sensed = sense(SagittalScene(), 0.0, SimConfig())
         (row,) = tick(TickState(), sensed, 0.0, 0.0, 2, tick_index=index)
         assert row.t_ms == index * 30
-        assert format_row(row).split(",")[:2] == [str(index), str(index * 30)]
+        assert format_trace([row]).splitlines()[1].split(",")[:2] == [str(index), str(index * 30)]
 
     def test_tick_ms_column_step(self, tmp_path, capsys):
         scn = tmp_path / "flat.scn"
@@ -884,6 +885,10 @@ class TestRunCommand:
             pytest.param(".", "Is a directory", id="directory"),
             # open() raises ValueError for a path no file can have.
             pytest.param("t\x00.csv", "embedded null byte", id="null-byte"),
+            # An absolute target replaces tmp_path: a device that takes no bytes.
+            pytest.param("/dev/full", "No space left on device", id="full-device",
+                         marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                  reason="needs /dev/full")),
         ],
     )
     def test_unwritable_out_exit_2(self, tmp_path, capsys, target, named):
